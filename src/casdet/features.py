@@ -134,70 +134,68 @@ def dense_fusion(enc: Tensor, backbone: Tensor, params: dict, name: str = "fuse"
 # RoI pooling ------------------------------------------------------------------
 
 
-def _bin_bounds(lo: float, hi: float, n_cells: int, n_bins: int) -> tuple[int, int, np.ndarray]:
-    """Covered cell range and non-overlapping integer bin boundaries."""
-    c0 = int(np.clip(np.floor(lo), 0, n_cells - 1))
-    c1 = int(np.clip(np.ceil(hi), c0 + 1, n_cells))
-    span = c1 - c0
-    bounds = np.array([(k * span) // n_bins for k in range(n_bins)], dtype=np.intp)
-    return c0, c1, bounds
+_ROI_CHUNK = 32  # boxes per gather pass of roi_pool_batch
+
+
+def _bin_cells(lo: np.ndarray, hi: np.ndarray, n_cells: int, n_bins: int) -> np.ndarray:
+    """Cell indices (n, n_bins, K) of each box's bins along one axis; see roi_pool_batch."""
+    c0 = np.clip(np.floor(lo), 0, n_cells - 1).astype(np.intp)
+    c1 = np.clip(np.ceil(hi), c0 + 1, n_cells).astype(np.intp)
+    bounds = (np.arange(n_bins + 1) * (c1 - c0)[:, None]) // n_bins
+    size = np.maximum(np.diff(bounds, axis=1), 1)
+    offsets = np.arange(size.max(initial=1))
+    return (c0[:, None] + bounds[:, :-1])[:, :, None] + np.minimum(offsets, size[:, :, None] - 1)
 
 
 def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7, 7)) -> Tensor:
     """Channelwise max-pool fixed-size region features for a batch of boxes.
 
     ``boxes`` is (n, 4) cxcywh in normalized image coordinates; the result is
-    (n, H_roi, W_roi, C). The covered cell range of each box is partitioned
-    into contiguous bins; a bin left empty by a small box takes the value of
-    the boundary cell, so tiny boxes replicate their single covered cell.
-    Gradients flow to the grid cells that supplied each bin maximum; box
-    coordinates are constants of the op.
+    (n, H_roi, W_roi, C). Along each axis the box, clipped to [0, 1], covers
+    cells ``[floor(lo), ceil(hi))``, at least one; this range of ``span`` cells
+    is cut into contiguous bins at ``k*span // n_bins``. A bin left empty by a
+    small box takes its boundary cell, so tiny boxes replicate their one cell.
+    Gradients flow to the cell that supplied each bin maximum, the first in
+    row-major order among equal maxima (as ``np.argmax``), and are summed in
+    (box, bin, channel) order; box coordinates are constants of the op. Boxes
+    go in chunks of ``_ROI_CHUNK``, which bounds each temporary to
+    ``_ROI_CHUNK * H_roi * W_roi * C`` values. NaN or inf in the grid or the
+    boxes raise ``FloatingPointError``.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    if not (np.isfinite(grid.data).all() and np.isfinite(boxes).all()):
+        raise FloatingPointError("roi_pool_batch: the grid or the boxes hold NaN or inf")
     hb, wb = out_hw
     h, w, c = grid.shape
-    data = grid.data
-    n = boxes.shape[0]
-    out = np.empty((n, hb, wb, c), dtype=np.float64)
-    meta = []
-    xyxy = np.clip(box_cxcywh_to_xyxy(boxes), 0.0, 1.0)
-    for i in range(n):
-        x0, y0, x1, y1 = xyxy[i]
-        r0, r1, rb = _bin_bounds(y0 * h, y1 * h, h, hb)
-        c0, c1, cb = _bin_bounds(x0 * w, x1 * w, w, wb)
-        sub = data[r0:r1, c0:c1]
-        pooled = np.maximum.reduceat(sub, rb, axis=0)
-        pooled = np.maximum.reduceat(pooled, cb, axis=1)
-        out[i] = pooled
-        meta.append((r0, r1, rb, c0, c1, cb))
+    x0, y0, x1, y1 = np.clip(box_cxcywh_to_xyxy(boxes), 0.0, 1.0).T
+    rows = _bin_cells(y0 * h, y1 * h, h, hb)
+    cols = _bin_cells(x0 * w, x1 * w, w, wb)
+    offsets = [(jr, jc) for jr in range(rows.shape[2]) for jc in range(cols.shape[2])]  # row-major
+    chunks = [slice(i, i + _ROI_CHUNK) for i in range(0, len(boxes), _ROI_CHUNK)]
+    cells = grid.data.reshape(h * w, c)
 
-    def backward(o: Tensor) -> None:
-        if not grid.requires_grad:
-            return
-        buf = np.zeros_like(data)
-        g = o.grad
-        for i, (r0, r1, rb, c0, c1, cb) in enumerate(meta):
-            sub = data[r0:r1, c0:c1]
-            nr, nc = sub.shape[:2]
-            rstops = np.append(rb[1:], nr)
-            cstops = np.append(cb[1:], nc)
-            for bi in range(hb):
-                rs, re = rb[bi], max(rstops[bi], rb[bi] + 1)
-                for bj in range(wb):
-                    cs, ce = cb[bj], max(cstops[bj], cb[bj] + 1)
-                    seg = sub[rs:re, cs:ce].reshape(-1, c)
-                    am = np.argmax(seg, axis=0)
-                    rr = rs + am // (ce - cs)
-                    cc = cs + am % (ce - cs)
-                    np.add.at(buf[r0:r1, c0:c1], (rr, cc, np.arange(c)), g[i, bi, bj])
-        accumulate_grad(grid, buf)
+    def gather(s: slice, jr: int, jc: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat cell index (b, hb, wb) and values (b, hb, wb, C) at one offset into each bin."""
+        flat = rows[s, :, jr, None] * w + cols[s, None, :, jc]
+        return flat, np.take(cells, flat, axis=0)
+
+    out = np.full((len(boxes), hb, wb, c), -np.inf)
+    for s in chunks:
+        for jr, jc in offsets:
+            np.maximum(out[s], gather(s, jr, jc)[1], out=out[s])
+
+    def backward(o: Tensor) -> None:  # runs only when grid requires grad, its one parent
+        buf = np.zeros(h * w * c)
+        for s in chunks:
+            win = np.empty(out[s].shape, dtype=np.intp)  # all set: each maximum is a gathered value
+            for jr, jc in reversed(offsets):  # the first maximum in row-major order is written last
+                flat, vals = gather(s, jr, jc)
+                np.copyto(win, flat[..., None] * c, where=vals == out[s])
+            win += np.arange(c)
+            np.add.at(buf, win.ravel(), o.grad[s].ravel())
+        accumulate_grad(grid, buf.reshape(h, w, c))
 
     return custom_op(out, (grid,), backward)
-
-
-def roi_pool(grid: Tensor, box: np.ndarray, out_hw: tuple[int, int] = (7, 7)) -> Tensor:
-    """Single-box RoI pooling; see roi_pool_batch."""
-    return roi_pool_batch(grid, np.asarray(box)[None], out_hw)[0]
 
 
 def neck(region: Tensor, params: dict, name: str = "neck") -> Tensor:

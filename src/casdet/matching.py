@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geom import box_cxcywh_to_xyxy, giou_matrix
 
@@ -33,12 +32,63 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
 
     Returns (row, col) pairs sorted by row; with fewer rows than columns some
     columns stay unmatched and vice versa. An empty matrix yields no pairs.
+    NaN or inf in the cost raise ``ValueError``.
+
+    This is the shortest-augmenting-path method (Crouse, 2016) with the
+    column order and tie rules of ``scipy.optimize.linear_sum_assignment``,
+    so it returns the same pairs, ties included. Each augmentation scans the
+    unvisited columns as one vector; among equally short paths, a free
+    column wins. It is written in numpy so that importing casdet does not
+    load ``scipy.optimize``: its tens of thousands of live objects would be
+    walked again by every full garbage collection of a training loop.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
         return []
-    rows, cols = linear_sum_assignment(cost)
-    return sorted(zip(rows.tolist(), cols.tolist()))
+    if not np.isfinite(cost).all():
+        raise ValueError("hungarian: the cost matrix holds NaN or inf")
+    transpose = cost.shape[0] > cost.shape[1]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    u, v = np.zeros(nr), np.zeros(nc)  # dual potentials of rows and columns
+    col4row, row4col, path = np.full(nr, -1), np.full(nc, -1), np.full(nc, -1)
+    for cur in range(nr):
+        shortest = np.full(nc, np.inf)
+        remaining = np.arange(nc - 1, -1, -1)  # unvisited columns first, visited ones moved past k
+        k, i, sink, min_val, visited_rows = nc, cur, -1, 0.0, []
+        while sink == -1:
+            js = remaining[:k]
+            r = min_val + cost[i, js] - u[i] - v[js]
+            short = shortest[js]
+            better = r < short
+            path[js[better]] = i
+            shortest[js] = short = np.where(better, r, short)
+            min_val = short.min()
+            ties = short == min_val
+            free = ties & (row4col[js] == -1)
+            index = np.flatnonzero(free)[-1] if free.any() else int(ties.argmax())
+            j = remaining[index]
+            remaining[index], remaining[k - 1] = remaining[k - 1], j
+            k -= 1
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                visited_rows.append(i)
+        u[cur] += min_val
+        rows, cols = np.array(visited_rows, dtype=np.intp), remaining[k:]
+        u[rows] += min_val - shortest[col4row[rows]]
+        v[cols] -= min_val - shortest[cols]
+        j = sink
+        while True:  # flip the matching along the path back to the current row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    pairs = zip(col4row.tolist(), range(nr)) if transpose else zip(range(nr), col4row.tolist())
+    return sorted(pairs)
 
 
 def stable_cls_cost(p, s_prime, gamma: float = 2.0, beta: float = 0.5) -> np.ndarray:

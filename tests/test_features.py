@@ -13,9 +13,10 @@ from casdet.features import (
     multi_head_attention,
     neck,
     patch_embed,
-    roi_pool,
     roi_pool_batch,
+    _ROI_CHUNK,
 )
+from casdet.geom import box_cxcywh_to_xyxy
 from casdet.tensor import ShapeError, Tensor
 
 
@@ -133,7 +134,7 @@ def test_fusion_linearity_with_zero_bias():
 def test_roi_constant_grid():
     grid = Tensor(np.full((8, 8, 4), 2.5))
     box = np.array([0.4, 0.5, 0.3, 0.35])
-    out = roi_pool(grid, box)
+    out = roi_pool_batch(grid, box[None])[0]
     assert out.shape == (7, 7, 4)
     np.testing.assert_array_equal(out.data, 2.5)
 
@@ -146,7 +147,7 @@ def test_roi_identity_on_exact_bin_grid():
     box = np.array(
         [(box_xyxy[0] + box_xyxy[2]) / 2, (box_xyxy[1] + box_xyxy[3]) / 2, box_xyxy[2] - box_xyxy[0], box_xyxy[3] - box_xyxy[1]]
     )
-    out = roi_pool(grid, box)
+    out = roi_pool_batch(grid, box[None])[0]
     np.testing.assert_array_equal(out.data, grid.data[1:8, 0:7])
 
 
@@ -154,7 +155,7 @@ def test_roi_tiny_box_replicates_single_cell():
     rng = np.random.default_rng(11)
     grid = Tensor(rng.normal(size=(8, 8, 5)))
     box = np.array([3.5 / 8, 2.5 / 8, 0.01, 0.01])  # inside cell (row 2, col 3)
-    out = roi_pool(grid, box)
+    out = roi_pool_batch(grid, box[None])[0]
     np.testing.assert_array_equal(out.data, np.broadcast_to(grid.data[2, 3], (7, 7, 5)))
 
 
@@ -198,7 +199,7 @@ def test_roi_matches_brute_force_enumeration():
         box = np.array(
             [rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), rng.uniform(0.02, 0.6), rng.uniform(0.02, 0.6)]
         )
-        out = roi_pool(grid, box).data
+        out = roi_pool_batch(grid, box[None])[0].data
         np.testing.assert_array_equal(out, brute_force_roi(grid.data, box))
 
 
@@ -208,7 +209,7 @@ def test_roi_bin_indices_pure_function_of_cell_range():
     # both boxes cover cell rows 2..5, cols 2..5; outputs must be identical
     a = np.array([0.47, 0.47, 0.32, 0.32])
     b = np.array([0.48, 0.46, 0.33, 0.34])
-    np.testing.assert_array_equal(roi_pool(grid, a).data, roi_pool(grid, b).data)
+    np.testing.assert_array_equal(roi_pool_batch(grid, a[None])[0].data, roi_pool_batch(grid, b[None])[0].data)
 
 
 def test_roi_batch_matches_singles_and_grad():
@@ -223,6 +224,84 @@ def test_roi_batch_matches_singles_and_grad():
     w = rng.normal(size=batch.shape)
     err = T.grad_check(lambda: (roi_pool_batch(grid, boxes, out_hw=(3, 3)) * w).sum(), grid)
     assert err < 1e-5
+
+
+def brute_force_roi_grad(data, boxes, g, out_hw):
+    """Grid gradient of ``sum(roi_pool_batch(data, boxes) * g)`` by per-bin loops.
+
+    Each bin sends its gradient to its ``np.argmax`` cell, one ``np.add.at``
+    per bin, in (box, bin, channel) order.
+    """
+    h, w, c = data.shape
+    hb, wb = out_hw
+    buf = np.zeros_like(data)
+
+    def bounds(lo, hi, n_cells, n_bins):
+        c0 = int(np.clip(np.floor(lo), 0, n_cells - 1))
+        c1 = int(np.clip(np.ceil(hi), c0 + 1, n_cells))
+        return c0, [(k * (c1 - c0)) // n_bins for k in range(n_bins)] + [c1 - c0]
+
+    for i, (x0, y0, x1, y1) in enumerate(np.clip(box_cxcywh_to_xyxy(boxes), 0.0, 1.0)):
+        r0, rb = bounds(y0 * h, y1 * h, h, hb)
+        c0, cb = bounds(x0 * w, x1 * w, w, wb)
+        for bi in range(hb):
+            rs, re = r0 + rb[bi], r0 + max(rb[bi + 1], rb[bi] + 1)
+            for bj in range(wb):
+                cs, ce = c0 + cb[bj], c0 + max(cb[bj + 1], cb[bj] + 1)
+                am = np.argmax(data[rs:re, cs:ce].reshape(-1, c), axis=0)
+                np.add.at(buf, (rs + am // (ce - cs), cs + am % (ce - cs), np.arange(c)), g[i, bi, bj])
+    return buf
+
+
+def random_roi_case(rng, kind, case):
+    h, w, c = rng.integers(1, 13), rng.integers(1, 13), rng.integers(1, 5)
+    data = rng.normal(size=(h, w, c))
+    n = 2 * _ROI_CHUNK + 5 if kind == "batch_over_chunk" else rng.integers(1, 10)
+    boxes = np.column_stack([rng.uniform(0.1, 0.9, (n, 2)), rng.uniform(0.02, 0.8, (n, 2))])
+    if kind == "ties":
+        data = np.round(data)
+    elif kind == "partly_outside":
+        boxes[:, :2] = rng.uniform(-0.3, 1.3, (n, 2))
+    elif kind == "zero_width":
+        boxes[:, 2:] *= rng.random((n, 2)) < 0.5
+    elif kind == "wider_than_grid":
+        boxes[:, 2:] = rng.uniform(1.0, 2.5, (n, 2))
+    out_hw = [(1, 1), (8, 8)][case] if case < 2 else tuple(int(k) for k in rng.integers(1, 9, 2))
+    return data, boxes, out_hw
+
+
+@pytest.mark.parametrize("kind", ["ties", "partly_outside", "zero_width", "wider_than_grid", "batch_over_chunk"])
+def test_roi_values_and_grad_bitwise_equal_brute_force(kind):
+    rng = np.random.default_rng(16)
+    for case in range(12 if kind == "batch_over_chunk" else 40):
+        data, boxes, out_hw = random_roi_case(rng, kind, case)
+        grid = Tensor(data.copy(), requires_grad=True)
+        out = roi_pool_batch(grid, boxes, out_hw)
+        g = rng.normal(size=out.shape)
+        (out * g).sum().backward()
+        expected = np.stack([brute_force_roi(data, box, out_hw) for box in boxes])
+        assert np.array_equal(out.data, expected), (kind, case)
+        assert np.array_equal(grid.grad, brute_force_roi_grad(data, boxes, g, out_hw)), (kind, case)
+
+
+def test_roi_zero_boxes_give_empty_output_and_zero_grad():
+    grid = Tensor(np.random.default_rng(17).normal(size=(5, 6, 3)), requires_grad=True)
+    out = roi_pool_batch(grid, np.zeros((0, 4)), out_hw=(3, 4))
+    assert out.shape == (0, 3, 4, 3)
+    out.sum().backward()
+    np.testing.assert_array_equal(grid.grad, np.zeros((5, 6, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_roi_non_finite_input_raises_with_stage_name(bad):
+    data = np.random.default_rng(18).normal(size=(4, 4, 2))
+    box = np.array([[0.5, 0.5, 0.4, 0.4]])
+    poisoned = data.copy()
+    poisoned[3, 0, 1] = bad  # outside the box: the check covers the whole grid
+    with pytest.raises(FloatingPointError, match="roi_pool_batch"):
+        roi_pool_batch(Tensor(poisoned), box)
+    with pytest.raises(FloatingPointError, match="roi_pool_batch"):
+        roi_pool_batch(Tensor(data), np.where(np.arange(4) == 2, bad, box))
 
 
 def test_neck_shapes_zero_and_grad():

@@ -57,6 +57,25 @@ def test_hungarian_matches_brute_force_up_to_7():
         assert pairs_cost(cost, got) == pytest.approx(best)
 
 
+def test_hungarian_equals_scipy_assignment_ties_included():
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(3)
+    for trial in range(400):
+        n, m = (int(x) for x in rng.integers(1, 25, size=2))
+        cost = [rng.normal(size=(n, m)), rng.integers(0, 4, size=(n, m)).astype(float),
+                np.full((n, m), 1.5), np.round(rng.normal(size=(n, m)), 1)][trial % 4]
+        rows, cols = linear_sum_assignment(cost)
+        assert hungarian(cost) == sorted(zip(rows.tolist(), cols.tolist()))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hungarian_rejects_non_finite_cost(bad):
+    cost = np.zeros((2, 3))
+    cost[1, 2] = bad
+    with pytest.raises(ValueError, match="hungarian"):
+        hungarian(cost)
+
+
 def test_hungarian_rectangular_5x2():
     rng = np.random.default_rng(2)
     cost = rng.normal(size=(5, 2))
