@@ -19,17 +19,12 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class CascadeConfig:
-    """Threshold schedule and weighting temperature.
-
-    ``force_omega`` overrides every computed weight with a constant; setting
-    it to 1.0 reproduces uniform denoising through the cascade code path.
-    """
+    """Threshold schedule and weighting temperature."""
 
     theta1: float = 0.3
     delta_theta: float = 0.6
     n_layers: int = 6
     tau: float = 0.1
-    force_omega: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.theta1 < 1.0):

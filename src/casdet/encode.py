@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
+from .features import ffn, init_linear
 from .tensor import Tensor
 
 
@@ -79,28 +79,19 @@ def grid_pe(height: int, width: int, d_model: int, temperature: float = 10000.0)
 
 def init_positional_query(params: dict, rng: np.random.Generator, prefix: str, d_model: int) -> None:
     """Allocate the query MLP: 2*d_model -> d_model with one ReLU hidden layer."""
-    n_in = 2 * d_model
-
-    def w(shape):
-        return Tensor(rng.normal(0.0, np.sqrt(2.0 / sum(shape)), size=shape), requires_grad=True)
-
-    params[f"{prefix}.w1"] = w((n_in, d_model))
-    params[f"{prefix}.b1"] = Tensor(np.zeros(d_model), requires_grad=True)
-    params[f"{prefix}.w2"] = w((d_model, d_model))
-    params[f"{prefix}.b2"] = Tensor(np.zeros(d_model), requires_grad=True)
+    init_linear(params, rng, f"{prefix}.1", 2 * d_model, d_model)
+    init_linear(params, rng, f"{prefix}.2", d_model, d_model)
 
 
 def positional_query(anchors: np.ndarray, params: dict, prefix: str, cfg: PeConfig) -> Tensor:
     """Map anchor boxes to positional queries through a one-hidden-layer MLP.
 
     ``anchors`` has shape (..., 4); the result has shape (..., d_model) where
-    d_model is the output width of ``{prefix}.w2``.
+    d_model is the output width of ``{prefix}.2``.
     """
     raw = box_pe_vector(anchors, cfg)
     single = raw.ndim == 1
-    pe = Tensor(raw[None] if single else raw)
-    h = T.relu(pe @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"])
-    out = h @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
+    out = ffn(Tensor(raw[None] if single else raw), params, prefix)
     return out[0] if single else out
 
 

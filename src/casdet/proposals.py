@@ -8,17 +8,16 @@ keeping a path to plugging in real mask-derived boxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import box_xyxy_to_cxcywh, iou_matrix, box_cxcywh_to_xyxy, perturb_box
+from .geom import box_cxcywh_to_xyxy, iou_matrix, perturb_box
 
 
 @dataclass
 class Proposal:
     box: np.ndarray  # (4,) cxcywh, normalized
-    source: str = "emulated"  # "emulated" or "fixture"
     score: float | None = None
 
 
@@ -107,31 +106,6 @@ def proposal_recall(props: list[Proposal], gts: np.ndarray, iou_thr: float) -> f
     return float((best >= iou_thr).mean())
 
 
-def refine_with_proposals(dets: list, props: list[Proposal], snap_thr: float) -> list:
-    """Snap detection boxes onto their best-overlapping proposal.
-
-    A detection whose best proposal IoU is >= snap_thr takes that proposal's
-    box; scores, labels and ordering are untouched. Ties on IoU go to the
-    first proposal. Idempotent.
-    """
-    if not (0.0 < snap_thr < 1.0):
-        raise ValueError("snap_thr must be in (0, 1)")
-    if not props or not dets:
-        return list(dets)
-    from dataclasses import replace
-
-    pb = box_cxcywh_to_xyxy(np.stack([p.box for p in props]))
-    out = []
-    for det in dets:
-        ious = iou_matrix(box_cxcywh_to_xyxy(det.box[None]), pb)[0]
-        best = int(np.argmax(ious))
-        if ious[best] >= snap_thr:
-            out.append(replace(det, box=props[best].box.copy()))
-        else:
-            out.append(det)
-    return out
-
-
 def save_proposals(path, by_scene: dict[int, list[Proposal]]) -> None:
     """Write a proposal fixture: one line per proposal.
 
@@ -178,5 +152,5 @@ def load_proposals(path) -> tuple[dict[int, list[Proposal]], list[str]]:
             if not np.all(np.isfinite(box)) or box[2] <= 0 or box[3] <= 0:
                 rejected.append(f"line {lineno}: invalid box {vals}")
                 continue
-            by_scene.setdefault(scene_id, []).append(Proposal(box, source="fixture", score=score))
+            by_scene.setdefault(scene_id, []).append(Proposal(box, score=score))
     return by_scene, rejected

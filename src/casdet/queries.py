@@ -32,31 +32,6 @@ class DnConfig:
             raise ValueError("box_noise must be >= 0")
 
 
-@dataclass
-class QuerySet:
-    """Anchors, contents and isolation layout for one scene's decoder pass.
-
-    ``dn_anchors``/``dn_contents`` are (groups, n_gt, ...) and None at
-    inference. ``mask`` is the full (n, n) allowed-to-attend matrix over
-    matching rows followed by the flattened denoising rows.
-    """
-
-    anchors: np.ndarray            # (n_match, 4)
-    contents: Tensor               # (n_match, d)
-    dn_anchors: np.ndarray | None  # (groups, n_gt, 4)
-    dn_contents: Tensor | None     # (groups, n_gt, d)
-    mask: np.ndarray               # (n, n) bool
-    group_sizes: list[int]
-
-    @property
-    def n_match(self) -> int:
-        return self.anchors.shape[0]
-
-    @property
-    def n_total(self) -> int:
-        return self.n_match + sum(self.group_sizes)
-
-
 class EmptyProposalsError(ValueError):
     """No proposals were supplied to initialize matching queries."""
 
@@ -85,15 +60,6 @@ def init_matching_queries(props: list[Proposal], grid: Tensor, params: dict) -> 
     anchors = np.stack([p.box for p in props]).astype(np.float64)
     contents = neck(roi_pool_batch(grid, anchors), params)
     return anchors, contents
-
-
-def fallback_anchor_grid(count: int = 16) -> np.ndarray:
-    """Uniformly gridded anchors used when a scene yields no proposals."""
-    k = int(np.ceil(np.sqrt(count)))
-    centers = (np.arange(k) + 0.5) / k
-    cx, cy = np.meshgrid(centers, centers)
-    anchors = np.stack([cx.ravel(), cy.ravel(), np.full(k * k, 1.0 / k), np.full(k * k, 1.0 / k)], axis=-1)
-    return anchors[:count]
 
 
 def make_dn_queries(

@@ -34,7 +34,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,7 +64,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(_toposort(self)):
             if node._backward is not None:
-                node._backward()
+                node._backward(node)
 
     # arithmetic ------------------------------------------------------------
 
@@ -173,13 +173,15 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[T
     """Build an op node from precomputed forward data and a backward closure.
 
     ``backward`` receives the output tensor and is responsible for calling
-    ``accumulate_grad`` on whichever parents require gradients.
+    ``accumulate_grad`` on whichever parents require gradients. It is stored
+    as is, not bound to the output, so nodes only point at their parents: a
+    graph holds no reference cycle and is freed as soon as it is dropped.
     """
     parents = tuple(parents)
     out = Tensor(data, any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
-        out._backward = lambda: backward(out)
+        out._backward = backward
     return out
 
 
@@ -400,17 +402,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return custom_op(np.concatenate([t.data for t in ts], axis=axis), ts, backward)
 
 
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-
-    def backward(out):
-        for i, t in enumerate(ts):
-            if t.requires_grad:
-                _accum(t, np.take(out.grad, i, axis=axis))
-
-    return custom_op(np.stack([t.data for t in ts], axis=axis), ts, backward)
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     """Shift-invariant softmax along one axis."""
     a = as_tensor(a)
@@ -449,43 +440,28 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention.
+    """Scaled dot-product attention: ``q (..., n, d)``, ``k (..., m, d)``,
+    ``v (..., m, dv)``, with leading batch axes broadcast as in ``matmul``.
 
-    Without a mask, operands may carry leading batch axes: ``q (..., n, d)``,
-    ``k (..., m, d)``, ``v (..., m, dv)``. With a boolean mask of shape
-    ``(n, m)`` (True = may attend), operands must be 2-d; masked keys are
-    excluded from the reduction outright, so they get exactly zero weight no
-    matter how large their logits are. A row with no allowed key raises
-    MaskError, signalling a malformed isolation mask.
+    ``mask`` is an optional boolean ``(n, m)`` array (True = may attend) that
+    broadcasts over the batch axes. Masked logits are set to ``-inf`` before
+    the softmax, so masked keys get exactly zero weight however large their
+    logits are, and the gradient of a masked logit is exactly zero. A mask
+    whose shape is not ``(n, m)`` raises ShapeError; a row with no allowed key
+    raises MaskError, signalling a malformed isolation mask.
     """
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    if mask is None:
-        logits = matmul(q, swapaxes(k, -1, -2)) * scale
-        return matmul(softmax(logits, axis=-1), v)
-
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("masked attention expects 2-d q, k, v")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (q.shape[0], k.shape[0]):
-        raise ShapeError(f"mask shape {mask.shape} does not match ({q.shape[0]}, {k.shape[0]})")
-    empty = ~mask.any(axis=1)
-    if empty.any():
-        raise MaskError(f"query rows {np.flatnonzero(empty).tolist()} have no unmasked key")
-
-    groups: dict[bytes, list[int]] = {}
-    for i, row in enumerate(mask):
-        groups.setdefault(row.tobytes(), []).append(i)
-
-    row_order: list[np.ndarray] = []
-    blocks: list[Tensor] = []
-    for key, rows in groups.items():
-        cols = np.flatnonzero(np.frombuffer(key, dtype=bool))
-        rows = np.asarray(rows)
-        qs, ks, vs = take(q, rows), take(k, cols), take(v, cols)
-        blocks.append(matmul(softmax(matmul(qs, ks.T) * scale, axis=-1), vs))
-        row_order.append(rows)
-    perm = np.argsort(np.concatenate(row_order))
-    return take(concat(blocks, axis=0), perm)
+    logits = matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != logits.shape[-2:]:
+            raise ShapeError(f"mask shape {mask.shape} does not match {logits.shape[-2:]}")
+        empty = ~mask.any(axis=1)
+        if empty.any():
+            raise MaskError(f"query rows {np.flatnonzero(empty).tolist()} have no unmasked key")
+        scores = logits
+        logits = custom_op(np.where(mask, scores.data, -np.inf), (scores,),
+                           lambda out: _accum(scores, out.grad * mask))
+    return matmul(softmax(logits, axis=-1), v)
 
 
 def grad_check(

@@ -1,5 +1,3 @@
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
@@ -12,16 +10,8 @@ from casdet.proposals import (
     load_proposals,
     mask_to_bbox,
     proposal_recall,
-    refine_with_proposals,
     save_proposals,
 )
-
-
-@dataclass
-class FakeDet:
-    box: np.ndarray
-    class_id: int
-    score: float
 
 
 def test_mask_to_bbox_full_coverage():
@@ -132,34 +122,6 @@ def test_recall_monotone_in_threshold():
     assert all(a >= b for a, b in zip(rec, rec[1:]))
 
 
-def test_refine_noop_below_threshold():
-    dets = [FakeDet(np.array([0.5, 0.5, 0.2, 0.2]), 1, 0.9)]
-    props = [Proposal(np.array([0.1, 0.1, 0.1, 0.1]))]
-    out = refine_with_proposals(dets, props, 0.9)
-    np.testing.assert_array_equal(out[0].box, dets[0].box)
-
-
-def test_refine_fixed_point_and_idempotent():
-    box = np.array([0.5, 0.5, 0.2, 0.2])
-    dets = [FakeDet(box.copy(), 0, 0.8)]
-    props = [Proposal(box.copy()), Proposal(np.array([0.52, 0.5, 0.2, 0.2]))]
-    once = refine_with_proposals(dets, props, 0.9)
-    twice = refine_with_proposals(once, props, 0.9)
-    np.testing.assert_array_equal(once[0].box, box)
-    np.testing.assert_array_equal(once[0].box, twice[0].box)
-    assert once[0].score == 0.8 and once[0].class_id == 0
-
-
-def test_refine_snaps_to_argmax():
-    det_box = np.array([0.5, 0.5, 0.2, 0.2])
-    near = det_box + np.array([0.004, 0, 0, 0])  # IoU ~0.96
-    nearer = det_box + np.array([0.002, 0, 0, 0])  # IoU ~0.98
-    dets = [FakeDet(det_box, 2, 0.7)]
-    props = [Proposal(near), Proposal(nearer)]
-    out = refine_with_proposals(dets, props, 0.9)
-    np.testing.assert_array_equal(out[0].box, nearer)
-
-
 def test_fixture_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     by_scene = {
@@ -175,7 +137,6 @@ def test_fixture_round_trip(tmp_path):
         for a, b in zip(by_scene[sid], loaded[sid]):
             np.testing.assert_allclose(a.box, b.box, atol=1e-9)
             assert a.score == b.score
-            assert b.source == "fixture"
 
 
 def test_fixture_empty_file(tmp_path):

@@ -8,7 +8,6 @@ from casdet.queries import (
     DnConfig,
     EmptyProposalsError,
     attention_mask,
-    fallback_anchor_grid,
     init_matching_queries,
     make_dn_queries,
 )
@@ -81,14 +80,6 @@ def test_init_matching_queries_empty_raises():
     rng = np.random.default_rng(2)
     with pytest.raises(EmptyProposalsError):
         init_matching_queries([], Tensor(rng.normal(size=(4, 4, 4))), neck_params(rng))
-
-
-def test_fallback_anchor_grid():
-    anchors = fallback_anchor_grid(16)
-    assert anchors.shape == (16, 4)
-    assert np.unique(anchors[:, :2], axis=0).shape[0] == 16
-    xyxy = box_cxcywh_to_xyxy(anchors)
-    assert np.all(xyxy >= 0) and np.all(xyxy <= 1)
 
 
 def test_dn_query_counts():

@@ -86,7 +86,6 @@ def test_primitives_pass_grad_check(seed):
         (lambda: (T.layer_norm(x, gamma, beta) * w).sum(), [x, gamma, beta]),
         (lambda: (x[1:, ::2] ** 2).sum(), [x]),
         (lambda: (T.concat([x, y], axis=1) * w10).sum(), [x, y]),
-        (lambda: (T.stack([x, y], axis=0) ** 2).sum(), [x, y]),
         (lambda: (x.reshape(5, 3).swapaxes(0, 1) * w).sum(), [x]),
         (lambda: (x.mean(axis=0) ** 2).sum(), [x]),
         (lambda: (T.clip(x, -0.9, 0.9) * w).sum(), [x]),
@@ -173,9 +172,17 @@ def test_attention_masked_logits_never_influence_output():
     v = rng.normal(size=(7, 8))
     mask = rng.random((4, 7)) > 0.5
     mask[:, 0] = True
+    mask[:, -1] = False  # a key no row may see
     base = T.attention(Tensor(q), Tensor(k), Tensor(v), mask).data
+    unseen = ~mask.any(axis=0)
     k2 = k.copy()
-    k2[~mask.any(axis=0)] = 1e6  # blow up keys only masked rows see
+    k2[unseen] = 1e6  # blow up the keys no row may see
+    k2 = Tensor(k2, requires_grad=True)
+    out = T.attention(Tensor(q), k2, Tensor(v), mask)
+    np.testing.assert_array_equal(out.data, base)
+    (out * rng.normal(size=out.shape)).sum().backward()
+    np.testing.assert_array_equal(k2.grad[unseen], 0.0)
+    assert np.all(k2.grad[~unseen] != 0.0)
     for i in range(4):
         kk = k.copy()
         kk[~mask[i]] += 1e6
@@ -208,10 +215,21 @@ def test_attention_batched_matches_loop():
     q = rng.normal(size=(3, 4, 8))
     k = rng.normal(size=(3, 6, 8))
     v = rng.normal(size=(3, 6, 8))
-    batched = T.attention(Tensor(q), Tensor(k), Tensor(v)).data
-    for i in range(3):
-        single = T.attention(Tensor(q[i]), Tensor(k[i]), Tensor(v[i])).data
-        np.testing.assert_allclose(batched[i], single, atol=1e-12)
+    mask = rng.random((4, 6)) > 0.5
+    mask[~mask.any(axis=1), 0] = True
+    for m in (None, mask):  # an (n, m) mask broadcasts over the head axis
+        batched = T.attention(Tensor(q), Tensor(k), Tensor(v), m).data
+        for i in range(3):
+            single = T.attention(Tensor(q[i]), Tensor(k[i]), Tensor(v[i]), m).data
+            np.testing.assert_allclose(batched[i], single, atol=1e-12)
+
+
+def test_attention_mask_of_wrong_shape_raises():
+    q = Tensor(np.ones((2, 3, 4)))
+    k = Tensor(np.ones((2, 5, 4)))
+    for shape in ((5, 3), (3, 4), (2, 3, 5)):
+        with pytest.raises(ShapeError):
+            T.attention(q, k, k, np.ones(shape, dtype=bool))
 
 
 def test_forward_deterministic_and_finite_on_bounded_inputs():
