@@ -402,21 +402,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return custom_op(np.concatenate([t.data for t in ts], axis=axis), ts, backward)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Shift-invariant softmax along one axis."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(out):
-        if a.requires_grad:
-            g = out.grad
-            _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
-
-    return custom_op(y, (a,), backward)
-
-
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with affine parameters."""
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
@@ -448,20 +433,49 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     the softmax, so masked keys get exactly zero weight however large their
     logits are, and the gradient of a masked logit is exactly zero. A mask
     whose shape is not ``(n, m)`` raises ShapeError; a row with no allowed key
-    raises MaskError, signalling a malformed isolation mask.
+    raises MaskError, signalling a malformed isolation mask. NaN or inf in q,
+    k or v raise FloatingPointError.
+
+    The whole call is one graph node with parents ``(q, k, v)``. The forward
+    builds one ``(..., n, m)`` buffer and does the scale, the ``-inf`` fill
+    and the softmax in it in place; the backward keeps only that buffer of
+    probabilities ``p``. It uses rowsum(dp * p) = rowsum(dout * out), so the
+    softmax gradient needs no extra pass over the logits, and masked entries
+    need no mask because ``p`` is exactly 0 there.
     """
-    logits = matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if not (np.isfinite(q.data).all() and np.isfinite(k.data).all() and np.isfinite(v.data).all()):
+        raise FloatingPointError("attention: q, k or v hold NaN or inf")
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p *= scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != logits.shape[-2:]:
-            raise ShapeError(f"mask shape {mask.shape} does not match {logits.shape[-2:]}")
+        if mask.shape != p.shape[-2:]:
+            raise ShapeError(f"mask shape {mask.shape} does not match {p.shape[-2:]}")
         empty = ~mask.any(axis=1)
         if empty.any():
             raise MaskError(f"query rows {np.flatnonzero(empty).tolist()} have no unmasked key")
-        scores = logits
-        logits = custom_op(np.where(mask, scores.data, -np.inf), (scores,),
-                           lambda out: _accum(scores, out.grad * mask))
-    return matmul(softmax(logits, axis=-1), v)
+        np.copyto(p, -np.inf, where=~mask)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward(out):
+        g = out.grad
+        if v.requires_grad:
+            _accum(v, _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape))
+        if q.requires_grad or k.requires_grad:
+            ds = g @ np.swapaxes(v.data, -1, -2)
+            ds -= (g * out.data).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            if q.requires_grad:
+                _accum(q, _unbroadcast(ds @ k.data, q.shape))
+            if k.requires_grad:
+                dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
+                _accum(k, _unbroadcast(dk, k.shape))
+
+    return custom_op(p @ v.data, (q, k, v), backward)
 
 
 def grad_check(

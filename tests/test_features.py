@@ -106,6 +106,22 @@ def test_mha_batched_matches_per_group():
         np.testing.assert_allclose(batched[g], single, atol=1e-12)
 
 
+def test_mha_grad_check_batched_queries_unbatched_keys():
+    """Keys and values without the batch axis broadcast against batched
+    queries in the forward, and their gradients sum over it."""
+    rng = np.random.default_rng(17)
+    d = 8
+    params = {}
+    init_mha(params, rng, "attn", d)
+    q_in = Tensor(rng.normal(size=(3, 4, d)), requires_grad=True)
+    k_in = Tensor(rng.normal(size=(5, d)), requires_grad=True)
+    v_in = Tensor(rng.normal(size=(5, d)), requires_grad=True)
+    w = rng.normal(size=(3, 4, d))
+    err = T.grad_check(lambda: (multi_head_attention(q_in, k_in, v_in, params, "attn", 2) * w).sum(),
+                       [q_in, k_in, v_in, params["attn.k.w"], params["attn.v.w"]])
+    assert err < 1e-6
+
+
 def test_fusion_output_channels_and_shape_error():
     rng = np.random.default_rng(8)
     d = 8

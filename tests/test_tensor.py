@@ -2,7 +2,35 @@ import numpy as np
 import pytest
 
 from casdet import tensor as T
+from casdet.queries import attention_mask
 from casdet.tensor import MaskError, ShapeError, Tensor
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    """Shift-invariant softmax along one axis: the op the attention oracle
+    composes, kept here since ``attention`` does its softmax in place."""
+    a = T.as_tensor(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(out):
+        if a.requires_grad:
+            g = out.grad
+            T.accumulate_grad(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    return T.custom_op(y, (a,), backward)
+
+
+def composed_attention(q, k, v, mask=None):
+    """``attention`` as a chain of graph nodes, as it was before the fused
+    node: swapaxes, matmul, scale, ``-inf`` fill, softmax, matmul."""
+    logits = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = logits
+        logits = T.custom_op(np.where(mask, scores.data, -np.inf), (scores,),
+                             lambda out: T.accumulate_grad(scores, out.grad * mask))
+    return T.matmul(softmax(logits, axis=-1), v)
 
 
 def rand_t(rng, shape, away_from_zero=False):
@@ -40,12 +68,12 @@ def test_matmul_grad_of_sum_is_ones_times_bt():
 
 
 def test_softmax_uniform_and_shift_invariance():
-    y = T.softmax(Tensor([3.0, 3.0, 3.0, 3.0])).data
+    y = softmax(Tensor([3.0, 3.0, 3.0, 3.0])).data
     np.testing.assert_allclose(y, 0.25)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(5,))
-    a = T.softmax(Tensor(x)).data
-    b = T.softmax(Tensor(x + 17.3)).data
+    a = softmax(Tensor(x)).data
+    b = softmax(Tensor(x + 17.3)).data
     np.testing.assert_allclose(a, b, atol=1e-12)
     assert np.all(a > 0) and abs(a.sum() - 1) < 1e-12
 
@@ -54,7 +82,7 @@ def test_softmax_grad():
     rng = np.random.default_rng(3)
     x = rand_t(rng, (4, 6))
     w = rng.normal(size=(4, 6))
-    err = T.grad_check(lambda: (T.softmax(x, axis=-1) * w).sum(), x)
+    err = T.grad_check(lambda: (softmax(x, axis=-1) * w).sum(), x)
     assert err < 1e-6
 
 
@@ -224,6 +252,83 @@ def test_attention_batched_matches_loop():
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
 
+def random_mask(rng, n, m):
+    mask = rng.random((n, m)) > 0.4
+    mask[~mask.any(axis=1), 0] = True
+    return mask
+
+
+def oracle_case(kind, rng):
+    """(q, k, v, mask) arrays for one seeded oracle case."""
+    if kind == "2d":
+        return rng.normal(size=(6, 8)), rng.normal(size=(9, 8)), rng.normal(size=(9, 5)), random_mask(rng, 6, 9)
+    if kind == "heads":
+        return (rng.normal(size=(3, 6, 8)), rng.normal(size=(3, 9, 8)), rng.normal(size=(3, 9, 5)),
+                random_mask(rng, 6, 9))
+    if kind == "heads-unmasked":
+        return rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 7, 4)), rng.normal(size=(2, 3, 7, 6)), None
+    if kind == "unbatched-kv":
+        return rng.normal(size=(4, 6, 8)), rng.normal(size=(9, 8)), rng.normal(size=(9, 5)), random_mask(rng, 6, 9)
+    if kind == "block-diagonal":  # a 1-key DN group, and a 1-key row inside the matching block
+        mask = attention_mask(3, [4, 1])
+        mask[1] = False
+        mask[1, 1] = True
+        return rng.normal(size=(2, 8, 4)), rng.normal(size=(2, 8, 4)), rng.normal(size=(2, 8, 3)), mask
+    # logits +-1e3 + O(1) (d = 4, scale 1/2): exp overflows unless the row max
+    # is subtracted, and each row's softmax still spreads over several keys
+    q, k = rng.normal(size=(5, 4)), rng.normal(size=(7, 4))
+    q[:, 0] = 40.0 * rng.choice([-1.0, 1.0], size=5)
+    k[:, 0] = 50.0
+    return q, k, rng.normal(size=(7, 3)), random_mask(rng, 5, 7)
+
+
+ORACLE_KINDS = ["2d", "heads", "heads-unmasked", "unbatched-kv", "block-diagonal", "large-logits"]
+GRAD_SUBSETS = [(q, k, v) for q in (0, 1) for k in (0, 1) for v in (0, 1) if q or k or v]
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("seed", range(3))
+def test_attention_matches_composed_oracle(kind, seed):
+    """The fused node gives the composed graph's values bitwise and its
+    gradients to 1e-12 relative, for every subset of operands needing grad."""
+    rng = np.random.default_rng(100 * seed + ORACLE_KINDS.index(kind))
+    q, k, v, mask = oracle_case(kind, rng)
+    if kind == "large-logits":
+        logits = np.abs(q @ k.T / 2.0)
+        assert 990.0 < logits.min() and logits.max() < 1010.0
+    fused = T.attention(Tensor(q), Tensor(k), Tensor(v), mask)
+    assert not fused.requires_grad and fused._parents == ()
+    np.testing.assert_array_equal(fused.data, composed_attention(Tensor(q), Tensor(k), Tensor(v), mask).data)
+    w = rng.normal(size=fused.shape)
+    for flags in GRAD_SUBSETS:
+        grads = []
+        for fn in (T.attention, composed_attention):
+            leaves = [Tensor(a, requires_grad=f) for a, f in zip((q, k, v), flags)]
+            out = fn(*leaves, mask)
+            if fn is T.attention:
+                assert out._parents == tuple(leaves)
+                np.testing.assert_array_equal(out.data, fused.data)
+            (out * w).sum().backward()
+            grads.append([t.grad for t in leaves])
+        for t_fused, t_oracle, f in zip(*grads, flags):
+            if not f:
+                assert t_fused is None and t_oracle is None
+                continue
+            assert t_fused.shape == t_oracle.shape
+            assert np.abs(t_fused - t_oracle).max() <= 1e-12 * np.abs(t_oracle).max()
+
+
+def test_attention_rejects_non_finite_inputs():
+    rng = np.random.default_rng(13)
+    arrays = [rng.normal(size=(4, 6)), rng.normal(size=(5, 6)), rng.normal(size=(5, 3))]
+    for which in range(3):
+        for bad in (np.nan, np.inf, -np.inf):
+            args = [a.copy() for a in arrays]
+            args[which][1, 2] = bad
+            with pytest.raises(FloatingPointError, match="attention"):
+                T.attention(*(Tensor(a, requires_grad=True) for a in args))
+
+
 def test_attention_mask_of_wrong_shape_raises():
     q = Tensor(np.ones((2, 3, 4)))
     k = Tensor(np.ones((2, 5, 4)))
@@ -236,7 +341,7 @@ def test_forward_deterministic_and_finite_on_bounded_inputs():
     rng = np.random.default_rng(10)
     x = rng.uniform(-1e3, 1e3, size=(6, 6))
     ops = [
-        lambda t: T.softmax(t),
+        lambda t: softmax(t),
         lambda t: T.sigmoid(t),
         lambda t: T.relu(t),
         lambda t: t @ Tensor(np.eye(6)),
