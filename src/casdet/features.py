@@ -31,7 +31,7 @@ def init_linear(params: dict, rng: np.random.Generator, name: str, n_in: int, n_
 
 
 def linear(x: Tensor, params: dict, name: str) -> Tensor:
-    return x @ params[f"{name}.w"] + params[f"{name}.b"]
+    return T.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def init_layer_norm(params: dict, name: str, dim: int) -> None:

@@ -5,6 +5,13 @@ builds an implicit graph that ``Tensor.backward()`` walks in reverse
 topological order. There is no global tape or session state, which makes
 independent graphs safe to build and differentiate concurrently.
 
+The walk owns its gradient buffers. A backward closure may hand ``out.grad``,
+or a view of it, to a parent as is, so it must never write into ``out.grad``
+or into an array it has passed on; a tensor's first gradient is adopted
+without a copy, and later ones are summed out of place. Leaves (tensors with
+no backward closure, such as parameters) keep ``.grad`` as their own copy;
+interior nodes drop theirs as soon as their closure has run.
+
 Elementwise ops broadcast like numpy and gradients are summed back down to
 the operand shapes; ``matmul`` follows numpy's stacked-matrix rules. Only
 what the detector needs is implemented.
@@ -58,13 +65,21 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output through the recorded graph."""
+        """Backpropagate from a scalar output through the recorded graph.
+
+        Leaves accumulate into their ``.grad``, so two calls give twice the
+        gradient of one. Every interior node except ``self`` has ``.grad``
+        set to None once its closure has run; ``_parents`` and the closures
+        stay, so the graph can be walked and differentiated again.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
         self.grad = np.ones_like(self.data)
         for node in reversed(_toposort(self)):
             if node._backward is not None:
                 node._backward(node)
+                if node is not self:
+                    node.grad = None
 
     # arithmetic ------------------------------------------------------------
 
@@ -153,9 +168,20 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Add ``g`` into ``t.grad`` without writing into ``g`` or the old ``.grad``.
+
+    An interior node adopts its first ``g`` as is, so ``g`` may be the
+    caller's ``out.grad`` or a view of it; a leaf stores a C-ordered float64
+    copy, so its ``.grad`` shares memory with no other array and is an array
+    even when ``g`` is a numpy scalar. Later contributions are summed out of
+    place.
+    """
+    if t.grad is not None:
+        t.grad = t.grad + g
+    elif t._backward is None:
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad = g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -173,7 +199,9 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[T
     """Build an op node from precomputed forward data and a backward closure.
 
     ``backward`` receives the output tensor and is responsible for calling
-    ``accumulate_grad`` on whichever parents require gradients. It is stored
+    ``accumulate_grad`` on whichever parents require gradients. It may pass
+    ``out.grad`` or a view of it on unchanged, and must never write into
+    ``out.grad`` or into an array it has passed on. It is stored
     as is, not bound to the output, so nodes only point at their parents: a
     graph holds no reference cycle and is freed as soon as it is dropped.
     """
@@ -257,6 +285,29 @@ def matmul(a, b) -> Tensor:
             _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return custom_op(a.data @ b.data, (a, b), backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` as one node with parents ``(x, w, b)``: ``x (..., n_in)``,
+    ``w (n_in, n_out)``, ``b (n_out,)``, gradients as in ``matmul`` and ``add``."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim < 2 or w.ndim < 2:
+        raise ShapeError("linear operands must have ndim >= 2")
+    if x.shape[-1] != w.shape[-2]:
+        raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
+    y = x.data @ w.data
+    y += b.data
+
+    def backward(out):
+        g = out.grad
+        if x.requires_grad:
+            _accum(x, _unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.shape))
+        if w.requires_grad:
+            _accum(w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
+
+    return custom_op(y, (x, w, b), backward)
 
 
 def relu(a) -> Tensor:
@@ -489,8 +540,10 @@ def grad_check(
 
     ``f`` is a zero-argument callable returning a scalar Tensor; it must be a
     pure, deterministic function of the tensors in ``wrt`` (it is re-invoked
-    with perturbed data for every probed coordinate). Returns the max over
-    probed coordinates of ``|ad - fd| / max(1, |fd|)``. By default every
+    with perturbed data for every probed coordinate). The tensors in ``wrt``
+    must be leaves, since interior nodes keep no ``.grad`` after
+    ``backward()``. Returns the max over probed coordinates of
+    ``|ad - fd| / max(1, |fd|)``. By default every
     coordinate is probed; ``max_coords_per_tensor`` limits the probes per
     tensor to a random subset, for large parameter sets.
     """

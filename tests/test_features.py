@@ -10,6 +10,7 @@ from casdet.features import (
     init_linear,
     init_mha,
     init_ffn,
+    linear,
     multi_head_attention,
     neck,
     patch_embed,
@@ -104,6 +105,18 @@ def test_mha_batched_matches_per_group():
     for g in range(3):
         single = multi_head_attention(Tensor(x[g]), Tensor(x[g]), Tensor(x[g]), params, "attn", 2).data
         np.testing.assert_allclose(batched[g], single, atol=1e-12)
+
+
+def test_linear_grad_check_3d_input():
+    rng = np.random.default_rng(12)
+    params = {}
+    init_linear(params, rng, "lin", 4, 3, bias=0.3)
+    x = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    w = rng.normal(size=(2, 5, 3))
+    out = linear(x, params, "lin")
+    assert out._parents == (x, params["lin.w"], params["lin.b"])
+    err = T.grad_check(lambda: (linear(x, params, "lin") * w).sum(), [x, params["lin.w"], params["lin.b"]])
+    assert err < 1e-6
 
 
 def test_mha_grad_check_batched_queries_unbatched_keys():

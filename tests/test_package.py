@@ -25,14 +25,19 @@ def test_importing_every_module_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def import_standin():
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        import standin
+    finally:
+        sys.path.remove(os.path.join(ROOT, "bench"))
+    return standin
+
+
 def test_a_dropped_training_step_leaves_no_garbage_cycles(tmp_path):
     """Graph nodes point only at their parents, so reference counting alone
     frees a step's graph once its last reference goes."""
-    sys.path.insert(0, os.path.join(ROOT, "bench"))
-    try:
-        import standin as st
-    finally:
-        sys.path.remove(os.path.join(ROOT, "bench"))
+    st = import_standin()
     model = st.setup(st.tiny(st.WORKLOADS["train-dense"]), st.REF_SEED, str(tmp_path))
     gc.collect()
     gc.disable()
@@ -43,3 +48,24 @@ def test_a_dropped_training_step_leaves_no_garbage_cycles(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_fresh_models_give_byte_equal_steps_matching_the_reference(tmp_path):
+    """Two models built from the committed seed repeat each other bitwise and
+    reproduce the committed digests."""
+    st = import_standin()
+    wl = st.tiny(st.WORKLOADS["train-dense"])
+    refs = st.load_reference()[st.reference_key(wl)]
+    runs = []
+    for _ in range(2):
+        model = st.setup(wl, st.REF_SEED, str(tmp_path))
+        steps = []
+        for i in range(2):
+            res = st.step(model, i)
+            steps.append([a.tobytes() for a in st.outputs(model, res)])
+            got = st.digest(model, res)
+            assert got.keys() == refs[i].keys()
+            for k, v in refs[i].items():
+                assert abs(got[k] - v) <= 1e-12 * abs(v), (i, k)
+        runs.append(steps)
+    assert runs[0] == runs[1]

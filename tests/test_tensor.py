@@ -67,6 +67,40 @@ def test_matmul_grad_of_sum_is_ones_times_bt():
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
+@pytest.mark.parametrize("needs", [(rx, rw, rb) for rx in (0, 1) for rw in (0, 1) for rb in (0, 1)])
+def test_linear_matches_matmul_add_oracle(x_shape, needs):
+    rng = np.random.default_rng(len(x_shape))
+    x, w, b = (Tensor(rng.normal(size=shape), requires_grad=bool(r))
+               for shape, r in zip((x_shape, (4, 3), (3,)), needs))
+    proj = rng.normal(size=x_shape[:-1] + (3,))
+    out = T.linear(x, w, b)
+    ref = T.add(T.matmul(x, w), b)
+    assert np.array_equal(out.data, ref.data)
+    assert out._parents == ((x, w, b) if any(needs) else ())
+    if not any(needs):
+        return
+    grads = []
+    for f in (lambda: T.linear(x, w, b), lambda: T.add(T.matmul(x, w), b)):
+        for t in (x, w, b):
+            t.grad = None
+        (f() * proj).sum().backward()
+        grads.append([t.grad for t in (x, w, b)])
+    for t, got, want in zip((x, w, b), *grads):
+        if not t.requires_grad:
+            assert got is None and want is None
+            continue
+        assert got.shape == t.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_linear_shape_errors():
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(np.ones(3)), Tensor(np.ones((3, 5))), Tensor(np.ones(5)))
+
+
 def test_softmax_uniform_and_shift_invariance():
     y = softmax(Tensor([3.0, 3.0, 3.0, 3.0])).data
     np.testing.assert_allclose(y, 0.25)
@@ -146,6 +180,73 @@ def test_grad_accumulates_over_reuse():
     x = Tensor(2.0, requires_grad=True)
     (x * x).backward()
     assert x.grad == pytest.approx(4.0)
+
+
+def test_repeated_backward_accumulates_each_pass_once():
+    x = Tensor(np.ones(3), requires_grad=True)
+    loss = ((x * 2.0) * 3.0).sum()
+    loss.backward()
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, np.full(3, 12.0))
+
+
+def test_backward_keeps_leaf_grads_and_releases_interior_ones():
+    rng = np.random.default_rng(4)
+    a, b = rand_t(rng, (3, 4)), rand_t(rng, (3, 4))
+    c = a * b
+    d = T.relu(c) + a
+    loss = d.sum()
+    parents = {id(t): t._parents for t in (c, d, loss)}
+    loss.backward()
+    assert c.grad is None and d.grad is None
+    assert loss.grad is not None
+    np.testing.assert_array_equal(a.grad, b.data * (c.data > 0) + 1.0)
+    np.testing.assert_array_equal(b.grad, a.data * (c.data > 0))
+    assert {id(t): t._parents for t in (c, d, loss)} == parents
+
+
+def zero_fill_accum(t, g):
+    """``accumulate_grad`` as it was before the walk owned its buffers."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+OWNERSHIP_CASES = {
+    "a+s": lambda a, s: (a + s).sum(),
+    "add(a,a)": lambda a, s: (T.add(a, a) * s).sum(),
+    "reshape(a)+s": lambda a, s: ((a.reshape(4, 3) + s.reshape(4, 3)) * 2.0).sum(),
+    "interior reuse": lambda a, s: interior_reuse(a * s),
+}
+
+
+def interior_reuse(y):
+    """One interior node that receives three gradients, two of them one array."""
+    return (T.add(y, y) + y.swapaxes(0, 1).swapaxes(0, 1)).sum()
+
+
+@pytest.mark.parametrize("kind", sorted(OWNERSHIP_CASES))
+def test_leaf_grads_are_private_and_match_zero_fill_oracle(kind, monkeypatch):
+    rng = np.random.default_rng(5)
+    a, s = rand_t(rng, (3, 4)), rand_t(rng, (3, 4))
+    f = OWNERSHIP_CASES[kind]
+    f(a, s).backward()
+    leaves = [a, s]
+    grads = [t.grad.copy() for t in leaves]
+    for i, t in enumerate(leaves):
+        for u in leaves[i + 1:]:
+            assert not np.shares_memory(t.grad, u.grad)
+        t.grad *= 2.0
+        for u, g in zip(leaves, grads):
+            if u is not t:
+                np.testing.assert_array_equal(u.grad, g)
+        t.grad /= 2.0
+    monkeypatch.setattr(T, "_accum", zero_fill_accum)
+    for t in leaves:
+        t.grad = None
+    f(a, s).backward()
+    for t, g in zip(leaves, grads):
+        np.testing.assert_array_equal(t.grad, g)
 
 
 def test_attention_forced_position():
