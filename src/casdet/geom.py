@@ -101,20 +101,26 @@ def clamp_box_xyxy(b: np.ndarray, min_size: float = MIN_BOX_SIZE) -> np.ndarray:
     return np.stack([x0, y0, x1, y1], axis=-1)
 
 
-def perturb_box(box: np.ndarray, noise_level: float, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian-corrupt a center/size box and return a valid center/size box.
+def jitter_box(box: np.ndarray, noise: np.ndarray, noise_level: float) -> np.ndarray:
+    """Corrupt center/size boxes with given unit noise; return valid center/size boxes.
 
-    Each corner coordinate gets independent N(0, sigma^2) noise with
+    Corner coordinate k moves by ``noise[..., k] * sigma`` with
     sigma = noise_level * w for x and noise_level * h for y, after which the
     corners are reordered, clipped to [0, 1] and floored at MIN_BOX_SIZE.
-    Accepts batches of shape (..., 4).
+    ``box`` and ``noise`` have shape (..., 4); rows are independent, so a
+    batch gives bitwise the rows that one call per box would.
     """
     if noise_level < 0:
         raise ValueError(f"noise_level must be >= 0, got {noise_level}")
     box = np.asarray(box, dtype=np.float64)
-    xyxy = box_cxcywh_to_xyxy(box)
     sx = noise_level * box[..., 2:3]
     sy = noise_level * box[..., 3:4]
     sigma = np.concatenate([sx, sy, sx, sy], axis=-1)
-    noisy = xyxy + rng.standard_normal(xyxy.shape) * sigma
-    return box_xyxy_to_cxcywh(clamp_box_xyxy(noisy))
+    return box_xyxy_to_cxcywh(clamp_box_xyxy(box_cxcywh_to_xyxy(box) + noise * sigma))
+
+
+def perturb_box(box: np.ndarray, noise_level: float, rng: np.random.Generator) -> np.ndarray:
+    """``jitter_box`` with standard normal noise drawn from ``rng``, one
+    value per coordinate. Accepts batches of shape (..., 4)."""
+    box = np.asarray(box, dtype=np.float64)
+    return jitter_box(box, rng.standard_normal(box.shape), noise_level)

@@ -8,14 +8,16 @@ keeping a path to plugging in real mask-derived boxes.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import box_cxcywh_to_xyxy, iou_matrix, perturb_box
+from .geom import box_cxcywh_to_xyxy, iou_matrix, jitter_box
 
 
-@dataclass
+@dataclass(slots=True)  # no per-instance __dict__: a fixture holds thousands of these
 class Proposal:
     box: np.ndarray  # (4,) cxcywh, normalized
     score: float | None = None
@@ -64,11 +66,18 @@ def mask_to_bbox(bits: np.ndarray) -> np.ndarray:
     return np.array([cols[0] / w, rows[0] / h, (cols[-1] + 1) / w, (rows[-1] + 1) / h], dtype=np.float64)
 
 
-def _random_box(rng: np.random.Generator) -> np.ndarray:
-    w, h = rng.uniform(0.05, 0.5, size=2)
-    cx = rng.uniform(w / 2, 1 - w / 2)
-    cy = rng.uniform(h / 2, 1 - h / 2)
-    return np.array([cx, cy, w, h], dtype=np.float64)
+def _random_boxes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 4) background boxes from one ``rng.random((n, 4))``.
+
+    Row k is bitwise what four ``uniform`` calls per box would give, in this
+    order: w, h ~ U(0.05, 0.5) (one call, size 2), cx ~ U(w/2, 1 - w/2),
+    cy ~ U(h/2, 1 - h/2). Each value is numpy's ``low + (high - low) * u``.
+    """
+    u = rng.random((n, 4))
+    wh = 0.05 + (0.5 - 0.05) * u[:, :2]
+    half = wh / 2
+    centers = half + ((1 - half) - half) * u[:, 2:]
+    return np.concatenate([centers, wh], axis=1)
 
 
 def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.Generator) -> list[Proposal]:
@@ -78,19 +87,28 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
     (corner jitter N(0, jitter_sigma * side)), then ``distractor_count``
     random background boxes are appended. At least one proposal is always
     returned and the total never exceeds ``target_count``.
+
+    Random-stream contract: for each GT box in order, one ``rng.random()``
+    and, on a hit, one ``rng.standard_normal(4)``; then one
+    ``rng.random((distractor_count, 4))`` (see ``_random_boxes``); then, only
+    if there were neither hits nor distractors, one ``rng.random((1, 4))``
+    for the fallback box. Distractors are drawn even when ``target_count``
+    cuts them off, so the generator's next state depends only on the GT
+    count, the hits and ``distractor_count``.
     """
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     if gt_boxes.shape[0] == 0:
         raise ValueError("scene must have at least one GT box")
-    props: list[Proposal] = []
-    for box in gt_boxes:
-        if rng.random() < cfg.gt_hit_rate:
-            props.append(Proposal(perturb_box(box, cfg.jitter_sigma, rng)))
-    for _ in range(cfg.distractor_count):
-        props.append(Proposal(_random_box(rng)))
-    if not props:
-        props.append(Proposal(_random_box(rng)))
-    return props[: cfg.target_count]
+    hit: list[bool] = []
+    noise: list[np.ndarray] = []
+    for _ in range(gt_boxes.shape[0]):
+        hit.append(rng.random() < cfg.gt_hit_rate)
+        if hit[-1]:
+            noise.append(rng.standard_normal(4))
+    boxes = jitter_box(gt_boxes[hit], np.array(noise).reshape(-1, 4), cfg.jitter_sigma)
+    n_random = cfg.distractor_count if cfg.distractor_count or noise else 1  # 1: the fallback box
+    boxes = np.concatenate([boxes, _random_boxes(rng, n_random)])[: cfg.target_count]
+    return [Proposal(box) for box in boxes]
 
 
 def proposal_recall(props: list[Proposal], gts: np.ndarray, iou_thr: float) -> float:
@@ -107,30 +125,48 @@ def proposal_recall(props: list[Proposal], gts: np.ndarray, iou_thr: float) -> f
 
 
 def save_proposals(path, by_scene: dict[int, list[Proposal]]) -> None:
-    """Write a proposal fixture: one line per proposal.
+    """Write a proposal fixture: one line per proposal, scenes in sorted order.
 
-    Field order: scene_id cx cy w h [score], whitespace separated. Lines
-    starting with '#' are comments.
+    Each line is ``scene_id cx cy w h [score]``, single-space separated,
+    with every float written as its ``repr`` so that ``load_proposals``
+    reads it back bitwise. The first line is a ``#`` comment naming the
+    fields.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# scene_id cx cy w h [score]\n")
+    def lines():
+        yield "# scene_id cx cy w h [score]\n"
         for scene_id in sorted(by_scene):
-            for p in by_scene[scene_id]:
-                cx, cy, w, h = (float(v) for v in p.box)
-                line = f"{scene_id} {cx!r} {cy!r} {w!r} {h!r}"
-                if p.score is not None:
-                    line += f" {float(p.score)!r}"
-                fh.write(line + "\n")
+            props = by_scene[scene_id]
+            for p, (cx, cy, w, h) in zip(props, np.array([p.box for p in props], dtype=np.float64).tolist()):
+                score = "" if p.score is None else f" {float(p.score)!r}"
+                yield f"{scene_id} {cx!r} {cy!r} {w!r} {h!r}{score}\n"
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines())
 
 
 def load_proposals(path) -> tuple[dict[int, list[Proposal]], list[str]]:
     """Read a proposal fixture, validating each record.
 
-    Returns (scene_id -> proposals, rejection messages). Malformed lines and
-    invalid boxes are rejected with their line number instead of aborting the
-    load; only I/O failures raise.
+    Returns (scene_id -> proposals, rejection messages). Scenes keep the
+    order of their first line and proposals the order of their lines; a
+    scene id may appear on lines that are not adjacent.
+
+    Grammar, per line after stripping surrounding whitespace (the file is
+    read in text mode, so CRLF endings and a missing final newline are
+    accepted): an empty line or one starting with ``#`` is skipped; any other
+    line is 5 or 6 whitespace-separated fields ``scene_id cx cy w h [score]``,
+    where ``scene_id`` parses with ``int`` and the rest with ``float``. Lines
+    with and without a score may be mixed.
+
+    Rejection policy: a bad line is skipped and reported as ``line N: ...``
+    (N counts from 1 over every line, skipped ones included) instead of
+    aborting the load. The message is ``expected 5 or 6 fields, got K``, the
+    ``ValueError`` text of the first field that fails to parse (scene id
+    first, e.g. ``1.5``), or ``invalid box [cx, cy, w, h]`` when a coordinate
+    is not finite or w or h is not positive. The score is not checked. Only
+    I/O failures raise.
     """
-    by_scene: dict[int, list[Proposal]] = {}
+    parsed: dict[int, tuple[array, list[float | None]]] = {}  # scene_id -> (flat cx cy w h, scores)
     rejected: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -148,9 +184,13 @@ def load_proposals(path) -> tuple[dict[int, list[Proposal]], list[str]]:
             except ValueError as exc:
                 rejected.append(f"line {lineno}: {exc}")
                 continue
-            box = np.array(vals, dtype=np.float64)
-            if not np.all(np.isfinite(box)) or box[2] <= 0 or box[3] <= 0:
+            if not all(map(math.isfinite, vals)) or vals[2] <= 0 or vals[3] <= 0:
                 rejected.append(f"line {lineno}: invalid box {vals}")
                 continue
-            by_scene.setdefault(scene_id, []).append(Proposal(box, score=score))
-    return by_scene, rejected
+            if scene_id not in parsed:
+                parsed[scene_id] = (array("d"), [])
+            coords, scores = parsed[scene_id]
+            coords.extend(vals)
+            scores.append(score)
+    return {scene_id: [Proposal(box, score=score) for box, score in zip(np.frombuffer(coords).reshape(-1, 4), scores)]
+            for scene_id, (coords, scores) in parsed.items()}, rejected

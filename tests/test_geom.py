@@ -10,6 +10,7 @@ from casdet.geom import (
     giou_xyxy,
     iou_matrix,
     iou_xyxy,
+    jitter_box,
     perturb_box,
 )
 
@@ -163,6 +164,18 @@ def test_perturb_deterministic_under_fixed_seed():
     a = perturb_box(box, 0.2, np.random.default_rng(99))
     b = perturb_box(box, 0.2, np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
+
+
+def test_jitter_batch_equals_per_box_calls_and_perturb_draws_its_noise():
+    rng = np.random.default_rng(10)
+    boxes = np.stack([rng.random(40), rng.random(40), rng.uniform(0.01, 0.6, 40), rng.uniform(0.01, 0.6, 40)], -1)
+    noise = rng.standard_normal((40, 4))
+    batch = jitter_box(boxes, noise, 0.3)
+    assert np.array_equal(batch, np.stack([jitter_box(b, n, 0.3) for b, n in zip(boxes, noise)]))
+    drawn = perturb_box(boxes, 0.3, np.random.default_rng(11))
+    assert np.array_equal(drawn, jitter_box(boxes, np.random.default_rng(11).standard_normal((40, 4)), 0.3))
+    with pytest.raises(ValueError):
+        jitter_box(boxes, noise, -0.1)
 
 
 def test_clamp_expands_degenerate_boxes():
