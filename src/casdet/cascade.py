@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import np_sigmoid
 from .geom import box_cxcywh_to_xyxy, iou_xyxy
-from .tensor import Tensor
+from .tensor import Tensor, np_sigmoid
 
 
 @dataclass(frozen=True)
@@ -29,6 +28,8 @@ class CascadeConfig:
     def __post_init__(self):
         if not (0.0 < self.theta1 < 1.0):
             raise ValueError("theta1 must be in (0, 1)")
+        if self.delta_theta < 0:
+            raise ValueError(f"delta_theta must be >= 0 so thresholds rise with depth, got {self.delta_theta}")
         if self.theta1 + self.delta_theta > 1.0 + 1e-12:
             raise ValueError("theta1 + delta_theta must not exceed 1")
         if self.tau <= 0:

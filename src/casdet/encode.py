@@ -60,11 +60,11 @@ def box_pe_vector(boxes: np.ndarray, cfg: PeConfig) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def grid_pe(height: int, width: int, d_model: int, temperature: float = 10000.0) -> np.ndarray:
+def grid_pe(height: int, width: int, d_model: int) -> np.ndarray:
     """2D encodings of cell centers, x then y halves: (height*width, d_model)."""
     if d_model % 4 != 0:
         raise ValueError("d_model must be divisible by 4 for 2D encodings")
-    cfg = PeConfig(dim_per_coord=d_model // 2, temperature=temperature)
+    cfg = PeConfig(dim_per_coord=d_model // 2)
     ys = (np.arange(height) + 0.5) / height
     xs = (np.arange(width) + 0.5) / width
     px = sinusoidal_pe(xs, cfg)
@@ -100,9 +100,3 @@ def inv_sigmoid(p: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     p = np.clip(np.asarray(p, dtype=np.float64), eps, 1.0 - eps)
     return np.log(p / (1.0 - p))
 
-
-def np_sigmoid(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    ax = np.abs(x)
-    e = np.exp(-ax)
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -21,11 +21,8 @@ from .geom import box_cxcywh_to_xyxy
 
 
 def init_linear(params: dict, rng: np.random.Generator, name: str, n_in: int, n_out: int,
-                zero: bool = False, bias: float = 0.0) -> None:
-    if zero:
-        w = np.zeros((n_in, n_out))
-    else:
-        w = rng.normal(0.0, math.sqrt(2.0 / (n_in + n_out)), size=(n_in, n_out))
+                bias: float = 0.0) -> None:
+    w = rng.normal(0.0, math.sqrt(2.0 / (n_in + n_out)), size=(n_in, n_out))
     params[f"{name}.w"] = Tensor(w, requires_grad=True)
     params[f"{name}.b"] = Tensor(np.full(n_out, bias, dtype=np.float64), requires_grad=True)
 

@@ -34,35 +34,36 @@ def area_xyxy(b: np.ndarray) -> np.ndarray:
     return w * h
 
 
+def _inter_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection and union areas of corner boxes; shapes broadcast."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    wh = np.clip(np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2]), 0.0, None)
+    inter = wh[..., 0] * wh[..., 1]
+    return inter, area_xyxy(a) + area_xyxy(b) - inter
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``den > 0``, else 0."""
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+
+
 def iou_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise IoU of corner boxes; shapes broadcast.
 
     Zero-area pairs return 0 rather than NaN.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    lt = np.maximum(a[..., :2], b[..., :2])
-    rb = np.minimum(a[..., 2:], b[..., 2:])
-    wh = np.clip(rb - lt, 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    union = area_xyxy(a) + area_xyxy(b) - inter
-    return np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+    return _ratio(*_inter_union(a, b))
 
 
 def giou_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise generalized IoU; in [-1, 1], equal to IoU for nested boxes."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    iou = iou_xyxy(a, b)
-    lt = np.minimum(a[..., :2], b[..., :2])
-    rb = np.maximum(a[..., 2:], b[..., 2:])
-    wh = np.clip(rb - lt, 0.0, None)
+    inter, union = _inter_union(a, b)
+    wh = np.clip(np.maximum(a[..., 2:], b[..., 2:]) - np.minimum(a[..., :2], b[..., :2]), 0.0, None)
     enclose = wh[..., 0] * wh[..., 1]
-    lt_i = np.maximum(a[..., :2], b[..., :2])
-    rb_i = np.minimum(a[..., 2:], b[..., 2:])
-    wh_i = np.clip(rb_i - lt_i, 0.0, None)
-    union = area_xyxy(a) + area_xyxy(b) - wh_i[..., 0] * wh_i[..., 1]
-    return iou - np.where(enclose > 0, (enclose - union) / np.where(enclose > 0, enclose, 1.0), 0.0)
+    return _ratio(inter, union) - _ratio(enclose - union, enclose)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -118,9 +119,3 @@ def jitter_box(box: np.ndarray, noise: np.ndarray, noise_level: float) -> np.nda
     sigma = np.concatenate([sx, sy, sx, sy], axis=-1)
     return box_xyxy_to_cxcywh(clamp_box_xyxy(box_cxcywh_to_xyxy(box) + noise * sigma))
 
-
-def perturb_box(box: np.ndarray, noise_level: float, rng: np.random.Generator) -> np.ndarray:
-    """``jitter_box`` with standard normal noise drawn from ``rng``, one
-    value per coordinate. Accepts batches of shape (..., 4)."""
-    box = np.asarray(box, dtype=np.float64)
-    return jitter_box(box, rng.standard_normal(box.shape), noise_level)

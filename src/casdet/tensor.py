@@ -12,9 +12,12 @@ without a copy, and later ones are summed out of place. Leaves (tensors with
 no backward closure, such as parameters) keep ``.grad`` as their own copy;
 interior nodes drop theirs as soon as their closure has run.
 
-Elementwise ops broadcast like numpy and gradients are summed back down to
-the operand shapes; ``matmul`` follows numpy's stacked-matrix rules. Only
-what the detector needs is implemented.
+Elementwise ops (``add``, ``mul``, ``div``, ``power``, ``relu``, ``sigmoid``,
+``log``, ``absolute``, ``clip``, ``minimum``, ``maximum``) broadcast like
+numpy and share one node builder: each gives a gradient map per operand,
+from ``out.grad`` to that operand's gradient at the broadcast shape, and the
+builder sums the result back down to the operand's shape. ``matmul`` follows
+numpy's stacked-matrix rules. Only what the detector needs is implemented.
 """
 
 from __future__ import annotations
@@ -57,12 +60,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph.
@@ -186,6 +183,8 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient back down to the shape it was broadcast from."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -217,43 +216,51 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[T
 accumulate_grad = _accum
 
 
+def _elementwise(y: np.ndarray, *operands: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """Build an elementwise op node from its output ``y`` and one
+    ``(tensor, grad_map)`` pair per operand.
+
+    ``grad_map`` takes ``out.grad`` and returns the gradient for its tensor at
+    the broadcast shape, which is then summed back to the tensor's shape.
+    It is only called for tensors that require gradients.
+    """
+
+    def backward(out):
+        for t, grad_map in operands:
+            if t.requires_grad:
+                _accum(t, _unbroadcast(grad_map(out.grad), t.shape))
+
+    return custom_op(y, [t for t, _ in operands], backward)
+
+
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def np_sigmoid(x) -> np.ndarray:
+    """Logistic sigmoid of a numpy array, without overflow for large ``|x|``."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 # primitive ops --------------------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(out.grad, b.shape))
-
-    return custom_op(a.data + b.data, (a, b), backward)
+    return _elementwise(a.data + b.data, (a, _identity), (b, _identity))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(out.grad * a.data, b.shape))
-
-    return custom_op(a.data * b.data, (a, b), backward)
+    return _elementwise(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad / b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
-
-    return custom_op(a.data / b.data, (a, b), backward)
+    return _elementwise(a.data / b.data, (a, lambda g: g / b.data),
+                        (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def power(a, p: float) -> Tensor:
@@ -261,13 +268,11 @@ def power(a, p: float) -> Tensor:
     a = as_tensor(a)
     p = float(p)
 
-    def backward(out):
-        if a.requires_grad:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.where(a.data != 0.0, p * a.data ** (p - 1.0), 0.0)
-            _accum(a, out.grad * d)
+    def grad_map(g):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return g * np.where(a.data != 0.0, p * a.data ** (p - 1.0), 0.0)
 
-    return custom_op(a.data**p, (a,), backward)
+    return _elementwise(a.data**p, (a, grad_map))
 
 
 def matmul(a, b) -> Tensor:
@@ -312,84 +317,48 @@ def linear(x, w, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, out.grad * (a.data > 0))
-
-    return custom_op(np.maximum(a.data, 0.0), (a,), backward)
+    return _elementwise(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0)))
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, out.grad * y * (1.0 - y))
-
-    return custom_op(y, (a,), backward)
+    y = np_sigmoid(a.data)
+    return _elementwise(y, (a, lambda g: g * y * (1.0 - y)))
 
 
 def log(a) -> Tensor:
     """Natural log; inputs must be positive (clamp first)."""
     a = as_tensor(a)
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, out.grad / a.data)
-
-    return custom_op(np.log(a.data), (a,), backward)
+    return _elementwise(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def absolute(a) -> Tensor:
     a = as_tensor(a)
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, out.grad * np.sign(a.data))
-
-    return custom_op(np.abs(a.data), (a,), backward)
+    return _elementwise(np.abs(a.data), (a, lambda g: g * np.sign(a.data)))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes through strictly inside the range."""
     a = as_tensor(a)
+    return _elementwise(np.clip(a.data, lo, hi), (a, lambda g: g * ((a.data > lo) & (a.data < hi))))
 
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, out.grad * ((a.data > lo) & (a.data < hi)))
 
-    return custom_op(np.clip(a.data, lo, hi), (a,), backward)
+def _select(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
+    """``a`` where ``take_a``, else ``b``; each operand's gradient is masked to
+    the elements it supplied."""
+    return _elementwise(np.where(take_a, a.data, b.data), (a, lambda g: g * take_a), (b, lambda g: g * ~take_a))
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise min; ties route the gradient to the first operand."""
     a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data <= b.data
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad * take_a, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(out.grad * ~take_a, b.shape))
-
-    return custom_op(np.where(take_a, a.data, b.data), (a, b), backward)
+    return _select(a, b, a.data <= b.data)
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties route the gradient to the first operand."""
     a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data >= b.data
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad * take_a, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(out.grad * ~take_a, b.shape))
-
-    return custom_op(np.where(take_a, a.data, b.data), (a, b), backward)
+    return _select(a, b, a.data >= b.data)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:

@@ -37,6 +37,12 @@ def test_cascade_config_validation():
         CascadeConfig(tau=0.0)
 
 
+def test_negative_increment_is_rejected():
+    # It would give a falling schedule that leaves [0, 1]: 0.3, 0.05, -0.2.
+    with pytest.raises(ValueError, match="delta_theta"):
+        CascadeConfig(theta1=0.3, delta_theta=-0.5, n_layers=3)
+
+
 def test_dn_weight_boundary_is_half():
     assert dn_weight(0.42, 0.42, 0.1) == 0.5
     assert dn_weight(0.9, 0.9, 0.3) == 0.5

@@ -8,11 +8,11 @@ from casdet.encode import (
     grid_pe,
     init_positional_query,
     inv_sigmoid,
-    np_sigmoid,
     pe_frequencies,
     positional_query,
     sinusoidal_pe,
 )
+from casdet.tensor import np_sigmoid
 
 
 def make_query_mlp(rng, d_model):

@@ -21,9 +21,9 @@ from casdet.geom import box_cxcywh_to_xyxy
 from casdet.tensor import ShapeError, Tensor
 
 
-def make_patch_params(rng, patch=8, c=16, zero=False):
+def make_patch_params(rng, patch=8, c=16):
     params = {}
-    init_linear(params, rng, "patch", patch * patch * 3, c, zero=zero)
+    init_linear(params, rng, "patch", patch * patch * 3, c)
     return params
 
 

@@ -11,7 +11,6 @@ from casdet.geom import (
     iou_matrix,
     iou_xyxy,
     jitter_box,
-    perturb_box,
 )
 
 
@@ -131,12 +130,12 @@ def test_matrix_forms_agree_with_elementwise():
 def test_perturb_zero_noise_is_identity():
     rng = np.random.default_rng(6)
     box = np.array([0.5, 0.4, 0.3, 0.2])
-    np.testing.assert_allclose(perturb_box(box, 0.0, rng), box, atol=1e-15)
+    np.testing.assert_allclose(jitter_box(box, rng.standard_normal(4), 0.0), box, atol=1e-15)
 
 
 def test_perturb_rejects_negative_noise():
     with pytest.raises(ValueError):
-        perturb_box(np.array([0.5, 0.5, 0.2, 0.2]), -0.1, np.random.default_rng(0))
+        jitter_box(np.array([0.5, 0.5, 0.2, 0.2]), np.random.default_rng(0).standard_normal(4), -0.1)
 
 
 def test_perturb_corner_std_matches_sigma():
@@ -144,7 +143,7 @@ def test_perturb_corner_std_matches_sigma():
     # on a box far enough from the borders that clamping never fires.
     rng = np.random.default_rng(7)
     box = np.tile([0.5, 0.5, 0.4, 0.4], (100_000, 1))
-    out = box_cxcywh_to_xyxy(perturb_box(box, 0.1, rng))
+    out = box_cxcywh_to_xyxy(jitter_box(box, rng.standard_normal(box.shape), 0.1))
     deltas = out - box_cxcywh_to_xyxy(box)
     stds = deltas.std(axis=0)
     np.testing.assert_allclose(stds, 0.04, atol=1e-3)
@@ -153,7 +152,7 @@ def test_perturb_corner_std_matches_sigma():
 def test_perturb_outputs_always_valid():
     rng = np.random.default_rng(8)
     box = np.tile([0.05, 0.95, 0.3, 0.3], (2000, 1))  # hugs two borders
-    out = box_cxcywh_to_xyxy(perturb_box(box, 0.5, rng))
+    out = box_cxcywh_to_xyxy(jitter_box(box, rng.standard_normal(box.shape), 0.5))
     assert np.all(out >= 0) and np.all(out <= 1)
     assert np.all(out[:, 2] - out[:, 0] >= MIN_BOX_SIZE - 1e-12)
     assert np.all(out[:, 3] - out[:, 1] >= MIN_BOX_SIZE - 1e-12)
@@ -161,19 +160,17 @@ def test_perturb_outputs_always_valid():
 
 def test_perturb_deterministic_under_fixed_seed():
     box = np.array([0.4, 0.6, 0.2, 0.25])
-    a = perturb_box(box, 0.2, np.random.default_rng(99))
-    b = perturb_box(box, 0.2, np.random.default_rng(99))
+    a = jitter_box(box, np.random.default_rng(99).standard_normal(4), 0.2)
+    b = jitter_box(box, np.random.default_rng(99).standard_normal(4), 0.2)
     np.testing.assert_array_equal(a, b)
 
 
-def test_jitter_batch_equals_per_box_calls_and_perturb_draws_its_noise():
+def test_jitter_batch_equals_per_box_calls():
     rng = np.random.default_rng(10)
     boxes = np.stack([rng.random(40), rng.random(40), rng.uniform(0.01, 0.6, 40), rng.uniform(0.01, 0.6, 40)], -1)
     noise = rng.standard_normal((40, 4))
     batch = jitter_box(boxes, noise, 0.3)
     assert np.array_equal(batch, np.stack([jitter_box(b, n, 0.3) for b, n in zip(boxes, noise)]))
-    drawn = perturb_box(boxes, 0.3, np.random.default_rng(11))
-    assert np.array_equal(drawn, jitter_box(boxes, np.random.default_rng(11).standard_normal((40, 4)), 0.3))
     with pytest.raises(ValueError):
         jitter_box(boxes, noise, -0.1)
 

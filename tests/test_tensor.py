@@ -464,3 +464,12 @@ def test_unbroadcast_gradients():
     s = rand_t(rng, (1, 5))
     assert T.grad_check(lambda: ((x + b) * 2).sum(), [x, b]) < 1e-6
     assert T.grad_check(lambda: ((x * s) ** 2).sum(), [x, s]) < 1e-6
+    # Positive operands, so div has no pole; a row, a column and a 0-d operand.
+    x = rand_t(rng, (4, 5), away_from_zero=True)
+    row = rand_t(rng, (5,), away_from_zero=True)
+    col = rand_t(rng, (4, 1), away_from_zero=True)
+    s0 = Tensor(rng.uniform(0.5, 1.5), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)))  # so each broadcast copy gets its own weight
+    for op in (T.div, T.minimum, T.maximum):
+        for a, c in ((x, row), (row, x), (x, col), (col, row), (x, s0), (s0, x)):
+            assert T.grad_check(lambda: (op(a, c) * w).sum(), [a, c]) < 1e-6, (op.__name__, a.shape, c.shape)
