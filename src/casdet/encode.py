@@ -14,29 +14,29 @@ import numpy as np
 from .features import ffn, init_linear
 from .tensor import Tensor
 
+PE_TEMPERATURE = 10000.0  # base of the geometric frequency ladder of sinusoidal_pe
+LOGIT_EPS = 1e-6  # inv_sigmoid clamps its input to [LOGIT_EPS, 1 - LOGIT_EPS]
+
 
 @dataclass(frozen=True)
 class PeConfig:
-    """Per-coordinate encoding width and frequency spacing.
+    """Per-coordinate encoding width.
 
     ``dim_per_coord`` must be even; four encoded coordinates are concatenated,
     so the query MLP input width is ``4 * dim_per_coord``.
     """
 
     dim_per_coord: int = 32
-    temperature: float = 10000.0
 
     def __post_init__(self):
         if self.dim_per_coord <= 0 or self.dim_per_coord % 2 != 0:
             raise ValueError(f"dim_per_coord must be a positive even integer, got {self.dim_per_coord}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
 
 
 def pe_frequencies(cfg: PeConfig) -> np.ndarray:
-    """Geometrically decreasing frequencies, ratio temperature**(-1/n_bands)."""
+    """Geometrically decreasing frequencies, ratio PE_TEMPERATURE**(-1/n_bands)."""
     n = cfg.dim_per_coord // 2
-    return cfg.temperature ** (-np.arange(n) / n)
+    return PE_TEMPERATURE ** (-np.arange(n) / n)
 
 
 def sinusoidal_pe(coord, cfg: PeConfig) -> np.ndarray:
@@ -86,17 +86,15 @@ def init_positional_query(params: dict, rng: np.random.Generator, prefix: str, d
 def positional_query(anchors: np.ndarray, params: dict, prefix: str, cfg: PeConfig) -> Tensor:
     """Map anchor boxes to positional queries through a one-hidden-layer MLP.
 
-    ``anchors`` has shape (..., 4); the result has shape (..., d_model) where
+    ``anchors`` has shape (..., 4) with at least one leading axis, so a single
+    anchor is passed as (1, 4); the result has shape (..., d_model) where
     d_model is the output width of ``{prefix}.2``.
     """
-    raw = box_pe_vector(anchors, cfg)
-    single = raw.ndim == 1
-    out = ffn(Tensor(raw[None] if single else raw), params, prefix)
-    return out[0] if single else out
+    return ffn(Tensor(box_pe_vector(anchors, cfg)), params, prefix)
 
 
-def inv_sigmoid(p: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Logit of p, clamped to [eps, 1-eps] first so the result stays finite."""
-    p = np.clip(np.asarray(p, dtype=np.float64), eps, 1.0 - eps)
+def inv_sigmoid(p: np.ndarray) -> np.ndarray:
+    """Logit of p, clamped to [LOGIT_EPS, 1-LOGIT_EPS] first so the result stays finite."""
+    p = np.clip(np.asarray(p, dtype=np.float64), LOGIT_EPS, 1.0 - LOGIT_EPS)
     return np.log(p / (1.0 - p))
 

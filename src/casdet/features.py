@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor, accumulate_grad, custom_op
+from .tensor import ShapeError, Tensor, custom_op
 from .geom import box_cxcywh_to_xyxy
 
 
@@ -181,7 +181,7 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
         for jr, jc in offsets:
             np.maximum(out[s], gather(s, jr, jc)[1], out=out[s])
 
-    def backward(o: Tensor) -> None:  # runs only when grid requires grad, its one parent
+    def grid_grad(g: np.ndarray) -> np.ndarray:
         buf = np.zeros(h * w * c)
         for s in chunks:
             win = np.empty(out[s].shape, dtype=np.intp)  # all set: each maximum is a gathered value
@@ -189,10 +189,10 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
                 flat, vals = gather(s, jr, jc)
                 np.copyto(win, flat[..., None] * c, where=vals == out[s])
             win += np.arange(c)
-            np.add.at(buf, win.ravel(), o.grad[s].ravel())
-        accumulate_grad(grid, buf.reshape(h, w, c))
+            np.add.at(buf, win.ravel(), g[s].ravel())
+        return buf.reshape(h, w, c)
 
-    return custom_op(out, (grid,), backward)
+    return custom_op(out, (grid, grid_grad))
 
 
 def neck(region: Tensor, params: dict, name: str = "neck") -> Tensor:

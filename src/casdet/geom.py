@@ -76,10 +76,10 @@ def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return giou_xyxy(np.asarray(a, dtype=np.float64)[:, None, :], np.asarray(b, dtype=np.float64)[None, :, :])
 
 
-def clamp_box_xyxy(b: np.ndarray, min_size: float = MIN_BOX_SIZE) -> np.ndarray:
+def clamp_box_xyxy(b: np.ndarray) -> np.ndarray:
     """Reorder corners, clip to [0, 1] and enforce a minimum side length.
 
-    Degenerate sides are expanded to ``min_size`` around their center, shifted
+    Degenerate sides are expanded to MIN_BOX_SIZE around their center, shifted
     to stay inside the unit square.
     """
     b = np.asarray(b, dtype=np.float64)
@@ -90,10 +90,10 @@ def clamp_box_xyxy(b: np.ndarray, min_size: float = MIN_BOX_SIZE) -> np.ndarray:
     x0, x1 = np.clip(x0, 0.0, 1.0), np.clip(x1, 0.0, 1.0)
     y0, y1 = np.clip(y0, 0.0, 1.0), np.clip(y1, 0.0, 1.0)
 
-    half = min_size / 2
+    half = MIN_BOX_SIZE / 2
 
     def expand(lo, hi):
-        small = (hi - lo) < min_size
+        small = (hi - lo) < MIN_BOX_SIZE
         c = np.clip((lo + hi) / 2, half, 1.0 - half)
         return np.where(small, c - half, lo), np.where(small, c + half, hi)
 

@@ -116,7 +116,8 @@ def match_cost_matrix(
 
     Boxes are center/size; ``pred_probs`` is (n_pred, n_classes) of per-class
     probabilities. The localization score feeding the classification term is
-    GIoU rescaled to [0, 1].
+    GIoU rescaled to [0, 1]. A label count other than the GT box count, or a
+    label outside ``[0, n_classes)``, raises ``ValueError``.
     """
     pred_boxes = np.asarray(pred_boxes, dtype=np.float64)
     pred_probs = np.asarray(pred_probs, dtype=np.float64)
@@ -124,6 +125,12 @@ def match_cost_matrix(
     gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
     if gt_boxes.shape[0] == 0:
         raise ValueError("gt_boxes must be nonempty")
+    if gt_labels.shape[0] != gt_boxes.shape[0]:
+        raise ValueError(f"{gt_labels.shape[0]} gt_labels for {gt_boxes.shape[0]} gt_boxes")
+    n_classes = pred_probs.shape[-1]
+    bad = (gt_labels < 0) | (gt_labels >= n_classes)
+    if bad.any():
+        raise ValueError(f"gt_labels {gt_labels[bad].tolist()} are outside [0, {n_classes}) for {n_classes} classes")
 
     giou = giou_matrix(box_cxcywh_to_xyxy(pred_boxes), box_cxcywh_to_xyxy(gt_boxes))
     s_prime = (giou + 1.0) / 2.0

@@ -12,12 +12,15 @@ without a copy, and later ones are summed out of place. Leaves (tensors with
 no backward closure, such as parameters) keep ``.grad`` as their own copy;
 interior nodes drop theirs as soon as their closure has run.
 
-Elementwise ops (``add``, ``mul``, ``div``, ``power``, ``relu``, ``sigmoid``,
-``log``, ``absolute``, ``clip``, ``minimum``, ``maximum``) broadcast like
-numpy and share one node builder: each gives a gradient map per operand,
-from ``out.grad`` to that operand's gradient at the broadcast shape, and the
-builder sums the result back down to the operand's shape. ``matmul`` follows
-numpy's stacked-matrix rules. Only what the detector needs is implemented.
+Every op but ``attention`` builds its node with ``custom_op``: it gives its
+output and one ``(parent, grad_map)`` pair per parent, in parent order. A
+grad map takes ``out.grad`` and returns that parent's gradient, at the
+parent's shape or at a shape it broadcasts to; the builder alone skips
+parents that need no gradient, sums each gradient back down to its parent's
+shape and accumulates it. ``attention`` is the one node with a hand-written
+backward closure, because its q and k gradients share one buffer.
+Elementwise ops broadcast like numpy, and ``matmul`` follows numpy's
+stacked-matrix rules. Only what the detector needs is implemented.
 """
 
 from __future__ import annotations
@@ -113,12 +116,8 @@ class Tensor:
     def __getitem__(self, key):
         return take(self, key)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.size if axis is None else _axis_size(self.shape, axis)
-        return tsum(self, axis=axis, keepdims=keepdims) * (1.0 / n)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -128,21 +127,9 @@ class Tensor:
     def swapaxes(self, a: int, b: int):
         return swapaxes(self, a, b)
 
-    @property
-    def T(self):
-        if self.ndim != 2:
-            raise ShapeError(".T is for 2-d tensors; use swapaxes")
-        return swapaxes(self, 0, 1)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _axis_size(shape, axis) -> int:
-    if isinstance(axis, int):
-        return shape[axis]
-    return int(np.prod([shape[a] for a in axis]))
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -194,17 +181,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def custom_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None]) -> Tensor:
-    """Build an op node from precomputed forward data and a backward closure.
+def _link(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[Tensor], None]) -> Tensor:
+    """The output tensor of an op, holding ``parents`` and ``backward`` if any
+    parent requires gradients.
 
-    ``backward`` receives the output tensor and is responsible for calling
-    ``accumulate_grad`` on whichever parents require gradients. It may pass
-    ``out.grad`` or a view of it on unchanged, and must never write into
-    ``out.grad`` or into an array it has passed on. It is stored
-    as is, not bound to the output, so nodes only point at their parents: a
-    graph holds no reference cycle and is freed as soon as it is dropped.
+    ``backward`` is stored as is, not bound to the output, so nodes only point
+    at their parents: a graph holds no reference cycle and is freed as soon as
+    it is dropped.
     """
-    parents = tuple(parents)
     out = Tensor(data, any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
@@ -212,17 +196,15 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[T
     return out
 
 
-# Public alias used by fused ops in other modules.
-accumulate_grad = _accum
+def custom_op(y: np.ndarray, *operands: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """Build an op node from its output ``y`` and one ``(parent, grad_map)``
+    pair per parent, in parent order.
 
-
-def _elementwise(y: np.ndarray, *operands: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
-    """Build an elementwise op node from its output ``y`` and one
-    ``(tensor, grad_map)`` pair per operand.
-
-    ``grad_map`` takes ``out.grad`` and returns the gradient for its tensor at
-    the broadcast shape, which is then summed back to the tensor's shape.
-    It is only called for tensors that require gradients.
+    ``grad_map`` takes ``out.grad`` and returns the gradient for its parent, at
+    the parent's shape or one it broadcasts to; the result is summed back to
+    the parent's shape and accumulated. It is only called for parents that
+    require gradients, in parent order, and may return ``out.grad`` or a view
+    of it, but must never write into either.
     """
 
     def backward(out):
@@ -230,7 +212,7 @@ def _elementwise(y: np.ndarray, *operands: tuple[Tensor, Callable[[np.ndarray], 
             if t.requires_grad:
                 _accum(t, _unbroadcast(grad_map(out.grad), t.shape))
 
-    return custom_op(y, [t for t, _ in operands], backward)
+    return _link(y, tuple(t for t, _ in operands), backward)
 
 
 def _identity(g: np.ndarray) -> np.ndarray:
@@ -249,18 +231,18 @@ def np_sigmoid(x) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _elementwise(a.data + b.data, (a, _identity), (b, _identity))
+    return custom_op(a.data + b.data, (a, _identity), (b, _identity))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _elementwise(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
+    return custom_op(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _elementwise(a.data / b.data, (a, lambda g: g / b.data),
-                        (b, lambda g: -g * a.data / (b.data * b.data)))
+    return custom_op(a.data / b.data, (a, lambda g: g / b.data),
+                     (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def power(a, p: float) -> Tensor:
@@ -272,7 +254,7 @@ def power(a, p: float) -> Tensor:
         with np.errstate(divide="ignore", invalid="ignore"):
             return g * np.where(a.data != 0.0, p * a.data ** (p - 1.0), 0.0)
 
-    return _elementwise(a.data**p, (a, grad_map))
+    return custom_op(a.data**p, (a, grad_map))
 
 
 def matmul(a, b) -> Tensor:
@@ -282,14 +264,8 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
-    def backward(out):
-        g = out.grad
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return custom_op(a.data @ b.data, (a, b), backward)
+    return custom_op(a.data @ b.data, (a, lambda g: g @ np.swapaxes(b.data, -1, -2)),
+                     (b, lambda g: np.swapaxes(a.data, -1, -2) @ g))
 
 
 def linear(x, w, b) -> Tensor:
@@ -302,51 +278,42 @@ def linear(x, w, b) -> Tensor:
         raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
     y = x.data @ w.data
     y += b.data
-
-    def backward(out):
-        g = out.grad
-        if x.requires_grad:
-            _accum(x, _unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.shape))
-        if w.requires_grad:
-            _accum(w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
-
-    return custom_op(y, (x, w, b), backward)
+    return custom_op(y, (x, lambda g: g @ np.swapaxes(w.data, -1, -2)),
+                     (w, lambda g: np.swapaxes(x.data, -1, -2) @ g), (b, _identity))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    return _elementwise(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0)))
+    return custom_op(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0)))
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     y = np_sigmoid(a.data)
-    return _elementwise(y, (a, lambda g: g * y * (1.0 - y)))
+    return custom_op(y, (a, lambda g: g * y * (1.0 - y)))
 
 
 def log(a) -> Tensor:
     """Natural log; inputs must be positive (clamp first)."""
     a = as_tensor(a)
-    return _elementwise(np.log(a.data), (a, lambda g: g / a.data))
+    return custom_op(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def absolute(a) -> Tensor:
     a = as_tensor(a)
-    return _elementwise(np.abs(a.data), (a, lambda g: g * np.sign(a.data)))
+    return custom_op(np.abs(a.data), (a, lambda g: g * np.sign(a.data)))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes through strictly inside the range."""
     a = as_tensor(a)
-    return _elementwise(np.clip(a.data, lo, hi), (a, lambda g: g * ((a.data > lo) & (a.data < hi))))
+    return custom_op(np.clip(a.data, lo, hi), (a, lambda g: g * ((a.data > lo) & (a.data < hi))))
 
 
 def _select(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
     """``a`` where ``take_a``, else ``b``; each operand's gradient is masked to
     the elements it supplied."""
-    return _elementwise(np.where(take_a, a.data, b.data), (a, lambda g: g * take_a), (b, lambda g: g * ~take_a))
+    return custom_op(np.where(take_a, a.data, b.data), (a, lambda g: g * take_a), (b, lambda g: g * ~take_a))
 
 
 def minimum(a, b) -> Tensor:
@@ -361,87 +328,68 @@ def maximum(a, b) -> Tensor:
     return _select(a, b, a.data >= b.data)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
 
-    def backward(out):
-        if not a.requires_grad:
-            return
-        g = out.grad
-        if axis is not None and not keepdims:
+    def grad_map(g):
+        if axis is not None:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
+        return np.broadcast_to(g, a.shape).copy()
 
-    return custom_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return custom_op(a.data.sum(axis=axis), (a, grad_map))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, out.grad.reshape(a.shape))
-
-    return custom_op(a.data.reshape(shape), (a,), backward)
+    return custom_op(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
 
 
 def swapaxes(a, ax0: int, ax1: int) -> Tensor:
     a = as_tensor(a)
-
-    def backward(out):
-        if a.requires_grad:
-            _accum(a, np.swapaxes(out.grad, ax0, ax1))
-
-    return custom_op(np.swapaxes(a.data, ax0, ax1), (a,), backward)
+    return custom_op(np.swapaxes(a.data, ax0, ax1), (a, lambda g: np.swapaxes(g, ax0, ax1)))
 
 
 def take(a, key) -> Tensor:
     """Index/slice a tensor; the backward pass scatter-adds into place."""
     a = as_tensor(a)
 
-    def backward(out):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, key, out.grad)
-            _accum(a, buf)
+    def grad_map(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, key, g)
+        return buf
 
-    return custom_op(a.data[key], (a,), backward)
+    return custom_op(a.data[key], (a, grad_map))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
+    bounds = np.cumsum([0] + [t.shape[axis] for t in ts]).tolist()
+    lead = (slice(None),) * (axis % ts[0].ndim)
 
-    def backward(out):
-        pieces = np.split(out.grad, splits, axis=axis)
-        for t, g in zip(ts, pieces):
-            if t.requires_grad:
-                _accum(t, g)
+    def piece(i):  # the slice of out.grad that parent i supplied
+        key = lead + (slice(bounds[i], bounds[i + 1]),)
+        return lambda g: g[key]
 
-    return custom_op(np.concatenate([t.data for t in ts], axis=axis), ts, backward)
+    return custom_op(np.concatenate([t.data for t in ts], axis=axis), *((t, piece(i)) for i, t in enumerate(ts)))
 
 
-def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5  # added to the variance in layer_norm
+
+
+def layer_norm(a, gamma, beta) -> Tensor:
     """Layer normalization over the last axis with affine parameters."""
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    s = np.sqrt(var + eps)
+    s = np.sqrt(var + LN_EPS)
     xn = (a.data - mu) / s
     y = xn * gamma.data + beta.data
 
-    def backward(out):
-        g = out.grad
-        if gamma.requires_grad:
-            _accum(gamma, _unbroadcast(g * xn, gamma.shape))
-        if beta.requires_grad:
-            _accum(beta, _unbroadcast(g, beta.shape))
-        if a.requires_grad:
-            gxn = g * gamma.data
-            _accum(a, (gxn - gxn.mean(axis=-1, keepdims=True) - xn * (gxn * xn).mean(axis=-1, keepdims=True)) / s)
+    def a_grad(g):
+        gxn = g * gamma.data
+        return (gxn - gxn.mean(axis=-1, keepdims=True) - xn * (gxn * xn).mean(axis=-1, keepdims=True)) / s
 
-    return custom_op(y, (a, gamma, beta), backward)
+    return custom_op(y, (a, a_grad), (gamma, lambda g: g * xn), (beta, _identity))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -495,26 +443,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
                 dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
                 _accum(k, _unbroadcast(dk, k.shape))
 
-    return custom_op(p @ v.data, (q, k, v), backward)
+    return _link(p @ v.data, (q, k, v), backward)
 
 
 def grad_check(
     f: Callable[[], Tensor],
     wrt: Tensor | Sequence[Tensor],
     eps: float = 1e-5,
-    max_coords_per_tensor: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Compare reverse-mode gradients of ``f`` with central differences.
 
     ``f`` is a zero-argument callable returning a scalar Tensor; it must be a
     pure, deterministic function of the tensors in ``wrt`` (it is re-invoked
-    with perturbed data for every probed coordinate). The tensors in ``wrt``
-    must be leaves, since interior nodes keep no ``.grad`` after
-    ``backward()``. Returns the max over probed coordinates of
-    ``|ad - fd| / max(1, |fd|)``. By default every
-    coordinate is probed; ``max_coords_per_tensor`` limits the probes per
-    tensor to a random subset, for large parameter sets.
+    with perturbed data for every coordinate). The tensors in ``wrt`` must be
+    leaves, since interior nodes keep no ``.grad`` after ``backward()``.
+    Returns the max over all coordinates of ``|ad - fd| / max(1, |fd|)``.
     """
     tensors = [wrt] if isinstance(wrt, Tensor) else list(wrt)
     for t in tensors:
@@ -529,10 +472,7 @@ def grad_check(
     for t, g in zip(tensors, grads):
         flat = t.data.reshape(-1)
         gflat = g.reshape(-1)
-        idxs = np.arange(flat.size)
-        if max_coords_per_tensor is not None and flat.size > max_coords_per_tensor:
-            idxs = (rng or np.random.default_rng(0)).choice(flat.size, size=max_coords_per_tensor, replace=False)
-        for i in idxs:
+        for i in range(flat.size):
             old = flat[i]
             flat[i] = old + eps
             f_plus = float(f().data)

@@ -3,6 +3,7 @@ import pytest
 
 from casdet import tensor as T
 from casdet.encode import (
+    PE_TEMPERATURE,
     PeConfig,
     box_pe_vector,
     grid_pe,
@@ -45,18 +46,16 @@ def test_pe_bands_distinguish_coordinates():
 
 
 def test_pe_frequencies_geometric():
-    cfg = PeConfig(dim_per_coord=16, temperature=100.0)
+    cfg = PeConfig(dim_per_coord=16)
     f = pe_frequencies(cfg)
     ratios = f[1:] / f[:-1]
-    np.testing.assert_allclose(ratios, ratios[0])
+    np.testing.assert_allclose(ratios, PE_TEMPERATURE ** (-1 / 8))
     assert np.all(np.diff(f) < 0)
 
 
 def test_pe_config_validation():
     with pytest.raises(ValueError):
         PeConfig(dim_per_coord=7)
-    with pytest.raises(ValueError):
-        PeConfig(dim_per_coord=8, temperature=0.0)
 
 
 def test_box_pe_vector_width():
@@ -76,10 +75,10 @@ def test_positional_query_deterministic_and_width():
     d = 16
     params = make_query_mlp(rng, d)
     cfg = PeConfig(dim_per_coord=d // 2)
-    anchor = np.array([0.3, 0.4, 0.2, 0.1])
+    anchor = np.array([[0.3, 0.4, 0.2, 0.1]])
     a = positional_query(anchor, params, "pq", cfg)
     b = positional_query(anchor, params, "pq", cfg)
-    assert a.shape == (d,)
+    assert a.shape == (1, d)
     np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -104,7 +103,7 @@ def test_positional_query_grad_check():
     d = 8
     params = make_query_mlp(rng, d)
     cfg = PeConfig(dim_per_coord=d // 2)
-    anchor = np.array([0.6, 0.3, 0.25, 0.4])
+    anchor = np.array([[0.6, 0.3, 0.25, 0.4]])
     wrt = list(params.values())
     err = T.grad_check(lambda: (positional_query(anchor, params, "pq", cfg) ** 2).sum(), wrt)
     assert err < 1e-6

@@ -165,3 +165,21 @@ def test_better_localized_prediction_receives_gt():
 def test_match_cost_requires_gt():
     with pytest.raises(ValueError):
         match_cost_matrix(np.zeros((2, 4)), np.zeros((2, 3)), np.zeros((0, 4)), np.zeros(0, dtype=int), MatchConfig())
+
+
+@pytest.mark.parametrize("labels, bad", [([0, -1], r"\[-1\]"), ([3, 1, 5], r"\[3, 5\]")])
+def test_match_cost_rejects_labels_outside_the_classes(labels, bad):
+    """A label of -1 would read the last class's probability, and one of
+    n_classes or more would index past the end: both are refused."""
+    pred = np.array([[0.5, 0.5, 0.2, 0.2], [0.3, 0.3, 0.1, 0.1]])
+    gt = np.tile([0.4, 0.4, 0.2, 0.2], (len(labels), 1))
+    with pytest.raises(ValueError, match=bad + r".*\b3 classes"):
+        match_cost_matrix(pred, np.full((2, 3), 0.5), gt, np.array(labels), MatchConfig())
+
+
+@pytest.mark.parametrize("n_labels", [1, 2, 4])
+def test_match_cost_rejects_a_label_count_other_than_the_box_count(n_labels):
+    """One label for three boxes would broadcast to all of them."""
+    gt = np.tile([0.4, 0.4, 0.2, 0.2], (3, 1))
+    with pytest.raises(ValueError, match=f"{n_labels} gt_labels for 3 gt_boxes"):
+        match_cost_matrix(np.full((2, 4), 0.3), np.full((2, 3), 0.5), gt, np.zeros(n_labels, dtype=int), MatchConfig())

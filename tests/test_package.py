@@ -1,4 +1,5 @@
-"""Whole-package properties: import footprint and graph lifetime."""
+"""Whole-package properties: import footprint, graph lifetime, determinism and
+the gradient of a whole decoder layer."""
 
 import gc
 import os
@@ -6,7 +7,11 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
+
 import casdet
+from casdet import tensor as T
+from casdet.tensor import Tensor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -69,3 +74,40 @@ def test_fresh_models_give_byte_equal_steps_matching_the_reference(tmp_path):
                 assert abs(got[k] - v) <= 1e-12 * abs(v), (i, k)
         runs.append(steps)
     assert runs[0] == runs[1]
+
+
+def test_a_decoder_layer_with_cascade_modulation_passes_grad_check(tmp_path):
+    """One decoder layer of the stand-in at tiny shapes: masked self-attention
+    over matching and DN rows, cross-attention, FFN, the DN rows scaled by a
+    fixed omega, and the box and class heads. The graph holds linear,
+    layer_norm, reshape, swapaxes, concat, take, sigmoid and masked attention;
+    omega gets no gradient."""
+    st = import_standin()
+    model = st.setup(st.tiny(st.WORKLOADS["train-dense"]), st.REF_SEED, str(tmp_path))
+    d, (n_match, n_gt, groups) = model.wl.d_model, (3, 2, 2)
+    n = n_match + groups * n_gt
+    rng = np.random.default_rng(0)
+    anchors = np.concatenate([rng.uniform(0.2, 0.8, (n, 2)), rng.uniform(0.05, 0.4, (n, 2))], axis=1)
+    keys = Tensor(rng.normal(size=(16, d)))
+    keys_pe = keys + Tensor(rng.normal(size=(16, d)))
+    mask = st.attention_mask(n_match, [n_gt] * groups)
+    omega = rng.uniform(0.2, 1.0, size=(groups, n_gt))
+    w_box, w_cls = rng.normal(size=(n, 4)), rng.normal(size=(n, st.N_CLASSES))
+    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    dn_nodes = []
+
+    def loss():
+        h = st.decoder_layer(model, 0, x, anchors, keys, keys_pe, mask)
+        dn = st.modulate(h[n_match:].reshape(groups, n_gt, d), omega)
+        dn_nodes.append(dn)
+        boxes, probs = st.box_heads(model, 0, T.concat([h[:n_match], dn.reshape(-1, d)]), anchors)
+        return (boxes * w_box).sum() + (probs * w_cls).sum()
+
+    small = ["dec0.pq.1.b", "dec0.sa.k.b", "dec0.ln1.g", "dec0.ca.v.b", "dec0.ffn.1.b", "dec0.ln3.b",
+             "dec0.box.w", "dec0.cls.b"]
+    assert T.grad_check(loss, [x] + [model.params[k] for k in small]) < 1e-6
+    dn_nodes.clear()
+    loss().backward()
+    feature, scale = dn_nodes[0]._parents
+    assert feature.requires_grad and not scale.requires_grad
+    assert scale.grad is None and np.array_equal(scale.data, omega[..., None])
