@@ -57,13 +57,19 @@ def iou_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def giou_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise generalized IoU; in [-1, 1], equal to IoU for nested boxes."""
+    """Elementwise generalized IoU; in [-1, 1], equal to IoU for nested boxes.
+
+    Degenerate boxes: a pair with no union scores 0 IoU, and a pair with no
+    enclosure area takes no penalty. The penalty ``enclose - union`` is >= 0
+    by geometry but can round below 0 (with subnormal areas, by far more than
+    an ulp), so it is clamped at 0 and GIoU never exceeds IoU.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     inter, union = _inter_union(a, b)
     wh = np.clip(np.maximum(a[..., 2:], b[..., 2:]) - np.minimum(a[..., :2], b[..., :2]), 0.0, None)
     enclose = wh[..., 0] * wh[..., 1]
-    return _ratio(inter, union) - _ratio(enclose - union, enclose)
+    return _ratio(inter, union) - _ratio(np.maximum(enclose - union, 0.0), enclose)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

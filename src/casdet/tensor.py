@@ -18,7 +18,10 @@ grad map takes ``out.grad`` and returns that parent's gradient, at the
 parent's shape or at a shape it broadcasts to; the builder alone skips
 parents that need no gradient, sums each gradient back down to its parent's
 shape and accumulates it. ``attention`` is the one node with a hand-written
-backward closure, because its q and k gradients share one buffer.
+backward closure, because its q and k gradients share one buffer. It keeps
+its ``(..., n, m)`` probabilities for the backward, which walks the batch
+axes one ``(n, m)`` block at a time: its working set beyond the kept
+probabilities is that one block plus the q, k and v gradients.
 Elementwise ops broadcast like numpy, and ``matmul`` follows numpy's
 stacked-matrix rules. Only what the detector needs is implemented.
 """
@@ -404,13 +407,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     raises MaskError, signalling a malformed isolation mask. NaN or inf in q,
     k or v raise FloatingPointError.
 
+    Operands that are not ``(..., n, d)``, ``(..., m, d)`` and ``(..., m, dv)``
+    raise ShapeError.
+
     The whole call is one graph node with parents ``(q, k, v)``. The forward
     builds one ``(..., n, m)`` buffer and does the scale, the ``-inf`` fill
-    and the softmax in it in place; the backward keeps only that buffer of
-    probabilities ``p``. It uses rowsum(dp * p) = rowsum(dout * out), so the
-    softmax gradient needs no extra pass over the logits, and masked entries
-    need no mask because ``p`` is exactly 0 there.
+    and the softmax in it in place; the node keeps only that buffer of
+    probabilities ``p``, and a repeated backward reads it again. The backward
+    uses rowsum(dp * p) = rowsum(dout * out), so the softmax gradient needs no
+    extra pass over the logits, and masked entries need no mask because ``p``
+    is exactly 0 there. It walks the broadcast batch axes (the heads) one at a
+    time and reuses one ``(n, m)`` block for the logit gradient, writing each
+    head's q, k and v gradients into arrays allocated once: on top of ``p``,
+    its working set is that block, not a second ``(..., n, m)`` buffer. Each
+    head runs the matmuls that a whole-batch matmul runs for it, so the
+    gradients are bitwise those of the whole-batch form.
     """
+    if min(q.ndim, k.ndim, v.ndim) < 2 or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention needs q (..., n, d), k (..., m, d), v (..., m, dv); "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
     if not (np.isfinite(q.data).all() and np.isfinite(k.data).all() and np.isfinite(v.data).all()):
         raise FloatingPointError("attention: q, k or v hold NaN or inf")
     scale = 1.0 / math.sqrt(q.shape[-1])
@@ -430,18 +445,36 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
 
     def backward(out):
         g = out.grad
-        if v.requires_grad:
-            _accum(v, _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.shape))
-        if q.requires_grad or k.requires_grad:
-            ds = g @ np.swapaxes(v.data, -1, -2)
-            ds -= (g * out.data).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= scale
-            if q.requires_grad:
-                _accum(q, _unbroadcast(ds @ k.data, q.shape))
-            if k.requires_grad:
-                dk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
-                _accum(k, _unbroadcast(dk, k.shape))
+        batch = g.shape[:-2]  # the batch axes of q, k and v broadcast together
+        pb, qb, kb, vb = (a if a.shape[:-2] == batch else np.broadcast_to(a, batch + a.shape[-2:])
+                          for a in (p, q.data, k.data, v.data))
+        dv = np.empty(batch + v.shape[-2:]) if v.requires_grad else None
+        dq = np.empty(batch + q.shape[-2:]) if q.requires_grad else None
+        # dk is filled transposed, as q^T @ ds, so it reaches k's parents with
+        # the same memory layout (and the same rounding downstream) as a
+        # batched q^T @ ds would give
+        dkt = np.empty(batch + (k.shape[-1], k.shape[-2])) if k.requires_grad else None
+        ds = np.empty(p.shape[-2:]) if dq is not None or dkt is not None else None
+        if ds is not None:
+            rowsum = (g * out.data).sum(axis=-1, keepdims=True)
+        for i in np.ndindex(batch):
+            if dv is not None:
+                np.matmul(pb[i].T, g[i], out=dv[i])
+            if ds is not None:
+                np.matmul(g[i], vb[i].T, out=ds)
+                ds -= rowsum[i]
+                ds *= pb[i]
+                ds *= scale
+                if dq is not None:
+                    np.matmul(ds, kb[i], out=dq[i])
+                if dkt is not None:
+                    np.matmul(qb[i].T, ds, out=dkt[i])
+        if dv is not None:
+            _accum(v, _unbroadcast(dv, v.shape))
+        if dq is not None:
+            _accum(q, _unbroadcast(dq, q.shape))
+        if dkt is not None:
+            _accum(k, _unbroadcast(np.swapaxes(dkt, -1, -2), k.shape))
 
     return _link(p @ v.data, (q, k, v), backward)
 

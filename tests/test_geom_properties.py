@@ -3,7 +3,7 @@ nesting, conversion round trips, and bitwise agreement with the IoU and GIoU
 formulas as they were before the two functions shared one intersection."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casdet.geom import (
@@ -30,7 +30,8 @@ def _oracle_iou(a, b):
 
 
 def _oracle_giou(a, b):
-    """``giou_xyxy`` as it was, recomputing the intersection and union after IoU."""
+    """``giou_xyxy`` as it was, recomputing the intersection and union after IoU,
+    with the enclosure penalty clamped at 0 as ``giou_xyxy`` clamps it."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     iou = _oracle_iou(a, b)
@@ -42,7 +43,8 @@ def _oracle_giou(a, b):
     rb_i = np.minimum(a[..., 2:], b[..., 2:])
     wh_i = np.clip(rb_i - lt_i, 0.0, None)
     union = area_xyxy(a) + area_xyxy(b) - wh_i[..., 0] * wh_i[..., 1]
-    return iou - np.where(enclose > 0, (enclose - union) / np.where(enclose > 0, enclose, 1.0), 0.0)
+    penalty = np.maximum(enclose - union, 0.0)  # >= 0 by geometry; rounding can take it below
+    return iou - np.where(enclose > 0, penalty / np.where(enclose > 0, enclose, 1.0), 0.0)
 
 
 # Grid values make shared edges, zero-area, touching and disjoint boxes common.
@@ -69,11 +71,15 @@ def test_iou_symmetric_and_in_unit_interval(pair):
 
 @settings(max_examples=300, deadline=None)
 @given(box_sets)
+# subnormal widths: the union rounds above the enclosure, and an unclamped
+# penalty put GIoU 8.9e-11 above IoU
+@example(([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.2250738585e-313, 0.119140625]],
+          [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0625, 2.2250738585e-313, 0.25]]))
 def test_giou_bounded_and_not_above_iou(pair):
     a, b = np.array(pair[0]), np.array(pair[1])
     g = giou_xyxy(a, b)
     assert np.all((g >= -1.0) & (g <= 1.0))
-    assert np.all(g <= iou_xyxy(a, b) + 1e-12)  # the enclosure term is >= 0 up to rounding
+    assert np.all(g <= iou_xyxy(a, b))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -363,6 +366,13 @@ def oracle_case(kind, rng):
         return rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 7, 4)), rng.normal(size=(2, 3, 7, 6)), None
     if kind == "unbatched-kv":
         return rng.normal(size=(4, 6, 8)), rng.normal(size=(9, 8)), rng.normal(size=(9, 5)), random_mask(rng, 6, 9)
+    if kind == "unbatched-q":  # dq is summed back over the head axis
+        return rng.normal(size=(6, 8)), rng.normal(size=(3, 9, 8)), rng.normal(size=(3, 9, 5)), random_mask(rng, 6, 9)
+    if kind == "unbatched-qk":  # only v has a head axis, so p broadcasts over it
+        return rng.normal(size=(6, 8)), rng.normal(size=(9, 8)), rng.normal(size=(3, 9, 5)), random_mask(rng, 6, 9)
+    if kind == "two-axis-broadcast":  # q and k, v broadcast against each other on two batch axes
+        return (rng.normal(size=(2, 1, 6, 8)), rng.normal(size=(1, 3, 9, 8)), rng.normal(size=(1, 3, 9, 5)),
+                random_mask(rng, 6, 9))
     if kind == "block-diagonal":  # a 1-key DN group, and a 1-key row inside the matching block
         mask = attention_mask(3, [4, 1])
         mask[1] = False
@@ -376,7 +386,8 @@ def oracle_case(kind, rng):
     return q, k, rng.normal(size=(7, 3)), random_mask(rng, 5, 7)
 
 
-ORACLE_KINDS = ["2d", "heads", "heads-unmasked", "unbatched-kv", "block-diagonal", "large-logits"]
+ORACLE_KINDS = ["2d", "heads", "heads-unmasked", "unbatched-kv", "block-diagonal", "large-logits", "unbatched-q",
+                "unbatched-qk", "two-axis-broadcast"]
 GRAD_SUBSETS = [(q, k, v) for q in (0, 1) for k in (0, 1) for v in (0, 1) if q or k or v]
 
 
@@ -429,6 +440,35 @@ def test_attention_mask_of_wrong_shape_raises():
     for shape in ((5, 3), (3, 4), (2, 3, 5)):
         with pytest.raises(ShapeError):
             T.attention(q, k, k, np.ones(shape, dtype=bool))
+
+
+def test_attention_operands_of_wrong_shape_raise():
+    rng = np.random.default_rng(14)
+    cases = [((3, 4), (5, 6), (5, 2)),        # q and k differ in their last axis
+             ((3, 4), (5, 4), (6, 2)),        # k and v differ in length
+             ((4,), (5, 4), (5, 2))]          # a q with no query axis
+    for shapes in cases:
+        with pytest.raises(ShapeError, match=re.escape(", ".join(map(str, shapes)))):
+            T.attention(*(Tensor(rng.normal(size=s), requires_grad=True) for s in shapes))
+
+
+def test_attention_backward_works_one_block_at_a_time():
+    """The backward's transient memory is one (n, m) block, not a second
+    (..., n, m) buffer beside the kept probabilities."""
+    rng = np.random.default_rng(15)
+    q, k, v = (Tensor(rng.normal(size=(4, 256, 4)), requires_grad=True) for _ in range(3))
+    out = T.attention(q, k, v)
+    loss = (out * rng.normal(size=out.shape)).sum()
+    p_nbytes = 4 * 256 * 256 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(t.grad is not None for t in (q, k, v))
+    assert peak - start < p_nbytes / 2
 
 
 def test_forward_deterministic_and_finite_on_bounded_inputs():
