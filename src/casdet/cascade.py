@@ -40,10 +40,7 @@ class CascadeConfig:
 
 def threshold_schedule(cfg: CascadeConfig) -> np.ndarray:
     """Per-layer thresholds rising linearly from theta1 by delta_theta total."""
-    if cfg.n_layers == 1:
-        return np.array([cfg.theta1])
-    steps = np.arange(cfg.n_layers) / (cfg.n_layers - 1)
-    return cfg.theta1 + cfg.delta_theta * steps
+    return np.linspace(cfg.theta1, cfg.theta1 + cfg.delta_theta, cfg.n_layers)
 
 
 def dn_weight(iou, theta_l: float, tau: float):
@@ -56,10 +53,12 @@ def layer_dn_weights(dn_pred_boxes: np.ndarray, gt_boxes: np.ndarray, theta_l: f
 
     ``dn_pred_boxes`` is (..., n_gt, 4) center/size; query j pairs with GT j
     (identity correspondence, no matching). Returns weights of shape (...,
-    n_gt).
+    n_gt), empty for no GT. Non-finite predictions raise ``FloatingPointError``.
     """
     dn_pred_boxes = np.asarray(dn_pred_boxes, dtype=np.float64)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    if not np.isfinite(dn_pred_boxes).all():
+        raise FloatingPointError("layer_dn_weights: the predicted boxes hold NaN or inf")
     if dn_pred_boxes.shape[-2] != gt_boxes.shape[0]:
         raise ValueError(
             f"prediction count {dn_pred_boxes.shape[-2]} does not match GT count {gt_boxes.shape[0]}"
@@ -69,8 +68,7 @@ def layer_dn_weights(dn_pred_boxes: np.ndarray, gt_boxes: np.ndarray, theta_l: f
 
 
 def modulate(feature: Tensor, omega) -> Tensor:
-    """Scale features by their weights; omega is detached from the graph."""
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.ndim and omega.shape == feature.shape[:-1]:
-        omega = omega[..., None]
-    return feature * Tensor(omega)
+    """Scale features by omega, one weight per query (shape ``feature.shape[:-1]``)
+    or a scalar; omega is detached from the graph.
+    """
+    return feature * Tensor(np.asarray(omega, dtype=np.float64)[..., None])

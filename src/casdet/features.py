@@ -104,11 +104,9 @@ def encode_features(grid: Tensor, n_layers: int, params: dict, pe: np.ndarray, n
                     name: str = "enc") -> Tensor:
     """Self-attention encoder over flattened cells with 2D position bias.
 
-    Zero layers is the identity. Position encodings are added to queries and
-    keys only; spatial dims are preserved.
+    Zero layers return the grid's values. Position encodings are added to
+    queries and keys only; spatial dims are preserved.
     """
-    if n_layers == 0:
-        return grid
     h, w, d = grid.shape
     x = grid.reshape(h * w, d)
     pe_t = Tensor(pe)

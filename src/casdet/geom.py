@@ -72,16 +72,6 @@ def giou_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _ratio(inter, union) - _ratio(np.maximum(enclose - union, 0.0), enclose)
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between box sets: (N, 4) x (M, 4) -> (N, M), corner form."""
-    return iou_xyxy(np.asarray(a, dtype=np.float64)[:, None, :], np.asarray(b, dtype=np.float64)[None, :, :])
-
-
-def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise GIoU between box sets: (N, 4) x (M, 4) -> (N, M), corner form."""
-    return giou_xyxy(np.asarray(a, dtype=np.float64)[:, None, :], np.asarray(b, dtype=np.float64)[None, :, :])
-
-
 def clamp_box_xyxy(b: np.ndarray) -> np.ndarray:
     """Reorder corners, clip to [0, 1] and enforce a minimum side length.
 

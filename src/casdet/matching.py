@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import box_cxcywh_to_xyxy, giou_matrix
+from .geom import box_cxcywh_to_xyxy, giou_xyxy
 
 PROB_EPS = 1e-7
 
@@ -43,8 +43,6 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     walked again by every full garbage collection of a training loop.
     """
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.size == 0:
-        return []
     if not np.isfinite(cost).all():
         raise ValueError("hungarian: the cost matrix holds NaN or inf")
     transpose = cost.shape[0] > cost.shape[1]
@@ -116,15 +114,16 @@ def match_cost_matrix(
 
     Boxes are center/size; ``pred_probs`` is (n_pred, n_classes) of per-class
     probabilities. The localization score feeding the classification term is
-    GIoU rescaled to [0, 1]. A label count other than the GT box count, or a
-    label outside ``[0, n_classes)``, raises ``ValueError``.
+    GIoU rescaled to [0, 1]. With no GT the matrix is ``(n_pred, 0)``. A label
+    count other than the GT box count, or a label outside ``[0, n_classes)``,
+    raises ``ValueError``; non-finite predictions raise ``FloatingPointError``.
     """
     pred_boxes = np.asarray(pred_boxes, dtype=np.float64)
     pred_probs = np.asarray(pred_probs, dtype=np.float64)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
-    if gt_boxes.shape[0] == 0:
-        raise ValueError("gt_boxes must be nonempty")
+    if not (np.isfinite(pred_boxes).all() and np.isfinite(pred_probs).all()):
+        raise FloatingPointError("match_cost_matrix: the predicted boxes or probabilities hold NaN or inf")
     if gt_labels.shape[0] != gt_boxes.shape[0]:
         raise ValueError(f"{gt_labels.shape[0]} gt_labels for {gt_boxes.shape[0]} gt_boxes")
     n_classes = pred_probs.shape[-1]
@@ -132,7 +131,7 @@ def match_cost_matrix(
     if bad.any():
         raise ValueError(f"gt_labels {gt_labels[bad].tolist()} are outside [0, {n_classes}) for {n_classes} classes")
 
-    giou = giou_matrix(box_cxcywh_to_xyxy(pred_boxes), box_cxcywh_to_xyxy(gt_boxes))
+    giou = giou_xyxy(box_cxcywh_to_xyxy(pred_boxes)[:, None], box_cxcywh_to_xyxy(gt_boxes)[None])
     s_prime = (giou + 1.0) / 2.0
     p = pred_probs[:, gt_labels]
     cls_cost = stable_cls_cost(p, s_prime, gamma=cfg.gamma, beta=cfg.beta)

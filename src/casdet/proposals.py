@@ -2,8 +2,7 @@
 
 A real segmenter is emulated statistically: ground-truth boxes get jittered
 copies with a configurable hit rate, plus background distractors. Externally
-produced proposals can be loaded from a line-delimited fixture file instead,
-keeping a path to plugging in real mask-derived boxes.
+produced proposals can be loaded from a line-delimited fixture file instead.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import box_cxcywh_to_xyxy, iou_matrix, jitter_box
+from .geom import box_cxcywh_to_xyxy, iou_xyxy, jitter_box
 
 
 @dataclass(slots=True)  # no per-instance __dict__: a fixture holds thousands of these
@@ -45,27 +44,6 @@ class EmulatorConfig:
             raise ValueError("counts must be positive and jitter_sigma >= 0")
 
 
-class EmptyMaskError(ValueError):
-    """A segmentation mask with no set bits cannot yield a box."""
-
-
-def mask_to_bbox(bits: np.ndarray) -> np.ndarray:
-    """Tightest corner box around the set bits of an occupancy grid.
-
-    Coordinates are normalized by the grid dimensions; a pixel at (r, c)
-    occupies [c/W, (c+1)/W) x [r/H, (r+1)/H).
-    """
-    bits = np.asarray(bits, dtype=bool)
-    if bits.ndim != 2:
-        raise ValueError(f"mask must be 2-d, got shape {bits.shape}")
-    rows = np.flatnonzero(bits.any(axis=1))
-    cols = np.flatnonzero(bits.any(axis=0))
-    if rows.size == 0:
-        raise EmptyMaskError("mask has no set bits")
-    h, w = bits.shape
-    return np.array([cols[0] / w, rows[0] / h, (cols[-1] + 1) / w, (rows[-1] + 1) / h], dtype=np.float64)
-
-
 def _random_boxes(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 4) background boxes from one ``rng.random((n, 4))``.
 
@@ -86,7 +64,8 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
     Each GT box yields a jittered copy with probability ``gt_hit_rate``
     (corner jitter N(0, jitter_sigma * side)), then ``distractor_count``
     random background boxes are appended. At least one proposal is always
-    returned and the total never exceeds ``target_count``.
+    returned and the total never exceeds ``target_count``; a scene with no GT
+    gets only the distractors, or the fallback box.
 
     Random-stream contract: for each GT box in order, one ``rng.random()``
     and, on a hit, one ``rng.standard_normal(4)``; then one
@@ -97,8 +76,6 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
     count, the hits and ``distractor_count``.
     """
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    if gt_boxes.shape[0] == 0:
-        raise ValueError("scene must have at least one GT box")
     hit: list[bool] = []
     noise: list[np.ndarray] = []
     for _ in range(gt_boxes.shape[0]):
@@ -112,15 +89,13 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
 
 
 def proposal_recall(props: list[Proposal], gts: np.ndarray, iou_thr: float) -> float:
-    """Fraction of GT boxes covered by some proposal at IoU >= iou_thr."""
+    """Fraction of GT boxes covered by some proposal at IoU >= iou_thr; with no proposals each best IoU is 0."""
     gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
     if gts.shape[0] == 0:
         raise ValueError("gts must be nonempty")
-    if not props:
-        return 0.0
-    pb = box_cxcywh_to_xyxy(np.stack([p.box for p in props]))
+    pb = box_cxcywh_to_xyxy(np.array([p.box for p in props], dtype=np.float64).reshape(-1, 4))
     gb = box_cxcywh_to_xyxy(gts)
-    best = iou_matrix(pb, gb).max(axis=0)
+    best = iou_xyxy(pb[:, None], gb[None]).max(axis=0, initial=0.0)
     return float((best >= iou_thr).mean())
 
 

@@ -54,7 +54,11 @@ def attention_mask(n_match: int, group_sizes: list[int]) -> np.ndarray:
 
 
 def init_matching_queries(props: list[Proposal], grid: Tensor, params: dict) -> tuple[np.ndarray, Tensor]:
-    """Anchors from proposal boxes, contents from their pooled region features."""
+    """Anchors from proposal boxes, contents from their pooled region features.
+
+    Zero proposals raise ``EmptyProposalsError``: with no matching rows,
+    attention at inference would reach an empty logit block.
+    """
     if not props:
         raise EmptyProposalsError("cannot initialize matching queries from zero proposals")
     anchors = np.stack([p.box for p in props]).astype(np.float64)
@@ -74,12 +78,11 @@ def make_dn_queries(
     Noise model: centers shift by uniform +-box_noise * (w, h) / 2 and sides
     scale by a uniform factor in [1 - box_noise, 1 + box_noise]; results are
     clamped to valid boxes. Contents are pooled from the noisy boxes.
-    Query j of every group corresponds to GT j.
+    Query j of every group corresponds to GT j. With no GT the branch is
+    empty: ``(groups, 0, 4)`` anchors and ``(groups, 0, d)`` contents.
     """
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     n = gt_boxes.shape[0]
-    if n == 0:
-        raise ValueError("denoising queries require at least one GT box")
     lam = cfg.box_noise
     g = cfg.groups
     shift = rng.uniform(-lam, lam, size=(g, n, 2)) * gt_boxes[None, :, 2:] / 2.0

@@ -18,6 +18,12 @@ def test_single_layer_schedule():
     np.testing.assert_array_equal(threshold_schedule(CascadeConfig(n_layers=1)), [0.3])
 
 
+def test_two_layer_schedule_is_exactly_the_end_points():
+    """The benchmark's decoder depth: its thresholds are theta1 and
+    theta1 + delta_theta to the last bit."""
+    np.testing.assert_array_equal(threshold_schedule(CascadeConfig(n_layers=2)), [0.3, 0.3 + 0.6])
+
+
 def test_zero_increment_schedule_is_constant():
     sched = threshold_schedule(CascadeConfig(theta1=0.4, delta_theta=0.0))
     np.testing.assert_array_equal(sched, np.full(6, 0.4))
@@ -98,6 +104,22 @@ def test_layer_dn_weights_grouped_and_independent():
 def test_layer_dn_weights_count_mismatch():
     with pytest.raises(ValueError):
         layer_dn_weights(np.zeros((2, 4)) + 0.3, np.zeros((3, 4)) + 0.3, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_layer_dn_weights_non_finite_prediction_raises_with_stage_name(bad):
+    """A NaN box used to score IoU 0, so at theta 0.3 it got omega ~ 0.047
+    without a word."""
+    pred = np.tile([0.5, 0.5, 0.2, 0.2], (2, 3, 1))
+    pred[1, 2, 0] = bad
+    with pytest.raises(FloatingPointError, match="layer_dn_weights"):
+        layer_dn_weights(pred, np.tile([0.5, 0.5, 0.2, 0.2], (3, 1)), 0.3, 0.1)
+
+
+def test_layer_dn_weights_and_modulate_with_no_gt():
+    omega = layer_dn_weights(np.zeros((5, 0, 4)), np.zeros((0, 4)), 0.3, 0.1)
+    assert omega.shape == (5, 0)
+    assert modulate(Tensor(np.zeros((5, 0, 8))), omega).shape == (5, 0, 8)
 
 
 def test_modulate_identity_and_annihilation():

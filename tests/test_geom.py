@@ -6,9 +6,7 @@ from casdet.geom import (
     box_cxcywh_to_xyxy,
     box_xyxy_to_cxcywh,
     clamp_box_xyxy,
-    giou_matrix,
     giou_xyxy,
-    iou_matrix,
     iou_xyxy,
     jitter_box,
 )
@@ -115,11 +113,13 @@ def test_giou_bounded_and_below_iou():
 
 
 def test_matrix_forms_agree_with_elementwise():
+    """The pairwise form ``f(a[:, None], b[None])`` that matching and proposal
+    recall use gives, entry by entry, the single-pair value."""
     rng = np.random.default_rng(5)
     a = random_xyxy(rng, 7)
     b = random_xyxy(rng, 5)
-    im = iou_matrix(a, b)
-    gm = giou_matrix(a, b)
+    im = iou_xyxy(a[:, None], b[None])
+    gm = giou_xyxy(a[:, None], b[None])
     assert im.shape == (7, 5) and gm.shape == (7, 5)
     for i in range(7):
         for j in range(5):

@@ -10,9 +10,7 @@ from casdet.geom import (
     area_xyxy,
     box_cxcywh_to_xyxy,
     box_xyxy_to_cxcywh,
-    giou_matrix,
     giou_xyxy,
-    iou_matrix,
     iou_xyxy,
 )
 
@@ -101,8 +99,8 @@ def test_iou_and_giou_bitwise_equal_to_the_separate_formulas(pair):
     a, b = np.array(pair[0]), np.array(pair[1])
     assert np.array_equal(iou_xyxy(a, b), _oracle_iou(a, b))
     assert np.array_equal(giou_xyxy(a, b), _oracle_giou(a, b))
-    assert np.array_equal(iou_matrix(a, b), _oracle_iou(a[:, None], b[None]))
-    assert np.array_equal(giou_matrix(a, b), _oracle_giou(a[:, None], b[None]))
+    assert np.array_equal(iou_xyxy(a[:, None], b[None]), _oracle_iou(a[:, None], b[None]))
+    assert np.array_equal(giou_xyxy(a[:, None], b[None]), _oracle_giou(a[:, None], b[None]))
 
 
 def test_separate_formulas_agree_on_zero_area_and_disjoint_boxes():

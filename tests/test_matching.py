@@ -33,6 +33,7 @@ def test_hungarian_diagonal_optimum():
 
 def test_hungarian_empty():
     assert hungarian(np.zeros((0, 0))) == []
+    assert hungarian(np.zeros((0, 3))) == []
     assert hungarian(np.zeros((3, 0))) == []
 
 
@@ -124,9 +125,10 @@ def test_match_cost_component_isolation_giou():
     gt = np.stack([rng.uniform(0.3, 0.7, 2), rng.uniform(0.3, 0.7, 2), rng.uniform(0.1, 0.4, 2), rng.uniform(0.1, 0.4, 2)], axis=-1)
     probs = rng.uniform(0.1, 0.9, size=(3, 4))
     cost = match_cost_matrix(pred, probs, gt, np.array([1, 3]), cfg)
-    from casdet.geom import box_cxcywh_to_xyxy, giou_matrix
+    from casdet.geom import box_cxcywh_to_xyxy, giou_xyxy
 
-    np.testing.assert_allclose(cost, 1.0 - giou_matrix(box_cxcywh_to_xyxy(pred), box_cxcywh_to_xyxy(gt)), atol=1e-12)
+    np.testing.assert_allclose(cost, 1.0 - giou_xyxy(box_cxcywh_to_xyxy(pred)[:, None], box_cxcywh_to_xyxy(gt)[None]),
+                               atol=1e-12)
 
 
 def test_match_cost_exact_prediction_wins_row():
@@ -162,11 +164,6 @@ def test_better_localized_prediction_receives_gt():
     assert hungarian(cost) == [(1, 0)]
 
 
-def test_match_cost_requires_gt():
-    with pytest.raises(ValueError):
-        match_cost_matrix(np.zeros((2, 4)), np.zeros((2, 3)), np.zeros((0, 4)), np.zeros(0, dtype=int), MatchConfig())
-
-
 @pytest.mark.parametrize("labels, bad", [([0, -1], r"\[-1\]"), ([3, 1, 5], r"\[3, 5\]")])
 def test_match_cost_rejects_labels_outside_the_classes(labels, bad):
     """A label of -1 would read the last class's probability, and one of
@@ -183,3 +180,25 @@ def test_match_cost_rejects_a_label_count_other_than_the_box_count(n_labels):
     gt = np.tile([0.4, 0.4, 0.2, 0.2], (3, 1))
     with pytest.raises(ValueError, match=f"{n_labels} gt_labels for 3 gt_boxes"):
         match_cost_matrix(np.full((2, 4), 0.3), np.full((2, 3), 0.5), gt, np.zeros(n_labels, dtype=int), MatchConfig())
+
+
+def test_match_cost_with_no_gt_has_no_columns_and_no_pairs():
+    """No-GT policy: the cost matrix is (n_pred, 0), so every prediction stays
+    unmatched and takes the no-object loss."""
+    cost = match_cost_matrix(np.full((3, 4), 0.3), np.full((3, 2), 0.5), np.zeros((0, 4)), np.zeros(0, dtype=int),
+                             MatchConfig())
+    assert cost.shape == (3, 0)
+    assert hungarian(cost) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_match_cost_non_finite_prediction_raises_with_stage_name(bad):
+    """A NaN box used to pass through to ``hungarian``, whose error named the
+    wrong stage."""
+    pred = np.array([[0.5, 0.5, 0.2, 0.2], [0.3, 0.3, 0.1, 0.1]])
+    probs = np.full((2, 3), 0.5)
+    gt, labels = np.array([[0.4, 0.4, 0.2, 0.2]]), np.array([1])
+    with pytest.raises(FloatingPointError, match="match_cost_matrix"):
+        match_cost_matrix(np.where(np.arange(4) == 2, bad, pred), probs, gt, labels, MatchConfig())
+    with pytest.raises(FloatingPointError, match="match_cost_matrix"):
+        match_cost_matrix(pred, np.where(np.arange(3) == 0, bad, probs), gt, labels, MatchConfig())

@@ -1,16 +1,22 @@
-"""Whole-package properties: import footprint, graph lifetime, determinism and
-the gradient of a whole decoder layer."""
+"""Whole-package properties: import footprint, graph lifetime, determinism,
+the gradient of a whole decoder layer and a training step with no ground
+truth."""
 
 import gc
 import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
 import casdet
 from casdet import tensor as T
+from casdet.cascade import layer_dn_weights, modulate
+from casdet.matching import MatchConfig, hungarian, match_cost_matrix
+from casdet.proposals import emulate_proposals
+from casdet.queries import DnConfig, attention_mask, init_matching_queries, make_dn_queries
 from casdet.tensor import Tensor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -111,3 +117,49 @@ def test_a_decoder_layer_with_cascade_modulation_passes_grad_check(tmp_path):
     feature, scale = dn_nodes[0]._parents
     assert feature.requires_grad and not scale.requires_grad
     assert scale.grad is None and np.array_equal(scale.data, omega[..., None])
+
+
+def test_a_scene_with_no_ground_truth_runs_a_whole_training_step(tmp_path):
+    """No-GT policy, end to end at tiny shapes: the emulator gives background
+    boxes only, the DN branch has no rows, the cost matrix has no columns and
+    nothing is matched, so every query takes the no-object loss. The loss is
+    the summed class probabilities of every layer, which does not divide by
+    the GT count. Forward and backward raise no warning of any kind, and
+    every gradient is finite."""
+    st = import_standin()
+    model = st.setup(st.tiny(st.WORKLOADS["train-dense"]), st.REF_SEED, str(tmp_path))
+    scene = st.make_scene(model.wl, 0, np.random.default_rng(3))
+    gt, groups, d = scene.boxes, st.DN_GROUPS, model.wl.d_model
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keys, keys_pe, memory = st.encode(model, scene)
+        props = emulate_proposals(gt, model.wl.emulator, rng)
+        anchors, x = init_matching_queries(props, memory, model.params)
+        dn_anchors, dn_content = make_dn_queries(gt, DnConfig(groups=groups), memory, model.params, rng)
+        assert gt.shape == (0, 4) and dn_anchors.shape == (groups, 0, 4) and dn_content.shape == (groups, 0, d)
+        n_match = anchors.shape[0]
+        mask = attention_mask(n_match, [0] * groups)
+        anchors = np.concatenate([anchors, dn_anchors.reshape(-1, 4)])
+        x = T.concat([x, dn_content.reshape(-1, d)])
+        loss = Tensor(0.0)
+        for l in range(st.DEC_LAYERS):
+            x = st.decoder_layer(model, l, x, anchors, keys, keys_pe, mask)
+            omega = layer_dn_weights(anchors[n_match:].reshape(groups, 0, 4), gt, model.thetas[l],
+                                     model.cascade.tau)
+            dn_h = modulate(x[n_match:].reshape(groups, 0, d), omega)
+            boxes, probs = st.box_heads(model, l, T.concat([x[:n_match], dn_h.reshape(-1, d)]), anchors)
+            anchors = boxes.data.copy()
+            cost = match_cost_matrix(boxes.data, probs.data, gt, scene.labels, MatchConfig())
+            assert cost.shape == (n_match, 0) and hungarian(cost) == []
+            loss = loss + probs.sum()
+        loss.backward()
+    assert n_match == len(props) == model.wl.emulator.distractor_count
+    assert np.isfinite(loss.item())
+    # Anchors are refined in value space, so the box heads do not reach a
+    # loss made of class probabilities; every other parameter does.
+    no_grad = {name for name, p in model.params.items() if p.grad is None}
+    assert no_grad == {f"dec{l}.box.{w}" for l in range(st.DEC_LAYERS) for w in "wb"}
+    for name, p in model.params.items():
+        assert name in no_grad or np.isfinite(p.grad).all(), name
+    assert np.abs(model.params["patch.w"].grad).sum() > 0

@@ -3,52 +3,13 @@ import pytest
 
 from casdet.geom import box_cxcywh_to_xyxy, box_xyxy_to_cxcywh, clamp_box_xyxy, iou_xyxy
 from casdet.proposals import (
-    EmptyMaskError,
     EmulatorConfig,
     Proposal,
     emulate_proposals,
     load_proposals,
-    mask_to_bbox,
     proposal_recall,
     save_proposals,
 )
-
-
-def test_mask_to_bbox_full_coverage():
-    np.testing.assert_allclose(mask_to_bbox(np.ones((6, 9), dtype=bool)), [0, 0, 1, 1])
-
-
-def test_mask_to_bbox_single_pixel():
-    m = np.zeros((10, 10), dtype=bool)
-    m[3, 7] = True
-    np.testing.assert_allclose(mask_to_bbox(m), [0.7, 0.3, 0.8, 0.4])
-
-
-def test_mask_to_bbox_l_shape():
-    m = np.zeros((10, 10), dtype=bool)
-    m[2:8, 1] = True
-    m[7, 1:6] = True
-    np.testing.assert_allclose(mask_to_bbox(m), [0.1, 0.2, 0.6, 0.8])
-
-
-def test_mask_to_bbox_exhaustive_scan_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        m = rng.random((12, 15)) > 0.8
-        if not m.any():
-            m[rng.integers(12), rng.integers(15)] = True
-        box = mask_to_bbox(m)
-        h, w = m.shape
-        for r in range(h):
-            for c in range(w):
-                if m[r, c]:
-                    assert box[0] <= c / w and (c + 1) / w <= box[2]
-                    assert box[1] <= r / h and (r + 1) / h <= box[3]
-
-
-def test_mask_to_bbox_empty_raises():
-    with pytest.raises(EmptyMaskError):
-        mask_to_bbox(np.zeros((4, 4), dtype=bool))
 
 
 def test_emulator_degenerate_returns_gt():
@@ -89,6 +50,18 @@ def test_emulator_respects_target_count_and_floor():
     assert len(emulate_proposals(gts, cfg, np.random.default_rng(3))) == 3
     none_cfg = EmulatorConfig(gt_hit_rate=0.0, jitter_sigma=0.0, distractor_count=0)
     assert len(emulate_proposals(gts, none_cfg, np.random.default_rng(4))) == 1
+
+
+@pytest.mark.parametrize("distractors", [6, 0])
+def test_emulator_with_no_gt_draws_only_the_background(distractors):
+    """No GT: one ``rng.random((distractor_count, 4))`` gives the distractors;
+    with none, one ``rng.random((1, 4))`` gives the fallback box."""
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    props = emulate_proposals(np.zeros((0, 4)), EmulatorConfig(distractor_count=distractors), rng)
+    u = ref.random((max(distractors, 1), 4))
+    assert len(props) == len(u)
+    np.testing.assert_array_equal(np.stack([p.box[2:] for p in props]), 0.05 + (0.5 - 0.05) * u[:, :2])
+    assert rng.random() == ref.random()
 
 
 def test_recall_perfect_and_empty():

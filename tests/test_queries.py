@@ -92,6 +92,15 @@ def test_dn_query_counts():
     assert contents.shape == (5, 4, 6)
 
 
+def test_dn_queries_with_no_gt_are_an_empty_branch():
+    rng = np.random.default_rng(6)
+    params = neck_params(rng)
+    anchors, contents = make_dn_queries(np.zeros((0, 4)), DnConfig(groups=5), Tensor(rng.normal(size=(8, 8, 4))),
+                                        params, rng)
+    assert anchors.shape == (5, 0, 4)
+    assert contents.shape == (5, 0, 6)
+
+
 def test_dn_zero_noise_reproduces_gt():
     rng = np.random.default_rng(4)
     params = neck_params(rng)
