@@ -49,8 +49,8 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, params: dict,
                          n_heads: int) -> Tensor:
     """Projected multi-head attention.
 
-    Inputs are (..., n, d_model); leading batch axes are carried through all
-    heads. Key/value inputs without the batch axes broadcast against them.
+    Inputs are (..., n, d_model) with the same leading batch axes, which are
+    carried through all heads.
     """
     d_model = q_in.shape[-1]
     if d_model % n_heads != 0:
@@ -82,8 +82,8 @@ def ffn(x: Tensor, params: dict, name: str) -> Tensor:
 # backbone and encoder --------------------------------------------------------
 
 
-def patch_embed(image: np.ndarray, patch: int, params: dict, name: str = "patch") -> Tensor:
-    """Project non-overlapping pixel patches to feature cells.
+def patch_embed(image: np.ndarray, patch: int, params: dict) -> Tensor:
+    """Project non-overlapping pixel patches to feature cells with the ``patch`` linear.
 
     The image (H, W, 3) is zero-padded on the bottom/right to a multiple of
     ``patch``; output is (H/patch, W/patch, C).
@@ -96,13 +96,12 @@ def patch_embed(image: np.ndarray, patch: int, params: dict, name: str = "patch"
         image = np.pad(image, ((0, ph), (0, pw), (0, 0)))
     gh, gw = image.shape[0] // patch, image.shape[1] // patch
     tiles = image.reshape(gh, patch, gw, patch, c).transpose(0, 2, 1, 3, 4).reshape(gh * gw, patch * patch * c)
-    out = linear(Tensor(tiles), params, name)
+    out = linear(Tensor(tiles), params, "patch")
     return out.reshape(gh, gw, out.shape[-1])
 
 
-def encode_features(grid: Tensor, n_layers: int, params: dict, pe: np.ndarray, n_heads: int,
-                    name: str = "enc") -> Tensor:
-    """Self-attention encoder over flattened cells with 2D position bias.
+def encode_features(grid: Tensor, n_layers: int, params: dict, pe: np.ndarray, n_heads: int) -> Tensor:
+    """Self-attention encoder over flattened cells with 2D position bias; layer i uses ``enc{i}.*``.
 
     Zero layers return the grid's values. Position encodings are added to
     queries and keys only; spatial dims are preserved.
@@ -112,18 +111,18 @@ def encode_features(grid: Tensor, n_layers: int, params: dict, pe: np.ndarray, n
     pe_t = Tensor(pe)
     for i in range(n_layers):
         qk = x + pe_t
-        x = apply_layer_norm(x + multi_head_attention(qk, qk, x, params, f"{name}{i}.attn", n_heads),
-                             params, f"{name}{i}.ln1")
-        x = apply_layer_norm(x + ffn(x, params, f"{name}{i}.ffn"), params, f"{name}{i}.ln2")
+        x = apply_layer_norm(x + multi_head_attention(qk, qk, x, params, f"enc{i}.attn", n_heads),
+                             params, f"enc{i}.ln1")
+        x = apply_layer_norm(x + ffn(x, params, f"enc{i}.ffn"), params, f"enc{i}.ln2")
     return x.reshape(h, w, d)
 
 
-def dense_fusion(enc: Tensor, backbone: Tensor, params: dict, name: str = "fuse") -> Tensor:
-    """Channel-concatenate encoder and backbone grids, project back to d_model."""
+def dense_fusion(enc: Tensor, backbone: Tensor, params: dict) -> Tensor:
+    """Channel-concatenate encoder and backbone grids, project back to d_model with ``fuse``."""
     if enc.shape[:2] != backbone.shape[:2]:
         raise ShapeError(f"spatial dims differ: {enc.shape[:2]} vs {backbone.shape[:2]}")
     cat = T.concat([enc, backbone], axis=-1)
-    return linear(cat, params, name)
+    return linear(cat, params, "fuse")
 
 
 # RoI pooling ------------------------------------------------------------------
@@ -193,8 +192,8 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
     return custom_op(out, (grid, grid_grad))
 
 
-def neck(region: Tensor, params: dict, name: str = "neck") -> Tensor:
-    """Flatten region features and project to the model width via two linears."""
+def neck(region: Tensor, params: dict) -> Tensor:
+    """Flatten region features and project to the model width via ``neck.1`` and ``neck.2``."""
     flat_dim = region.shape[-3] * region.shape[-2] * region.shape[-1]
     flat = region.reshape(region.shape[:-3] + (flat_dim,))
-    return linear(T.relu(linear(flat, params, f"{name}.1")), params, f"{name}.2")
+    return linear(T.relu(linear(flat, params, "neck.1")), params, "neck.2")

@@ -89,7 +89,7 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def stable_cls_cost(p, s_prime, gamma: float = 2.0, beta: float = 0.5) -> np.ndarray:
+def stable_cls_cost(p, s_prime, gamma: float = MatchConfig.gamma, beta: float = MatchConfig.beta) -> np.ndarray:
     """Localization-modulated classification cost, lower is better.
 
     ``p`` is the predicted probability of the candidate class, ``s_prime`` a

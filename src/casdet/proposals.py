@@ -89,10 +89,11 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
 
 
 def proposal_recall(props: list[Proposal], gts: np.ndarray, iou_thr: float) -> float:
-    """Fraction of GT boxes covered by some proposal at IoU >= iou_thr; with no proposals each best IoU is 0."""
+    """Fraction of GT boxes covered by some proposal at IoU >= iou_thr; with no proposals each best IoU is 0.
+    A scene with no GT boxes gives ``nan``, without a warning, so that a mean over scenes can skip it."""
     gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
     if gts.shape[0] == 0:
-        raise ValueError("gts must be nonempty")
+        return math.nan
     pb = box_cxcywh_to_xyxy(np.array([p.box for p in props], dtype=np.float64).reshape(-1, 4))
     gb = box_cxcywh_to_xyxy(gts)
     best = iou_xyxy(pb[:, None], gb[None]).max(axis=0, initial=0.0)

@@ -393,7 +393,7 @@ def layer_norm(a, gamma, beta) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention: ``q (..., n, d)``, ``k (..., m, d)``,
-    ``v (..., m, dv)``, with leading batch axes broadcast as in ``matmul``.
+    ``v (..., m, dv)``, with the same leading batch axes.
 
     ``mask`` is an optional boolean ``(n, m)`` array (True = may attend) that
     broadcasts over the batch axes. Masked logits are set to ``-inf`` before
@@ -404,7 +404,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     k or v raise FloatingPointError.
 
     Operands that are not ``(..., n, d)``, ``(..., m, d)`` and ``(..., m, dv)``
-    raise ShapeError.
+    with equal batch axes raise ShapeError.
 
     The whole call is one graph node with parents ``(q, k, v)``. The forward
     builds one ``(..., n, m)`` buffer and does the scale, the ``-inf`` fill
@@ -412,14 +412,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     probabilities ``p``, and a repeated backward reads it again. The backward
     uses rowsum(dp * p) = rowsum(dout * out), so the softmax gradient needs no
     extra pass over the logits, and masked entries need no mask because ``p``
-    is exactly 0 there. It walks the broadcast batch axes (the heads) one at a
-    time and reuses one ``(n, m)`` block for the logit gradient, writing each
-    head's q, k and v gradients into arrays allocated once: on top of ``p``,
-    its working set is that block, not a second ``(..., n, m)`` buffer. Each
-    head runs the matmuls that a whole-batch matmul runs for it, so the
-    gradients are bitwise those of the whole-batch form.
+    is exactly 0 there. It walks the batch axes (the heads) one at a time and
+    reuses one ``(n, m)`` block for the logit gradient, writing each head's
+    q, k and v gradients into arrays allocated once: on top of ``p``, its
+    working set is that block, not a second ``(..., n, m)`` buffer. Each head
+    runs the matmuls that a whole-batch matmul runs for it, so the gradients
+    are bitwise those of the whole-batch form.
     """
-    if min(q.ndim, k.ndim, v.ndim) < 2 or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+    if (min(q.ndim, k.ndim, v.ndim) < 2 or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
+            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
         raise ShapeError(f"attention needs q (..., n, d), k (..., m, d), v (..., m, dv); "
                          f"got {q.shape}, {k.shape}, {v.shape}")
     if not (np.isfinite(q.data).all() and np.isfinite(k.data).all() and np.isfinite(v.data).all()):
@@ -441,45 +442,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
 
     def backward(out):
         g = out.grad
-        batch = g.shape[:-2]  # the batch axes of q, k and v broadcast together
-        pb, qb, kb, vb = (a if a.shape[:-2] == batch else np.broadcast_to(a, batch + a.shape[-2:])
-                          for a in (p, q.data, k.data, v.data))
-        dv = np.empty(batch + v.shape[-2:]) if v.requires_grad else None
-        dq = np.empty(batch + q.shape[-2:]) if q.requires_grad else None
+        dv, dq, ds = np.empty(v.shape), np.empty(q.shape), np.empty(p.shape[-2:])
         # dk is filled transposed, as q^T @ ds, so it reaches k's parents with
         # the same memory layout (and the same rounding downstream) as a
         # batched q^T @ ds would give
-        dkt = np.empty(batch + (k.shape[-1], k.shape[-2])) if k.requires_grad else None
-        ds = np.empty(p.shape[-2:]) if dq is not None or dkt is not None else None
-        if ds is not None:
-            rowsum = (g * out.data).sum(axis=-1, keepdims=True)
-        for i in np.ndindex(batch):
-            if dv is not None:
-                np.matmul(pb[i].T, g[i], out=dv[i])
-            if ds is not None:
-                np.matmul(g[i], vb[i].T, out=ds)
-                ds -= rowsum[i]
-                ds *= pb[i]
-                ds *= scale
-                if dq is not None:
-                    np.matmul(ds, kb[i], out=dq[i])
-                if dkt is not None:
-                    np.matmul(qb[i].T, ds, out=dkt[i])
-        if dv is not None:
-            _accum(v, _unbroadcast(dv, v.shape))
-        if dq is not None:
-            _accum(q, _unbroadcast(dq, q.shape))
-        if dkt is not None:
-            _accum(k, _unbroadcast(np.swapaxes(dkt, -1, -2), k.shape))
+        dkt = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]))
+        rowsum = (g * out.data).sum(axis=-1, keepdims=True)
+        for i in np.ndindex(p.shape[:-2]):
+            np.matmul(p[i].T, g[i], out=dv[i])
+            np.matmul(g[i], v.data[i].T, out=ds)
+            ds -= rowsum[i]
+            ds *= p[i]
+            ds *= scale
+            np.matmul(ds, k.data[i], out=dq[i])
+            np.matmul(q.data[i].T, ds, out=dkt[i])
+        for t, grad in ((v, dv), (q, dq), (k, np.swapaxes(dkt, -1, -2))):
+            if t.requires_grad:
+                _accum(t, grad)
 
     return _link(p @ v.data, (q, k, v), backward)
 
 
-def grad_check(
-    f: Callable[[], Tensor],
-    wrt: Tensor | Sequence[Tensor],
-    eps: float = 1e-5,
-) -> float:
+GRAD_CHECK_EPS = 1e-5  # the step of grad_check's central differences
+
+
+def grad_check(f: Callable[[], Tensor], wrt: Tensor | Sequence[Tensor]) -> float:
     """Compare reverse-mode gradients of ``f`` with central differences.
 
     ``f`` is a zero-argument callable returning a scalar Tensor; it must be a
@@ -503,11 +490,11 @@ def grad_check(
         gflat = g.reshape(-1)
         for i in range(flat.size):
             old = flat[i]
-            flat[i] = old + eps
+            flat[i] = old + GRAD_CHECK_EPS
             f_plus = float(f().data)
-            flat[i] = old - eps
+            flat[i] = old - GRAD_CHECK_EPS
             f_minus = float(f().data)
             flat[i] = old
-            fd = (f_plus - f_minus) / (2.0 * eps)
+            fd = (f_plus - f_minus) / (2.0 * GRAD_CHECK_EPS)
             worst = max(worst, abs(gflat[i] - fd) / max(1.0, abs(fd)))
     return worst

@@ -119,16 +119,16 @@ def test_linear_grad_check_3d_input():
     assert err < 1e-6
 
 
-def test_mha_grad_check_batched_queries_unbatched_keys():
-    """Keys and values without the batch axis broadcast against batched
-    queries in the forward, and their gradients sum over it."""
+def test_mha_grad_check_batched_queries_and_keys():
+    """Queries, keys and values that share a batch axis, with keys longer
+    than queries, as in cross-attention."""
     rng = np.random.default_rng(17)
     d = 8
     params = {}
     init_mha(params, rng, "attn", d)
     q_in = Tensor(rng.normal(size=(3, 4, d)), requires_grad=True)
-    k_in = Tensor(rng.normal(size=(5, d)), requires_grad=True)
-    v_in = Tensor(rng.normal(size=(5, d)), requires_grad=True)
+    k_in = Tensor(rng.normal(size=(3, 5, d)), requires_grad=True)
+    v_in = Tensor(rng.normal(size=(3, 5, d)), requires_grad=True)
     w = rng.normal(size=(3, 4, d))
     err = T.grad_check(lambda: (multi_head_attention(q_in, k_in, v_in, params, "attn", 2) * w).sum(),
                        [q_in, k_in, v_in, params["attn.k.w"], params["attn.v.w"]])

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,11 @@ def test_recall_perfect_and_empty():
     props = [Proposal(b.copy()) for b in gts]
     assert proposal_recall(props, gts, 0.5) == 1.0
     assert proposal_recall([], gts, 0.5) == 0.0
+    with warnings.catch_warnings():  # no GT: nan, with no warning, so a mean over scenes can skip the scene
+        warnings.simplefilter("error")
+        no_gt = [proposal_recall(props, np.zeros((0, 4)), 0.5), proposal_recall([], [], 0.5)]
+    assert math.isnan(no_gt[0]) and math.isnan(no_gt[1])
+    assert np.nanmean(no_gt + [1.0]) == 1.0
 
 
 def test_recall_partial_coverage():
