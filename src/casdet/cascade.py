@@ -53,12 +53,12 @@ def layer_dn_weights(dn_pred_boxes: np.ndarray, gt_boxes: np.ndarray, theta_l: f
 
     ``dn_pred_boxes`` is (..., n_gt, 4) center/size; query j pairs with GT j
     (identity correspondence, no matching). Returns weights of shape (...,
-    n_gt), empty for no GT. Non-finite predictions raise ``FloatingPointError``.
+    n_gt), empty for no GT. Non-finite boxes raise ``FloatingPointError``.
     """
     dn_pred_boxes = np.asarray(dn_pred_boxes, dtype=np.float64)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    if not np.isfinite(dn_pred_boxes).all():
-        raise FloatingPointError("layer_dn_weights: the predicted boxes hold NaN or inf")
+    if not (np.isfinite(dn_pred_boxes).all() and np.isfinite(gt_boxes).all()):
+        raise FloatingPointError("layer_dn_weights: the predicted or GT boxes hold NaN or inf")
     if dn_pred_boxes.shape[-2] != gt_boxes.shape[0]:
         raise ValueError(
             f"prediction count {dn_pred_boxes.shape[-2]} does not match GT count {gt_boxes.shape[0]}"

@@ -116,14 +116,14 @@ def match_cost_matrix(
     probabilities. The localization score feeding the classification term is
     GIoU rescaled to [0, 1]. With no GT the matrix is ``(n_pred, 0)``. A label
     count other than the GT box count, or a label outside ``[0, n_classes)``,
-    raises ``ValueError``; non-finite predictions raise ``FloatingPointError``.
+    raises ``ValueError``; NaN or inf in any box or probability raise ``FloatingPointError``.
     """
     pred_boxes = np.asarray(pred_boxes, dtype=np.float64)
     pred_probs = np.asarray(pred_probs, dtype=np.float64)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
-    if not (np.isfinite(pred_boxes).all() and np.isfinite(pred_probs).all()):
-        raise FloatingPointError("match_cost_matrix: the predicted boxes or probabilities hold NaN or inf")
+    if not (np.isfinite(pred_boxes).all() and np.isfinite(pred_probs).all() and np.isfinite(gt_boxes).all()):
+        raise FloatingPointError("match_cost_matrix: the predictions or the GT boxes hold NaN or inf")
     if gt_labels.shape[0] != gt_boxes.shape[0]:
         raise ValueError(f"{gt_labels.shape[0]} gt_labels for {gt_boxes.shape[0]} gt_boxes")
     n_classes = pred_probs.shape[-1]

@@ -41,7 +41,7 @@ class EmulatorConfig:
         if not (0.0 <= self.gt_hit_rate <= 1.0):
             raise ValueError("gt_hit_rate must be in [0, 1]")
         if self.target_count < 1 or self.distractor_count < 0 or self.jitter_sigma < 0:
-            raise ValueError("counts must be positive and jitter_sigma >= 0")
+            raise ValueError("need target_count >= 1, distractor_count >= 0 and jitter_sigma >= 0")
 
 
 def _random_boxes(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -63,17 +63,15 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
 
     Each GT box yields a jittered copy with probability ``gt_hit_rate``
     (corner jitter N(0, jitter_sigma * side)), then ``distractor_count``
-    random background boxes are appended. At least one proposal is always
-    returned and the total never exceeds ``target_count``; a scene with no GT
-    gets only the distractors, or the fallback box.
+    random background boxes are appended, ``target_count`` at most. With
+    neither hits nor distractors the scene gets no proposals.
 
     Random-stream contract: for each GT box in order, one ``rng.random()``
     and, on a hit, one ``rng.standard_normal(4)``; then one
-    ``rng.random((distractor_count, 4))`` (see ``_random_boxes``); then, only
-    if there were neither hits nor distractors, one ``rng.random((1, 4))``
-    for the fallback box. Distractors are drawn even when ``target_count``
-    cuts them off, so the generator's next state depends only on the GT
-    count, the hits and ``distractor_count``.
+    ``rng.random((distractor_count, 4))`` (see ``_random_boxes``), which
+    draws nothing when the count is 0. Distractors are drawn even when
+    ``target_count`` cuts them off, so the generator's next state depends
+    only on the GT count, the hits and ``distractor_count``.
     """
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     hit: list[bool] = []
@@ -83,8 +81,7 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
         if hit[-1]:
             noise.append(rng.standard_normal(4))
     boxes = jitter_box(gt_boxes[hit], np.array(noise).reshape(-1, 4), cfg.jitter_sigma)
-    n_random = cfg.distractor_count if cfg.distractor_count or noise else 1  # 1: the fallback box
-    boxes = np.concatenate([boxes, _random_boxes(rng, n_random)])[: cfg.target_count]
+    boxes = np.concatenate([boxes, _random_boxes(rng, cfg.distractor_count)])[: cfg.target_count]
     return [Proposal(box) for box in boxes]
 
 
@@ -106,7 +103,8 @@ def save_proposals(path, by_scene: dict[int, list[Proposal]]) -> None:
     Each line is ``scene_id cx cy w h [score]``, single-space separated,
     with every float written as its ``repr`` so that ``load_proposals``
     reads it back bitwise. The first line is a ``#`` comment naming the
-    fields.
+    fields. A scene with zero proposals writes no line, so it is absent from
+    what ``load_proposals`` returns.
     """
     def lines():
         yield "# scene_id cx cy w h [score]\n"
@@ -125,7 +123,8 @@ def load_proposals(path) -> tuple[dict[int, list[Proposal]], list[str]]:
 
     Returns (scene_id -> proposals, rejection messages). Scenes keep the
     order of their first line and proposals the order of their lines; a
-    scene id may appear on lines that are not adjacent.
+    scene id may appear on lines that are not adjacent. A scene with zero
+    proposals has no line and so no key: look it up with ``.get(scene_id, [])``.
 
     Grammar, per line after stripping surrounding whitespace (the file is
     read in text mode, so CRLF endings and a missing final newline are

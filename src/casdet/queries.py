@@ -1,7 +1,8 @@
 """Assembly of the two decoder query branches and their isolation mask.
 
 Matching queries take proposal boxes as anchors and region features as
-content; denoising queries take noised ground-truth boxes per group. The
+content; denoising queries take noised ground-truth boxes per group. Either
+branch may have no rows (no proposals, no GT) and the step runs the same. The
 isolation mask is block diagonal: matching queries see only each other, each
 denoising group sees only itself.
 """
@@ -32,10 +33,6 @@ class DnConfig:
             raise ValueError("box_noise must be >= 0")
 
 
-class EmptyProposalsError(ValueError):
-    """No proposals were supplied to initialize matching queries."""
-
-
 def attention_mask(n_match: int, group_sizes: list[int]) -> np.ndarray:
     """Block-diagonal visibility over {matching} followed by each DN group.
 
@@ -56,12 +53,11 @@ def attention_mask(n_match: int, group_sizes: list[int]) -> np.ndarray:
 def init_matching_queries(props: list[Proposal], grid: Tensor, params: dict) -> tuple[np.ndarray, Tensor]:
     """Anchors from proposal boxes, contents from their pooled region features.
 
-    Zero proposals raise ``EmptyProposalsError``: with no matching rows,
-    attention at inference would reach an empty logit block.
+    Zero proposals give ``(0, 4)`` anchors and ``(0, d)`` contents: the scene
+    has no matching rows and so no detections, and its GT boxes count toward
+    recall as missed.
     """
-    if not props:
-        raise EmptyProposalsError("cannot initialize matching queries from zero proposals")
-    anchors = np.stack([p.box for p in props]).astype(np.float64)
+    anchors = np.array([p.box for p in props], dtype=np.float64).reshape(-1, 4)
     contents = neck(roi_pool_batch(grid, anchors), params)
     return anchors, contents
 

@@ -400,8 +400,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     the softmax, so masked keys get exactly zero weight however large their
     logits are, and the gradient of a masked logit is exactly zero. A mask
     whose shape is not ``(n, m)`` raises ShapeError; a row with no allowed key
-    raises MaskError, signalling a malformed isolation mask. NaN or inf in q,
-    k or v raise FloatingPointError.
+    raises MaskError, signalling a malformed isolation mask, and so do query
+    rows when k has no rows. q with no rows gives a ``(..., 0, dv)`` output.
+    NaN or inf in q, k or v raise FloatingPointError.
 
     Operands that are not ``(..., n, d)``, ``(..., m, d)`` and ``(..., m, dv)``
     with equal batch axes raise ShapeError.
@@ -425,6 +426,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
                          f"got {q.shape}, {k.shape}, {v.shape}")
     if not (np.isfinite(q.data).all() and np.isfinite(k.data).all() and np.isfinite(v.data).all()):
         raise FloatingPointError("attention: q, k or v hold NaN or inf")
+    if k.shape[-2] == 0 < q.shape[-2]:
+        raise MaskError(f"attention: {q.shape[-2]} query rows and no key to attend to")
     scale = 1.0 / math.sqrt(q.shape[-1])
     p = q.data @ np.swapaxes(k.data, -1, -2)
     p *= scale
@@ -436,7 +439,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
         if empty.any():
             raise MaskError(f"query rows {np.flatnonzero(empty).tolist()} have no unmasked key")
         np.copyto(p, -np.inf, where=~mask)
-    p -= p.max(axis=-1, keepdims=True)
+    p -= p.max(axis=-1, keepdims=True, initial=-np.inf)  # initial: a (0, 0) block (no query, no key) reduces too
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 

@@ -108,12 +108,15 @@ def test_layer_dn_weights_count_mismatch():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_layer_dn_weights_non_finite_prediction_raises_with_stage_name(bad):
-    """A NaN box used to score IoU 0, so at theta 0.3 it got omega ~ 0.047
-    without a word."""
-    pred = np.tile([0.5, 0.5, 0.2, 0.2], (2, 3, 1))
+    """A NaN box, predicted or GT (a pseudo-label in ISOD), used to score IoU
+    0, so at theta 0.3 it got omega ~ 0.047 without a word."""
+    box = [0.5, 0.5, 0.2, 0.2]
+    pred = np.tile(box, (2, 3, 1))
     pred[1, 2, 0] = bad
     with pytest.raises(FloatingPointError, match="layer_dn_weights"):
-        layer_dn_weights(pred, np.tile([0.5, 0.5, 0.2, 0.2], (3, 1)), 0.3, 0.1)
+        layer_dn_weights(pred, np.tile(box, (3, 1)), 0.3, 0.1)
+    with pytest.raises(FloatingPointError, match="layer_dn_weights"):
+        layer_dn_weights(np.tile(box, (2, 1)), [box, [bad, 0.5, 0.2, 0.2]], 0.3, 0.1)
 
 
 def test_layer_dn_weights_and_modulate_with_no_gt():

@@ -44,6 +44,17 @@ def test_fixture_command_on_a_clean_file(tmp_path):
     assert proc.stdout.splitlines() == ["scenes: 2", "proposals: 3"]
 
 
+def test_fixture_command_on_a_file_of_scenes_with_no_proposals(tmp_path):
+    """Scenes with zero proposals write only the header line, which is a
+    clean fixture of no scenes."""
+    path = tmp_path / "props.txt"
+    save_proposals(path, {0: [], 5: []})
+    assert path.read_text() == "# scene_id cx cy w h [score]\n"
+    proc = run_cli("fixture", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["scenes: 0", "proposals: 0"]
+
+
 def test_fixture_command_lists_rejections_and_exits_1(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 0.5 0.5 0.2 0.2\nnot a record\n1 0.4 0.4 -0.1 0.2\n")

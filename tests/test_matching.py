@@ -193,12 +193,15 @@ def test_match_cost_with_no_gt_has_no_columns_and_no_pairs():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_match_cost_non_finite_prediction_raises_with_stage_name(bad):
-    """A NaN box used to pass through to ``hungarian``, whose error named the
-    wrong stage."""
+    """A NaN box, predicted or GT, used to pass through to ``hungarian``,
+    whose error named the wrong stage."""
     pred = np.array([[0.5, 0.5, 0.2, 0.2], [0.3, 0.3, 0.1, 0.1]])
     probs = np.full((2, 3), 0.5)
-    gt, labels = np.array([[0.4, 0.4, 0.2, 0.2]]), np.array([1])
+    gt, labels = np.array([[0.4, 0.4, 0.2, 0.2], [0.6, 0.6, 0.2, 0.2]]), np.array([1, 2])
     with pytest.raises(FloatingPointError, match="match_cost_matrix"):
         match_cost_matrix(np.where(np.arange(4) == 2, bad, pred), probs, gt, labels, MatchConfig())
     with pytest.raises(FloatingPointError, match="match_cost_matrix"):
         match_cost_matrix(pred, np.where(np.arange(3) == 0, bad, probs), gt, labels, MatchConfig())
+    gt[1, 0] = bad
+    with pytest.raises(FloatingPointError, match="match_cost_matrix"):
+        match_cost_matrix(pred, probs, gt, labels, MatchConfig())

@@ -1,6 +1,6 @@
 """Whole-package properties: import footprint, graph lifetime, determinism,
-the gradient of a whole decoder layer and a training step with no ground
-truth."""
+the gradient of a whole decoder layer, and whole steps on scenes with no
+ground truth or no proposals."""
 
 import gc
 import os
@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,7 +16,7 @@ import casdet
 from casdet import tensor as T
 from casdet.cascade import layer_dn_weights, modulate
 from casdet.matching import MatchConfig, hungarian, match_cost_matrix
-from casdet.proposals import emulate_proposals
+from casdet.proposals import EmulatorConfig, emulate_proposals
 from casdet.queries import DnConfig, attention_mask, init_matching_queries, make_dn_queries
 from casdet.tensor import Tensor
 
@@ -125,41 +126,74 @@ def test_a_scene_with_no_ground_truth_runs_a_whole_training_step(tmp_path):
     nothing is matched, so every query takes the no-object loss. The loss is
     the summed class probabilities of every layer, which does not divide by
     the GT count. Forward and backward raise no warning of any kind, and
-    every gradient is finite."""
+    every gradient is finite. The step runs with the workload's distractors
+    and again with zero proposals, where every attention has zero rows, the
+    loss is 0 and every gradient is exactly 0."""
     st = import_standin()
-    model = st.setup(st.tiny(st.WORKLOADS["train-dense"]), st.REF_SEED, str(tmp_path))
-    scene = st.make_scene(model.wl, 0, np.random.default_rng(3))
-    gt, groups, d = scene.boxes, st.DN_GROUPS, model.wl.d_model
-    rng = np.random.default_rng(0)
+    wl = st.tiny(st.WORKLOADS["train-dense"])
+    for emulator in (wl.emulator, EmulatorConfig(gt_hit_rate=0.0, distractor_count=0)):
+        model = st.setup(replace(wl, emulator=emulator), st.REF_SEED, str(tmp_path))
+        scene = st.make_scene(model.wl, 0, np.random.default_rng(3))
+        gt, groups, d = scene.boxes, st.DN_GROUPS, model.wl.d_model
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keys, keys_pe, memory = st.encode(model, scene)
+            props = emulate_proposals(gt, model.wl.emulator, rng)
+            anchors, x = init_matching_queries(props, memory, model.params)
+            dn_anchors, dn_content = make_dn_queries(gt, DnConfig(groups=groups), memory, model.params, rng)
+            assert gt.shape == (0, 4) and dn_anchors.shape == (groups, 0, 4) and dn_content.shape == (groups, 0, d)
+            n_match = anchors.shape[0]
+            mask = attention_mask(n_match, [0] * groups)
+            anchors = np.concatenate([anchors, dn_anchors.reshape(-1, 4)])
+            x = T.concat([x, dn_content.reshape(-1, d)])
+            loss = Tensor(0.0)
+            for l in range(st.DEC_LAYERS):
+                x = st.decoder_layer(model, l, x, anchors, keys, keys_pe, mask)
+                omega = layer_dn_weights(anchors[n_match:].reshape(groups, 0, 4), gt, model.thetas[l],
+                                         model.cascade.tau)
+                dn_h = modulate(x[n_match:].reshape(groups, 0, d), omega)
+                boxes, probs = st.box_heads(model, l, T.concat([x[:n_match], dn_h.reshape(-1, d)]), anchors)
+                anchors = boxes.data.copy()
+                cost = match_cost_matrix(boxes.data, probs.data, gt, scene.labels, MatchConfig())
+                assert cost.shape == (n_match, 0) and hungarian(cost) == []
+                loss = loss + probs.sum()
+            loss.backward()
+        assert n_match == len(props) == emulator.distractor_count
+        assert np.isfinite(loss.item())
+        # Anchors are refined in value space, so the box heads do not reach a
+        # loss made of class probabilities; every other parameter does.
+        no_grad = {name for name, p in model.params.items() if p.grad is None}
+        assert no_grad == {f"dec{l}.box.{w}" for l in range(st.DEC_LAYERS) for w in "wb"}
+        for name, p in model.params.items():
+            assert name in no_grad or np.isfinite(p.grad).all(), name
+        if n_match:
+            assert np.abs(model.params["patch.w"].grad).sum() > 0
+        else:
+            assert loss.item() == 0.0
+            assert not any(p.grad.any() for p in model.params.values() if p.grad is not None)
+
+
+def test_a_scene_with_no_proposals_gets_no_detections(tmp_path):
+    """Zero-proposal policy: the scene has no matching rows, so an inference
+    forward gives (0, 4) boxes and (0, n_classes) scores at every layer, and
+    a training step with GT matches nothing and trains the DN rows alone.
+    Neither raises a warning, and the step's outputs are finite."""
+    st = import_standin()
+    wl = replace(st.tiny(st.WORKLOADS["train-dense"]), emulator=EmulatorConfig(gt_hit_rate=0.0, distractor_count=0))
+    model = st.setup(wl, st.REF_SEED, str(tmp_path))
+    n_gt = len(model.pool[0].boxes)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        keys, keys_pe, memory = st.encode(model, scene)
-        props = emulate_proposals(gt, model.wl.emulator, rng)
-        anchors, x = init_matching_queries(props, memory, model.params)
-        dn_anchors, dn_content = make_dn_queries(gt, DnConfig(groups=groups), memory, model.params, rng)
-        assert gt.shape == (0, 4) and dn_anchors.shape == (groups, 0, 4) and dn_content.shape == (groups, 0, d)
-        n_match = anchors.shape[0]
-        mask = attention_mask(n_match, [0] * groups)
-        anchors = np.concatenate([anchors, dn_anchors.reshape(-1, 4)])
-        x = T.concat([x, dn_content.reshape(-1, d)])
-        loss = Tensor(0.0)
+        keys, keys_pe, memory = st.encode(model, model.pool[0])
+        anchors, x = init_matching_queries([], memory, model.params)
         for l in range(st.DEC_LAYERS):
-            x = st.decoder_layer(model, l, x, anchors, keys, keys_pe, mask)
-            omega = layer_dn_weights(anchors[n_match:].reshape(groups, 0, 4), gt, model.thetas[l],
-                                     model.cascade.tau)
-            dn_h = modulate(x[n_match:].reshape(groups, 0, d), omega)
-            boxes, probs = st.box_heads(model, l, T.concat([x[:n_match], dn_h.reshape(-1, d)]), anchors)
+            x = st.decoder_layer(model, l, x, anchors, keys, keys_pe, None)
+            boxes, probs = st.box_heads(model, l, x, anchors)
+            assert boxes.shape == (0, 4) and probs.shape == (0, st.N_CLASSES)
             anchors = boxes.data.copy()
-            cost = match_cost_matrix(boxes.data, probs.data, gt, scene.labels, MatchConfig())
-            assert cost.shape == (n_match, 0) and hungarian(cost) == []
-            loss = loss + probs.sum()
-        loss.backward()
-    assert n_match == len(props) == model.wl.emulator.distractor_count
-    assert np.isfinite(loss.item())
-    # Anchors are refined in value space, so the box heads do not reach a
-    # loss made of class probabilities; every other parameter does.
-    no_grad = {name for name, p in model.params.items() if p.grad is None}
-    assert no_grad == {f"dec{l}.box.{w}" for l in range(st.DEC_LAYERS) for w in "wb"}
-    for name, p in model.params.items():
-        assert name in no_grad or np.isfinite(p.grad).all(), name
+        res = st.step(model, 0)
+    assert res.props == [] and res.pairs == 0 and res.n_rows == st.DN_GROUPS * n_gt > 0
+    assert all(boxes.shape == (st.DN_GROUPS * n_gt, 4) for boxes, _ in res.heads)
+    assert st.finite(model, res) and res.loss.item() > 0
     assert np.abs(model.params["patch.w"].grad).sum() > 0

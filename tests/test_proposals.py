@@ -47,24 +47,38 @@ def test_emulator_mean_count():
     assert abs(np.mean(counts) - expected) / expected < 0.1
 
 
-def test_emulator_respects_target_count_and_floor():
+def test_emulator_respects_target_count_and_may_return_no_proposals():
+    """With neither hits nor distractors the scene gets no proposals, and the
+    generator moves by one ``rng.random()`` per GT box and nothing more."""
     gts = np.tile([0.5, 0.5, 0.3, 0.3], (4, 1))
     cfg = EmulatorConfig(target_count=3, gt_hit_rate=1.0, jitter_sigma=0.0, distractor_count=4)
     assert len(emulate_proposals(gts, cfg, np.random.default_rng(3))) == 3
     none_cfg = EmulatorConfig(gt_hit_rate=0.0, jitter_sigma=0.0, distractor_count=0)
-    assert len(emulate_proposals(gts, none_cfg, np.random.default_rng(4))) == 1
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    assert emulate_proposals(gts, none_cfg, rng) == []
+    for _ in gts:
+        ref.random()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_emulator_config_names_the_bound_it_breaks():
+    EmulatorConfig(distractor_count=0)
+    for bad in ({"target_count": 0}, {"distractor_count": -1}, {"jitter_sigma": -0.1}):
+        with pytest.raises(ValueError, match="target_count >= 1, distractor_count >= 0 and jitter_sigma >= 0"):
+            EmulatorConfig(**bad)
 
 
 @pytest.mark.parametrize("distractors", [6, 0])
 def test_emulator_with_no_gt_draws_only_the_background(distractors):
     """No GT: one ``rng.random((distractor_count, 4))`` gives the distractors;
-    with none, one ``rng.random((1, 4))`` gives the fallback box."""
+    with none, the scene gets no proposals and the generator does not move."""
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
     props = emulate_proposals(np.zeros((0, 4)), EmulatorConfig(distractor_count=distractors), rng)
-    u = ref.random((max(distractors, 1), 4))
+    u = ref.random((distractors, 4))
     assert len(props) == len(u)
-    np.testing.assert_array_equal(np.stack([p.box[2:] for p in props]), 0.05 + (0.5 - 0.05) * u[:, :2])
-    assert rng.random() == ref.random()
+    np.testing.assert_array_equal(np.array([p.box[2:] for p in props]).reshape(-1, 2), 0.05 + (0.5 - 0.05) * u[:, :2])
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert (rng.bit_generator.state == np.random.default_rng(7).bit_generator.state) == (distractors == 0)
 
 
 def test_recall_perfect_and_empty():
@@ -108,6 +122,7 @@ def test_fixture_round_trip(tmp_path):
     by_scene = {
         0: [Proposal(rng.uniform(0.2, 0.4, 4), score=0.5), Proposal(rng.uniform(0.2, 0.4, 4))],
         3: [Proposal(rng.uniform(0.2, 0.4, 4), score=1.0)],
+        5: [],  # no proposals: no line, so no key
     }
     path = tmp_path / "props.txt"
     save_proposals(path, by_scene)
@@ -115,7 +130,8 @@ def test_fixture_round_trip(tmp_path):
     assert rejected == []
     assert set(loaded) == {0, 3}
     for sid in by_scene:
-        for a, b in zip(by_scene[sid], loaded[sid]):
+        assert len(loaded.get(sid, [])) == len(by_scene[sid])
+        for a, b in zip(by_scene[sid], loaded.get(sid, [])):
             assert np.array_equal(a.box, b.box)
             assert a.score == b.score
 
@@ -161,14 +177,12 @@ def _oracle_emulate(gt_boxes, cfg, rng):
             props.append(_oracle_perturb(box, cfg.jitter_sigma, rng))
     for _ in range(cfg.distractor_count):
         props.append(_oracle_random_box(rng))
-    if not props:
-        props.append(_oracle_random_box(rng))
     return props[: cfg.target_count]
 
 
 def test_emulator_matches_per_box_oracle_bitwise_and_leaves_rng_in_step():
     cases = np.random.default_rng(123)
-    seen = {"fallback": 0, "cut_into_hits": 0, "no_distractors": 0, "sigma_0.3": 0}
+    seen = {"no_proposals": 0, "cut_into_hits": 0, "no_distractors": 0, "sigma_0.3": 0}
     for seed in range(1200):
         n = int(cases.integers(1, 26))
         hit_rate = float(cases.choice([0.0, 0.5, 1.0, cases.random()]))
@@ -186,7 +200,7 @@ def test_emulator_matches_per_box_oracle_bitwise_and_leaves_rng_in_step():
             assert p.box.shape == (4,) and p.score is None
             assert np.array_equal(p.box, w), seed
         assert rng_new.random() == rng_old.random(), seed
-        seen["fallback"] += distractors == 0 and len(want) == 1 and hit_rate == 0.0
+        seen["no_proposals"] += len(want) == 0
         seen["cut_into_hits"] += hit_rate == 1.0 and target < n
         seen["no_distractors"] += distractors == 0
         seen["sigma_0.3"] += sigma == 0.3

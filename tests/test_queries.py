@@ -6,7 +6,6 @@ from casdet.geom import box_cxcywh_to_xyxy, iou_xyxy
 from casdet.proposals import Proposal
 from casdet.queries import (
     DnConfig,
-    EmptyProposalsError,
     attention_mask,
     init_matching_queries,
     make_dn_queries,
@@ -76,10 +75,16 @@ def test_init_matching_queries_distinct_regions_distinct_contents():
     assert not np.allclose(contents.data[0], contents.data[1])
 
 
-def test_init_matching_queries_empty_raises():
+def test_init_matching_queries_with_no_proposals_is_an_empty_branch():
+    """Zero proposals give no matching rows, and the mask has no matching
+    block, so the scene gets no detections."""
     rng = np.random.default_rng(2)
-    with pytest.raises(EmptyProposalsError):
-        init_matching_queries([], Tensor(rng.normal(size=(4, 4, 4))), neck_params(rng))
+    grid = Tensor(rng.normal(size=(4, 4, 4)), requires_grad=True)
+    anchors, contents = init_matching_queries([], grid, neck_params(rng))
+    assert anchors.shape == (0, 4) and anchors.dtype == np.float64 and contents.shape == (0, 6)
+    contents.sum().backward()
+    np.testing.assert_array_equal(grid.grad, np.zeros(grid.shape))
+    np.testing.assert_array_equal(attention_mask(0, [2]), np.ones((2, 2), dtype=bool))
 
 
 def test_dn_query_counts():

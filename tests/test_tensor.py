@@ -455,6 +455,34 @@ def test_attention_operands_of_wrong_shape_raise():
             T.attention(*(Tensor(rng.normal(size=s), requires_grad=True) for s in shapes))
 
 
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["2d", "batched"])
+@pytest.mark.parametrize("m", [0, 5], ids=["no-key", "keys"])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_attention_with_no_query_rows(batch, m, masked):
+    """A scene with no proposals and no GT has no decoder rows: self-attention
+    is a (0, 0) block and cross-attention a (0, m) one. The output is
+    (..., 0, dv); every operand gets a finite gradient of its own shape, zero
+    for k and v, which no query reads."""
+    rng = np.random.default_rng(16)
+    q, k, v = (Tensor(rng.normal(size=batch + s), requires_grad=True) for s in ((0, 4), (m, 4), (m, 2)))
+    out = T.attention(q, k, v, np.ones((0, m), dtype=bool) if masked else None)
+    assert out.shape == batch + (0, 2)
+    (out * rng.normal(size=out.shape)).sum().backward()
+    for t in (q, k, v):
+        assert t.grad.shape == t.shape and np.isfinite(t.grad).all()
+    assert not k.grad.any() and not v.grad.any()
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["2d", "batched"])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_attention_query_rows_with_no_key_raise(batch, masked):
+    """k and v with no rows leave every query row nothing to attend to."""
+    rng = np.random.default_rng(17)
+    q, k, v = (Tensor(rng.normal(size=batch + s)) for s in ((3, 4), (0, 4), (0, 2)))
+    with pytest.raises(MaskError, match="no key"):
+        T.attention(q, k, v, np.ones((3, 0), dtype=bool) if masked else None)
+
+
 def test_attention_backward_works_one_block_at_a_time():
     """The backward's transient memory is one (n, m) block, not a second
     (..., n, m) buffer beside the kept probabilities."""
