@@ -28,12 +28,12 @@ class CascadeConfig:
     def __post_init__(self):
         if not (0.0 < self.theta1 < 1.0):
             raise ValueError("theta1 must be in (0, 1)")
-        if self.delta_theta < 0:
+        if not self.delta_theta >= 0:
             raise ValueError(f"delta_theta must be >= 0 so thresholds rise with depth, got {self.delta_theta}")
         if self.theta1 + self.delta_theta > 1.0 + 1e-12:
             raise ValueError("theta1 + delta_theta must not exceed 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
 
@@ -53,8 +53,12 @@ def layer_dn_weights(dn_pred_boxes: np.ndarray, gt_boxes: np.ndarray, theta_l: f
 
     ``dn_pred_boxes`` is (..., n_gt, 4) center/size; query j pairs with GT j
     (identity correspondence, no matching). Returns weights of shape (...,
-    n_gt), empty for no GT. Non-finite boxes raise ``FloatingPointError``.
+    n_gt), empty for no GT. Non-finite boxes raise ``FloatingPointError``;
+    a non-finite ``theta_l``, or a ``tau`` that is not finite and positive,
+    raises ``ValueError``.
     """
+    if not (np.isfinite(theta_l) and 0.0 < tau < np.inf):
+        raise ValueError(f"layer_dn_weights: need finite theta_l and finite tau > 0, got {theta_l}, {tau}")
     dn_pred_boxes = np.asarray(dn_pred_boxes, dtype=np.float64)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     if not (np.isfinite(dn_pred_boxes).all() and np.isfinite(gt_boxes).all()):

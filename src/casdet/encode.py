@@ -55,9 +55,8 @@ def sinusoidal_pe(coord, cfg: PeConfig) -> np.ndarray:
 
 def box_pe_vector(boxes: np.ndarray, cfg: PeConfig) -> np.ndarray:
     """Concatenate the encodings of (cx, cy, w, h): (..., 4) -> (..., 4*dim)."""
-    boxes = np.asarray(boxes, dtype=np.float64)
-    parts = [sinusoidal_pe(boxes[..., i], cfg) for i in range(4)]
-    return np.concatenate(parts, axis=-1)
+    pe = sinusoidal_pe(boxes, cfg)
+    return pe.reshape(*pe.shape[:-2], 4 * cfg.dim_per_coord)
 
 
 def grid_pe(height: int, width: int, d_model: int) -> np.ndarray:

@@ -16,22 +16,21 @@ MIN_BOX_SIZE = 1e-3
 def box_cxcywh_to_xyxy(b: np.ndarray) -> np.ndarray:
     """Convert boxes from (cx, cy, w, h) to (x0, y0, x1, y1)."""
     b = np.asarray(b, dtype=np.float64)
-    cx, cy, w, h = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
+    c, half = b[..., :2], b[..., 2:] / 2
+    return np.concatenate([c - half, c + half], axis=-1)
 
 
 def box_xyxy_to_cxcywh(b: np.ndarray) -> np.ndarray:
     """Convert boxes from (x0, y0, x1, y1) to (cx, cy, w, h)."""
     b = np.asarray(b, dtype=np.float64)
-    x0, y0, x1, y1 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([(x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0], axis=-1)
+    lo, hi = b[..., :2], b[..., 2:]
+    return np.concatenate([(lo + hi) / 2, hi - lo], axis=-1)
 
 
 def area_xyxy(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
-    w = np.clip(b[..., 2] - b[..., 0], 0.0, None)
-    h = np.clip(b[..., 3] - b[..., 1], 0.0, None)
-    return w * h
+    wh = np.clip(b[..., 2:] - b[..., :2], 0.0, None)
+    return wh[..., 0] * wh[..., 1]
 
 
 def _inter_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,23 +78,12 @@ def clamp_box_xyxy(b: np.ndarray) -> np.ndarray:
     to stay inside the unit square.
     """
     b = np.asarray(b, dtype=np.float64)
-    x0 = np.minimum(b[..., 0], b[..., 2])
-    x1 = np.maximum(b[..., 0], b[..., 2])
-    y0 = np.minimum(b[..., 1], b[..., 3])
-    y1 = np.maximum(b[..., 1], b[..., 3])
-    x0, x1 = np.clip(x0, 0.0, 1.0), np.clip(x1, 0.0, 1.0)
-    y0, y1 = np.clip(y0, 0.0, 1.0), np.clip(y1, 0.0, 1.0)
-
+    lo = np.clip(np.minimum(b[..., :2], b[..., 2:]), 0.0, 1.0)
+    hi = np.clip(np.maximum(b[..., :2], b[..., 2:]), 0.0, 1.0)
     half = MIN_BOX_SIZE / 2
-
-    def expand(lo, hi):
-        small = (hi - lo) < MIN_BOX_SIZE
-        c = np.clip((lo + hi) / 2, half, 1.0 - half)
-        return np.where(small, c - half, lo), np.where(small, c + half, hi)
-
-    x0, x1 = expand(x0, x1)
-    y0, y1 = expand(y0, y1)
-    return np.stack([x0, y0, x1, y1], axis=-1)
+    small = (hi - lo) < MIN_BOX_SIZE
+    c = np.clip((lo + hi) / 2, half, 1.0 - half)
+    return np.concatenate([np.where(small, c - half, lo), np.where(small, c + half, hi)], axis=-1)
 
 
 def jitter_box(box: np.ndarray, noise: np.ndarray, noise_level: float) -> np.ndarray:
@@ -107,11 +95,9 @@ def jitter_box(box: np.ndarray, noise: np.ndarray, noise_level: float) -> np.nda
     ``box`` and ``noise`` have shape (..., 4); rows are independent, so a
     batch gives bitwise the rows that one call per box would.
     """
-    if noise_level < 0:
-        raise ValueError(f"noise_level must be >= 0, got {noise_level}")
+    if not 0.0 <= noise_level < np.inf:
+        raise ValueError(f"jitter_box: noise_level must be finite and >= 0, got {noise_level}")
     box = np.asarray(box, dtype=np.float64)
-    sx = noise_level * box[..., 2:3]
-    sy = noise_level * box[..., 3:4]
-    sigma = np.concatenate([sx, sy, sx, sy], axis=-1)
+    sigma = np.tile(noise_level * box[..., 2:], 2)
     return box_xyxy_to_cxcywh(clamp_box_xyxy(box_cxcywh_to_xyxy(box) + noise * sigma))
 

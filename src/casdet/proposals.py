@@ -40,8 +40,8 @@ class EmulatorConfig:
     def __post_init__(self):
         if not (0.0 <= self.gt_hit_rate <= 1.0):
             raise ValueError("gt_hit_rate must be in [0, 1]")
-        if self.target_count < 1 or self.distractor_count < 0 or self.jitter_sigma < 0:
-            raise ValueError("need target_count >= 1, distractor_count >= 0 and jitter_sigma >= 0")
+        if not (self.target_count >= 1 and self.distractor_count >= 0 and 0.0 <= self.jitter_sigma < math.inf):
+            raise ValueError("need target_count >= 1, distractor_count >= 0 and jitter_sigma >= 0 and finite")
 
 
 def _random_boxes(rng: np.random.Generator, n: int) -> np.ndarray:

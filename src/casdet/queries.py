@@ -29,25 +29,22 @@ class DnConfig:
     def __post_init__(self):
         if self.groups < 1:
             raise ValueError("groups must be >= 1")
-        if self.box_noise < 0:
-            raise ValueError("box_noise must be >= 0")
+        if not 0.0 <= self.box_noise < np.inf:
+            raise ValueError(f"box_noise must be finite and >= 0, got {self.box_noise}")
 
 
 def attention_mask(n_match: int, group_sizes: list[int]) -> np.ndarray:
-    """Block-diagonal visibility over {matching} followed by each DN group.
+    """Visibility over ``n_match`` matching queries followed by each DN group.
 
-    True means "may attend". With no groups this is all-visible.
+    Group 0 is the matching queries and group k the k-th DN group; query i
+    may attend to query j (True) exactly when both are in the same group. With
+    no DN groups this is all-visible.
     """
     if n_match < 0 or any(g < 0 for g in group_sizes):
         raise ValueError("counts must be >= 0")
-    n = n_match + sum(group_sizes)
-    mask = np.zeros((n, n), dtype=bool)
-    mask[:n_match, :n_match] = True
-    start = n_match
-    for g in group_sizes:
-        mask[start : start + g, start : start + g] = True
-        start += g
-    return mask
+    ids = np.arange(len(group_sizes) + 1, dtype=np.min_scalar_type(len(group_sizes)))  # narrow ids compare faster
+    group = np.repeat(ids, [n_match, *group_sizes])
+    return group[:, None] == group[None, :]
 
 
 def init_matching_queries(props: list[Proposal], grid: Tensor, params: dict) -> tuple[np.ndarray, Tensor]:

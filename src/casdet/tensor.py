@@ -71,8 +71,8 @@ class Tensor:
         set to None once its closure has run; ``_parents`` and the closures
         stay, so the graph can be walked and differentiated again.
         """
-        if self.data.size != 1:
-            raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
+        if self.data.ndim != 0:
+            raise ShapeError(f"backward() requires a 0-d scalar, got shape {self.shape}")
         self.grad = np.ones_like(self.data)
         for node in reversed(_toposort(self)):
             if node._backward is not None:

@@ -39,8 +39,12 @@ def test_cascade_config_validation():
         CascadeConfig(theta1=0.0)
     with pytest.raises(ValueError):
         CascadeConfig(theta1=0.6, delta_theta=0.6)
-    with pytest.raises(ValueError):
-        CascadeConfig(tau=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau"):
+            CascadeConfig(tau=bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta_theta"):
+            CascadeConfig(delta_theta=bad)
 
 
 def test_negative_increment_is_rejected():
@@ -117,6 +121,16 @@ def test_layer_dn_weights_non_finite_prediction_raises_with_stage_name(bad):
         layer_dn_weights(pred, np.tile(box, (3, 1)), 0.3, 0.1)
     with pytest.raises(FloatingPointError, match="layer_dn_weights"):
         layer_dn_weights(np.tile(box, (2, 1)), [box, [bad, 0.5, 0.2, 0.2]], 0.3, 0.1)
+
+
+@pytest.mark.parametrize("theta_l, tau", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1),
+                                          (0.3, -0.1), (0.3, 0.0), (0.3, np.nan), (0.3, np.inf)])
+def test_layer_dn_weights_rejects_a_non_finite_threshold_or_a_bad_temperature(theta_l, tau):
+    """A negative tau inverted omega (IoU 0.82 at theta 0.3 got 0.006), tau 0
+    divided by zero, and a NaN theta_l or tau gave NaN weights."""
+    box = np.array([[0.5, 0.5, 0.2, 0.2]])
+    with pytest.raises(ValueError, match="layer_dn_weights"):
+        layer_dn_weights(box, box, theta_l, tau)
 
 
 def test_layer_dn_weights_and_modulate_with_no_gt():

@@ -58,6 +58,19 @@ def test_pe_config_validation():
         PeConfig(dim_per_coord=7)
 
 
+@pytest.mark.parametrize("dim", [2, 8, 32])
+@pytest.mark.parametrize("shape", [(4,), (7, 4), (2, 3, 4), (0, 4)])
+def test_box_pe_vector_bitwise_equal_to_the_per_coordinate_concatenation(dim, shape):
+    cfg = PeConfig(dim_per_coord=dim)
+    rng = np.random.default_rng(dim)
+    boxes = rng.uniform(-0.2, 1.2, shape)
+    boxes.reshape(-1)[:2] = [0.0, -0.0][: boxes.size]
+    for b in (boxes, boxes.T.copy().T):  # C- and F-ordered input
+        ref = np.concatenate([sinusoidal_pe(b[..., i], cfg) for i in range(4)], axis=-1)
+        out = box_pe_vector(b, cfg)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
 def test_box_pe_vector_width():
     cfg = PeConfig(dim_per_coord=8)
     assert box_pe_vector(np.array([0.5, 0.5, 0.2, 0.2]), cfg).shape == (32,)

@@ -134,8 +134,9 @@ def test_perturb_zero_noise_is_identity():
 
 
 def test_perturb_rejects_negative_noise():
-    with pytest.raises(ValueError):
-        jitter_box(np.array([0.5, 0.5, 0.2, 0.2]), np.random.default_rng(0).standard_normal(4), -0.1)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="jitter_box"):
+            jitter_box(np.array([0.5, 0.5, 0.2, 0.2]), np.random.default_rng(0).standard_normal(4), bad)
 
 
 def test_perturb_corner_std_matches_sigma():

@@ -1,15 +1,19 @@
 """Property tests of the box algebra: IoU and GIoU bounds, symmetry and
-nesting, conversion round trips, and bitwise agreement with the IoU and GIoU
-formulas as they were before the two functions shared one intersection."""
+nesting, conversion round trips, bitwise agreement with the IoU and GIoU
+formulas as they were before the two functions shared one intersection, and
+with the per-coordinate conversions and clamp as they were before they worked
+on (x, y) pairs."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casdet.geom import (
+    MIN_BOX_SIZE,
     area_xyxy,
     box_cxcywh_to_xyxy,
     box_xyxy_to_cxcywh,
+    clamp_box_xyxy,
     giou_xyxy,
     iou_xyxy,
 )
@@ -128,3 +132,67 @@ def test_xyxy_cxcywh_round_trips(boxes):
     assert np.all(cxcywh[:, 2:] >= 0.0)
     np.testing.assert_allclose(box_cxcywh_to_xyxy(cxcywh), xyxy, rtol=0, atol=1e-15)
     np.testing.assert_allclose(box_xyxy_to_cxcywh(box_cxcywh_to_xyxy(cxcywh)), cxcywh, rtol=0, atol=1e-15)
+
+
+def _oracle_clamp(b):
+    """``clamp_box_xyxy`` as it was, one line per axis and an inner ``expand``."""
+    b = np.asarray(b, dtype=np.float64)
+    x0 = np.minimum(b[..., 0], b[..., 2])
+    x1 = np.maximum(b[..., 0], b[..., 2])
+    y0 = np.minimum(b[..., 1], b[..., 3])
+    y1 = np.maximum(b[..., 1], b[..., 3])
+    x0, x1 = np.clip(x0, 0.0, 1.0), np.clip(x1, 0.0, 1.0)
+    y0, y1 = np.clip(y0, 0.0, 1.0), np.clip(y1, 0.0, 1.0)
+    half = MIN_BOX_SIZE / 2
+
+    def expand(lo, hi):
+        small = (hi - lo) < MIN_BOX_SIZE
+        c = np.clip((lo + hi) / 2, half, 1.0 - half)
+        return np.where(small, c - half, lo), np.where(small, c + half, hi)
+
+    x0, x1 = expand(x0, x1)
+    y0, y1 = expand(y0, y1)
+    return np.stack([x0, y0, x1, y1], axis=-1)
+
+
+def _oracle_conversions(b):
+    """The two conversions and ``area_xyxy`` as they were, one coordinate at a time."""
+    b = np.asarray(b, dtype=np.float64)
+    p, q, r, s = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    to_xyxy = np.stack([p - r / 2, q - s / 2, p + r / 2, q + s / 2], axis=-1)
+    to_cxcywh = np.stack([(p + r) / 2, (q + s) / 2, r - p, s - q], axis=-1)
+    area = np.clip(r - p, 0.0, None) * np.clip(s - q, 0.0, None)
+    return to_xyxy, to_cxcywh, area
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Corners outside [0, 1], reversed corners and sides below MIN_BOX_SIZE.
+wide = st.one_of(st.sampled_from([-0.5, 0.0, 0.0004, 0.5, 0.9996, 1.0, 1.5]), st.floats(-0.5, 1.5))
+side = st.one_of(st.sampled_from([0.0, -0.0, MIN_BOX_SIZE, -MIN_BOX_SIZE]),
+                 st.floats(-2 * MIN_BOX_SIZE, 2 * MIN_BOX_SIZE), st.floats(-1.5, 1.5))
+raw_box = st.builds(lambda x, y, w, h: [x, y, x + w, y + h], wide, wide, side, side)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(raw_box, min_size=1, max_size=6))
+def test_clamp_bitwise_equal_to_the_per_axis_form_and_symmetric_in_x_and_y(boxes):
+    b = np.array(boxes)
+    out = clamp_box_xyxy(b)
+    assert _same_bits(out, _oracle_clamp(b))
+    assert _same_bits(clamp_box_xyxy(b[0]), _oracle_clamp(b[0]))
+    swap = [1, 0, 3, 2]
+    assert _same_bits(clamp_box_xyxy(b[:, swap]), out[:, swap])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(raw_box, min_size=1, max_size=6))
+def test_conversions_and_area_bitwise_equal_to_the_per_coordinate_form(boxes):
+    b = np.array(boxes)
+    for one in (b, b[0], b.reshape(-1, 1, 4)):
+        to_xyxy, to_cxcywh, area = _oracle_conversions(one)
+        assert _same_bits(box_cxcywh_to_xyxy(one), to_xyxy)
+        assert _same_bits(box_xyxy_to_cxcywh(one), to_cxcywh)
+        assert _same_bits(area_xyxy(one), area)

@@ -63,7 +63,8 @@ def test_emulator_respects_target_count_and_may_return_no_proposals():
 
 def test_emulator_config_names_the_bound_it_breaks():
     EmulatorConfig(distractor_count=0)
-    for bad in ({"target_count": 0}, {"distractor_count": -1}, {"jitter_sigma": -0.1}):
+    for bad in ({"target_count": 0}, {"distractor_count": -1}, {"jitter_sigma": -0.1},
+                {"jitter_sigma": np.nan}, {"jitter_sigma": np.inf}):
         with pytest.raises(ValueError, match="target_count >= 1, distractor_count >= 0 and jitter_sigma >= 0"):
             EmulatorConfig(**bad)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casdet.features import init_linear
 from casdet.geom import box_cxcywh_to_xyxy, iou_xyxy
@@ -49,6 +51,34 @@ def test_attention_mask_block_structure():
         for j, bj in enumerate(blocks):
             sub = mask[np.ix_(bi, bj)]
             assert sub.all() if i == j else not sub.any()
+
+
+def _oracle_mask(n_match, group_sizes):
+    """``attention_mask`` as it was: the matching block, then one block per DN group."""
+    n = n_match + sum(group_sizes)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:n_match, :n_match] = True
+    start = n_match
+    for g in group_sizes:
+        mask[start : start + g, start : start + g] = True
+        start += g
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.lists(st.integers(0, 5), max_size=7))
+@example(0, [1] * 255)  # the last group id that fits in one byte
+@example(2, [0, 1] * 128)  # 256 DN groups: the ids need two bytes
+def test_attention_mask_bitwise_equal_to_the_per_block_form(n_match, group_sizes):
+    mask = attention_mask(n_match, group_sizes)
+    ref = _oracle_mask(n_match, group_sizes)
+    assert mask.shape == ref.shape and mask.dtype == ref.dtype and np.array_equal(mask, ref)
+
+
+def test_attention_mask_rejects_negative_counts():
+    for n_match, groups in ((-1, [2]), (2, [1, -1]), (0, [-3])):
+        with pytest.raises(ValueError, match="counts must be >= 0"):
+            attention_mask(n_match, groups)
 
 
 def test_init_matching_queries_counts_and_determinism():
@@ -134,5 +164,6 @@ def test_dn_noisy_boxes_keep_overlap():
 def test_dn_config_validation():
     with pytest.raises(ValueError):
         DnConfig(groups=0)
-    with pytest.raises(ValueError):
-        DnConfig(box_noise=-0.1)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="box_noise"):
+            DnConfig(box_noise=bad)

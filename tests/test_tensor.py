@@ -168,8 +168,12 @@ def test_grad_check_examples():
 
 
 def test_backward_requires_scalar():
-    with pytest.raises(ShapeError):
-        Tensor(np.ones(3), requires_grad=True).backward()
+    for shape in ((3,), (1,), (1, 1)):
+        with pytest.raises(ShapeError):
+            Tensor(np.ones(shape), requires_grad=True).backward()
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ShapeError):  # grad_check would then fail in float() of a (1,) output
+        (x * x).sum().reshape(1).backward()
 
 
 def test_grad_accumulates_over_reuse():
