@@ -18,13 +18,20 @@ PROB_EPS = 1e-7
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Cost coefficients (classification, L1, GIoU), coupling and focal power."""
+    """Cost coefficients (classification, L1, GIoU), coupling and focal power;
+    each must be finite and >= 0."""
 
     c_cls: float = 2.0
     c_l1: float = 5.0
     c_giou: float = 2.0
     beta: float = 0.5
     gamma: float = 2.0
+
+    def __post_init__(self):
+        for name in ("c_cls", "c_l1", "c_giou", "beta", "gamma"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:

@@ -19,9 +19,10 @@ parent's shape or at a shape it broadcasts to; the builder alone skips
 parents that need no gradient, sums each gradient back down to its parent's
 shape and accumulates it. ``attention`` is the one node with a hand-written
 backward closure, because its q and k gradients share one buffer. It keeps
-its ``(..., n, m)`` probabilities for the backward, which walks the batch
-axes one ``(n, m)`` block at a time: its working set beyond the kept
-probabilities is that one block plus the q, k and v gradients.
+q, k and v plus each query row's softmax max and sum, and no probabilities:
+its forward and backward walk the batch axes one ``(n, m)`` block at a time,
+and the backward recomputes each head's block of probabilities, so the
+operands' ``.data`` must not change between the forward and the backward.
 Elementwise ops broadcast like numpy, and ``matmul`` follows numpy's
 stacked-matrix rules. Only what the detector needs is implemented.
 """
@@ -407,18 +408,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     Operands that are not ``(..., n, d)``, ``(..., m, d)`` and ``(..., m, dv)``
     with equal batch axes raise ShapeError.
 
-    The whole call is one graph node with parents ``(q, k, v)``. The forward
-    builds one ``(..., n, m)`` buffer and does the scale, the ``-inf`` fill
-    and the softmax in it in place; the node keeps only that buffer of
-    probabilities ``p``, and a repeated backward reads it again. The backward
-    uses rowsum(dp * p) = rowsum(dout * out), so the softmax gradient needs no
-    extra pass over the logits, and masked entries need no mask because ``p``
-    is exactly 0 there. It walks the batch axes (the heads) one at a time and
-    reuses one ``(n, m)`` block for the logit gradient, writing each head's
-    q, k and v gradients into arrays allocated once: on top of ``p``, its
-    working set is that block, not a second ``(..., n, m)`` buffer. Each head
-    runs the matmuls that a whole-batch matmul runs for it, so the gradients
-    are bitwise those of the whole-batch form.
+    The whole call is one graph node with parents ``(q, k, v)``; it keeps q,
+    k, v, each query row's softmax max and sum and the inverted mask, and no
+    probabilities. The forward walks the batch axes (the heads) one at a
+    time: it fills one reused ``(n, m)`` block with a head's logits, does the
+    scale, the ``-inf`` fill and the softmax in it in place, and writes
+    ``block @ v`` into the head's slice of the output. The backward
+    recomputes each head's block with the same ops from the two stored
+    statistics, so the operands' ``.data`` must not change between the
+    forward and the backward. It uses rowsum(dp * p) = rowsum(dout * out),
+    so the softmax gradient needs no extra pass over the logits, and masked
+    entries need no mask because ``p`` is exactly 0 there. A second reused
+    block takes the logit gradient, and each head's q, k and v gradients go
+    into arrays allocated once. Each head runs the matmuls that a
+    whole-batch matmul runs for it, so values and gradients are bitwise
+    those of the whole-batch form.
     """
     if (min(q.ndim, k.ndim, v.ndim) < 2 or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
             or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
@@ -426,36 +430,52 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
                          f"got {q.shape}, {k.shape}, {v.shape}")
     if not (np.isfinite(q.data).all() and np.isfinite(k.data).all() and np.isfinite(v.data).all()):
         raise FloatingPointError("attention: q, k or v hold NaN or inf")
-    if k.shape[-2] == 0 < q.shape[-2]:
-        raise MaskError(f"attention: {q.shape[-2]} query rows and no key to attend to")
+    heads, n, m = q.shape[:-2], q.shape[-2], k.shape[-2]
+    if m == 0 < n:
+        raise MaskError(f"attention: {n} query rows and no key to attend to")
     scale = 1.0 / math.sqrt(q.shape[-1])
-    p = q.data @ np.swapaxes(k.data, -1, -2)
-    p *= scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != p.shape[-2:]:
-            raise ShapeError(f"mask shape {mask.shape} does not match {p.shape[-2:]}")
+        if mask.shape != (n, m):
+            raise ShapeError(f"mask shape {mask.shape} does not match {(n, m)}")
         empty = ~mask.any(axis=1)
         if empty.any():
             raise MaskError(f"query rows {np.flatnonzero(empty).tolist()} have no unmasked key")
-        np.copyto(p, -np.inf, where=~mask)
-    p -= p.max(axis=-1, keepdims=True, initial=-np.inf)  # initial: a (0, 0) block (no query, no key) reduces too
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    hidden = None if mask is None else ~mask  # True where a logit is masked out
+    row_max, row_sum = np.empty(heads + (n, 1)), np.empty(heads + (n, 1))
+
+    def probs(i, p, first):  # head i's probabilities into p; the first call stores the row max and sum
+        np.matmul(q.data[i], k.data[i].T, out=p)
+        p *= scale
+        if hidden is not None:
+            np.copyto(p, -np.inf, where=hidden)
+        if first:  # initial: a (0, 0) block (no query, no key) reduces too
+            np.max(p, axis=-1, keepdims=True, initial=-np.inf, out=row_max[i])
+        p -= row_max[i]
+        np.exp(p, out=p)
+        if first:
+            np.sum(p, axis=-1, keepdims=True, out=row_sum[i])
+        p /= row_sum[i]
+        return p
+
+    y, block = np.empty(heads + (n, v.shape[-1])), np.empty((n, m))
+    for i in np.ndindex(heads):
+        np.matmul(probs(i, block, True), v.data[i], out=y[i])
 
     def backward(out):
         g = out.grad
-        dv, dq, ds = np.empty(v.shape), np.empty(q.shape), np.empty(p.shape[-2:])
+        dv, dq, p, ds = np.empty(v.shape), np.empty(q.shape), np.empty((n, m)), np.empty((n, m))
         # dk is filled transposed, as q^T @ ds, so it reaches k's parents with
         # the same memory layout (and the same rounding downstream) as a
         # batched q^T @ ds would give
-        dkt = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]))
+        dkt = np.empty(heads + (k.shape[-1], m))
         rowsum = (g * out.data).sum(axis=-1, keepdims=True)
-        for i in np.ndindex(p.shape[:-2]):
-            np.matmul(p[i].T, g[i], out=dv[i])
+        for i in np.ndindex(heads):
+            probs(i, p, False)
+            np.matmul(p.T, g[i], out=dv[i])
             np.matmul(g[i], v.data[i].T, out=ds)
             ds -= rowsum[i]
-            ds *= p[i]
+            ds *= p
             ds *= scale
             np.matmul(ds, k.data[i], out=dq[i])
             np.matmul(q.data[i].T, ds, out=dkt[i])
@@ -463,7 +483,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
             if t.requires_grad:
                 _accum(t, grad)
 
-    return _link(p @ v.data, (q, k, v), backward)
+    return _link(y, (q, k, v), backward)
 
 
 GRAD_CHECK_EPS = 1e-5  # the step of grad_check's central differences

@@ -109,6 +109,16 @@ def test_stable_cls_cost_extremes():
     assert stable_cls_cost(0.9, 0.0) > stable_cls_cost(0.9, 1.0)
 
 
+@pytest.mark.parametrize("field", ["c_cls", "c_l1", "c_giou", "beta", "gamma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_match_config_rejects_a_non_finite_or_negative_field(field, bad):
+    """NaN, inf or a negative value would give an all-NaN cost, drop the
+    class term or a negative cost; each is refused and named."""
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+        MatchConfig(**{field: bad})
+    assert getattr(MatchConfig(**{field: 0.0}), field) == 0.0
+
+
 def test_match_cost_l1_term():
     cfg = MatchConfig(c_cls=0.0, c_l1=5.0, c_giou=0.0)
     pred = np.array([[0.5, 0.5, 0.2, 0.2]])

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -60,6 +61,23 @@ def test_a_dropped_training_step_leaves_no_garbage_cycles(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_full_size_training_step_peaks_under_32_mb(tmp_path):
+    """A full-size train-hires step (a 24x24 grid, so 576x576 encoder blocks)
+    holds no attention probabilities beside its graph: attention keeps each
+    row's softmax max and sum and recomputes each head's block in the
+    backward. Keeping them would peak at about 45 MB."""
+    st = import_standin()
+    model = st.setup(st.WORKLOADS["train-hires"], st.REF_SEED, str(tmp_path))
+    tracemalloc.start()
+    try:
+        res = st.step(model, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.loss is not None and np.isfinite(res.loss.item())
+    assert peak < 32e6
 
 
 def test_fresh_models_give_byte_equal_steps_matching_the_reference(tmp_path):

@@ -188,7 +188,7 @@ def test_repeated_backward_accumulates_each_pass_once():
     loss.backward()
     loss.backward()
     np.testing.assert_array_equal(x.grad, np.full(3, 12.0))
-    # attention's node keeps its probabilities, and a second walk reads them again
+    # attention's node keeps no probabilities, and a second walk recomputes them
     rng = np.random.default_rng(3)
     q, k, v = rand_t(rng, (2, 4, 6)), rand_t(rng, (2, 5, 6)), rand_t(rng, (2, 5, 3))
     loss = (T.attention(q, k, v, random_mask(rng, 4, 5)) * rng.normal(size=(2, 4, 3))).sum()
@@ -487,23 +487,117 @@ def test_attention_query_rows_with_no_key_raise(batch, masked):
         T.attention(q, k, v, np.ones((3, 0), dtype=bool) if masked else None)
 
 
+def kept_probability_attention(q, k, v, mask=None):
+    """``attention`` as it was when its node kept the ``(..., n, m)``
+    probabilities for the backward: the bitwise oracle of the recomputing
+    node. Operand checks are left out; callers pass valid operands."""
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p *= scale
+    if mask is not None:
+        np.copyto(p, -np.inf, where=~mask)
+    p -= p.max(axis=-1, keepdims=True, initial=-np.inf)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward(out):
+        g = out.grad
+        dv, dq, ds = np.empty(v.shape), np.empty(q.shape), np.empty(p.shape[-2:])
+        dkt = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]))
+        rowsum = (g * out.data).sum(axis=-1, keepdims=True)
+        for i in np.ndindex(p.shape[:-2]):
+            np.matmul(p[i].T, g[i], out=dv[i])
+            np.matmul(g[i], v.data[i].T, out=ds)
+            ds -= rowsum[i]
+            ds *= p[i]
+            ds *= scale
+            np.matmul(ds, k.data[i], out=dq[i])
+            np.matmul(q.data[i].T, ds, out=dkt[i])
+        for t, grad in ((v, dv), (q, dq), (k, np.swapaxes(dkt, -1, -2))):
+            if t.requires_grad:
+                T._accum(t, grad)
+
+    return T._link(p @ v.data, (q, k, v), backward)
+
+
+def held_arrays(fn):
+    """Every array that ``fn``'s closure holds, directly or through the
+    closures of the functions it holds."""
+    found = []
+    for cell in fn.__closure__ or ():
+        x = cell.cell_contents
+        if isinstance(x, np.ndarray):
+            found.append(x)
+        elif callable(x) and hasattr(x, "__closure__"):
+            found += held_arrays(x)
+    return found
+
+
+def recompute_case(kind, rng):
+    """(q, k, v, mask) arrays for one case of the recompute oracle."""
+    if kind == "encoder":
+        return tuple(rng.normal(size=(4, 64, 16)) for _ in range(3)) + (None,)
+    if kind == "cross":  # decoder rows against a memory grid
+        return rng.normal(size=(4, 10, 16)), rng.normal(size=(4, 49, 16)), rng.normal(size=(4, 49, 16)), None
+    if kind == "masked-2d":  # matching rows and three DN groups, one of them empty
+        mask = attention_mask(5, [3, 0, 2])
+        return rng.normal(size=(10, 8)), rng.normal(size=(10, 8)), rng.normal(size=(10, 6)), mask
+    return rng.normal(size=(3, 0, 8)), rng.normal(size=(3, 7, 8)), rng.normal(size=(3, 7, 5)), None
+
+
+@pytest.mark.parametrize("kind", ["encoder", "cross", "masked-2d", "no-query-rows"])
+def test_attention_recompute_is_bitwise_the_kept_probability_node(kind):
+    """Recomputing each head's probabilities in the backward gives the kept-
+    probability node's values and gradients bitwise, for every subset of
+    operands needing grad. The node holds under half of one (n, m) float
+    block, and a second backward gives exactly twice the gradients."""
+    rng = np.random.default_rng(18)
+    q, k, v, mask = recompute_case(kind, rng)
+    n, m = q.shape[-2], k.shape[-2]
+    w = rng.normal(size=q.shape[:-1] + v.shape[-1:])
+    for flags in GRAD_SUBSETS:
+        runs = []
+        for fn in (T.attention, kept_probability_attention):
+            leaves = [Tensor(a, requires_grad=f) for a, f in zip((q, k, v), flags)]
+            out = fn(*leaves, mask)
+            (out * w).sum().backward()
+            runs.append((out, leaves))
+        (out, leaves), (oracle, oracle_leaves) = runs
+        np.testing.assert_array_equal(out.data, oracle.data)
+        for t, t_oracle, f in zip(leaves, oracle_leaves, flags):
+            if f:
+                np.testing.assert_array_equal(t.grad, t_oracle.grad)
+            else:
+                assert t.grad is None and t_oracle.grad is None
+        assert sum(a.nbytes for a in held_arrays(out._backward)) < 0.5 * n * m * 8 or n == 0
+        needs = [t for t, f in zip(leaves, flags) if f]
+        once = [t.grad.copy() for t in needs]
+        (out * w).sum().backward()
+        for t, g in zip(needs, once):
+            np.testing.assert_array_equal(t.grad, 2.0 * g)
+
+
 def test_attention_backward_works_one_block_at_a_time():
-    """The backward's transient memory is one (n, m) block, not a second
-    (..., n, m) buffer beside the kept probabilities."""
+    """The node keeps no (..., n, m) probabilities: after the forward it holds
+    under half of one (n, m) block, and the forward and backward together
+    peak under three blocks (the backward's recomputed block, its logit
+    gradient and the q, k and v gradients)."""
     rng = np.random.default_rng(15)
     q, k, v = (Tensor(rng.normal(size=(4, 256, 4)), requires_grad=True) for _ in range(3))
-    out = T.attention(q, k, v)
-    loss = (out * rng.normal(size=out.shape)).sum()
-    p_nbytes = 4 * 256 * 256 * 8
+    w = rng.normal(size=(4, 256, 4))
+    block_nbytes = 256 * 256 * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        loss.backward()
-        peak = tracemalloc.get_traced_memory()[1]
+        out = T.attention(q, k, v)
+        held = tracemalloc.get_traced_memory()[0] - start
+        (out * w).sum().backward()
+        peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert all(t.grad is not None for t in (q, k, v))
-    assert peak - start < p_nbytes / 2
+    assert held < 0.5 * block_nbytes
+    assert peak < 3 * block_nbytes
 
 
 def test_forward_deterministic_and_finite_on_bounded_inputs():
