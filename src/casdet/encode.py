@@ -63,17 +63,9 @@ def grid_pe(height: int, width: int, d_model: int) -> np.ndarray:
     """2D encodings of cell centers, x then y halves: (height*width, d_model)."""
     if d_model % 4 != 0:
         raise ValueError("d_model must be divisible by 4 for 2D encodings")
-    cfg = PeConfig(dim_per_coord=d_model // 2)
-    ys = (np.arange(height) + 0.5) / height
-    xs = (np.arange(width) + 0.5) / width
-    px = sinusoidal_pe(xs, cfg)
-    py = sinusoidal_pe(ys, cfg)
-    out = np.concatenate(
-        [np.broadcast_to(px[None, :, :], (height, width, cfg.dim_per_coord)),
-         np.broadcast_to(py[:, None, :], (height, width, cfg.dim_per_coord))],
-        axis=-1,
-    )
-    return out.reshape(height * width, d_model)
+    ys, xs = np.meshgrid((np.arange(height) + 0.5) / height, (np.arange(width) + 0.5) / width, indexing="ij")
+    pe = sinusoidal_pe(np.stack([xs, ys], axis=-1), PeConfig(dim_per_coord=d_model // 2))
+    return pe.reshape(height * width, d_model)
 
 
 def init_positional_query(params: dict, rng: np.random.Generator, prefix: str, d_model: int) -> None:

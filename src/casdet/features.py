@@ -178,7 +178,7 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
         for jr, jc in offsets:
             np.maximum(out[s], gather(s, jr, jc)[1], out=out[s])
 
-    def grid_grad(g: np.ndarray) -> np.ndarray:
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
         buf = np.zeros(h * w * c)
         for s in chunks:
             win = np.empty(out[s].shape, dtype=np.intp)  # all set: each maximum is a gathered value
@@ -187,9 +187,9 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
                 np.copyto(win, flat[..., None] * c, where=vals == out[s])
             win += np.arange(c)
             np.add.at(buf, win.ravel(), g[s].ravel())
-        return buf.reshape(h, w, c)
+        return (buf.reshape(h, w, c),)
 
-    return custom_op(out, (grid, grid_grad))
+    return custom_op(out, (grid,), backward)
 
 
 def neck(region: Tensor, params: dict) -> Tensor:

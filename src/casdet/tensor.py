@@ -1,30 +1,30 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation stores a backward closure on its output, so a computation
-builds an implicit graph that ``Tensor.backward()`` walks in reverse
-topological order. There is no global tape or session state, which makes
-independent graphs safe to build and differentiate concurrently.
+Every op builds its output with ``custom_op(y, parents, backward)``, so a
+computation builds an implicit graph that ``Tensor.backward()`` walks in
+reverse topological order. There is no global tape or session state, which
+makes independent graphs safe to build and differentiate concurrently.
 
-The walk owns its gradient buffers. A backward closure may hand ``out.grad``,
-or a view of it, to a parent as is, so it must never write into ``out.grad``
-or into an array it has passed on; a tensor's first gradient is adopted
+A node's ``backward`` maps its output's gradient to a tuple with one gradient
+per parent, in parent order: an array at the parent's shape or at a shape
+that broadcasts to it, or None for no gradient. The walk alone skips parents
+that need no gradient, sums each gradient back down to its parent's shape and
+accumulates it. ``linear`` (for x), ``mul`` and ``div`` return None for an
+operand that needs no gradient, rather than compute one the walk would drop.
+
+The walk owns its gradient buffers. A backward may return ``out.grad``, or a
+view of it, as a parent's gradient, so it must never write into ``out.grad``
+or into an array it has returned; a tensor's first gradient is adopted
 without a copy, and later ones are summed out of place. Leaves (tensors with
-no backward closure, such as parameters) keep ``.grad`` as their own copy;
-interior nodes drop theirs as soon as their closure has run.
+no backward, such as parameters) keep ``.grad`` as their own copy; interior
+nodes drop theirs as soon as their backward has run.
 
-Every op but ``attention`` builds its node with ``custom_op``: it gives its
-output and one ``(parent, grad_map)`` pair per parent, in parent order. A
-grad map takes ``out.grad`` and returns that parent's gradient, at the
-parent's shape or at a shape it broadcasts to; the builder alone skips
-parents that need no gradient, sums each gradient back down to its parent's
-shape and accumulates it. ``attention`` is the one node with a hand-written
-backward closure, because its q and k gradients share one buffer. It keeps
-q, k and v plus each query row's softmax max and sum, and no probabilities:
-its forward and backward walk the batch axes one ``(n, m)`` block at a time,
-and the backward recomputes each head's block of probabilities, so the
-operands' ``.data`` must not change between the forward and the backward.
-Elementwise ops broadcast like numpy, and ``matmul`` follows numpy's
-stacked-matrix rules. Only what the detector needs is implemented.
+``attention`` keeps q, k and v plus each query row's softmax max and sum, and
+no probabilities: its forward and backward walk the batch axes one ``(n, m)``
+block at a time, and the backward recomputes each head's block of
+probabilities, so the operands' ``.data`` must not change between the forward
+and the backward. Elementwise ops broadcast like numpy, and ``matmul`` follows
+numpy's stacked-matrix rules. Only what the detector needs is implemented.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[Tensor], None] | None = None
+        self._backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,17 +69,21 @@ class Tensor:
 
         Leaves accumulate into their ``.grad``, so two calls give twice the
         gradient of one. Every interior node except ``self`` has ``.grad``
-        set to None once its closure has run; ``_parents`` and the closures
-        stay, so the graph can be walked and differentiated again.
+        set to None once its backward has run; ``_parents`` and the backwards
+        stay, so the graph can be walked and differentiated again. A node
+        that received no gradient passes none on.
         """
         if self.data.ndim != 0:
             raise ShapeError(f"backward() requires a 0-d scalar, got shape {self.shape}")
         self.grad = np.ones_like(self.data)
         for node in reversed(_toposort(self)):
-            if node._backward is not None:
-                node._backward(node)
-                if node is not self:
-                    node.grad = None
+            if node._backward is None or node.grad is None:
+                continue
+            for p, g in zip(node._parents, node._backward(node.grad)):
+                if g is not None and p.requires_grad:
+                    _accum(p, _unbroadcast(g, p.shape))
+            if node is not self:
+                node.grad = None
 
     # arithmetic ------------------------------------------------------------
 
@@ -181,42 +185,25 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _link(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[Tensor], None]) -> Tensor:
-    """The output tensor of an op, holding ``parents`` and ``backward`` if any
-    parent requires gradients.
+def custom_op(y: np.ndarray, parents: tuple[Tensor, ...],
+              backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]) -> Tensor:
+    """The output tensor of an op: ``y``, holding ``parents`` and ``backward``
+    if any parent requires gradients.
 
-    ``backward`` is stored as is, not bound to the output, so nodes only point
-    at their parents: a graph holds no reference cycle and is freed as soon as
-    it is dropped.
+    ``backward`` maps ``out.grad`` to a tuple with one gradient per parent, in
+    parent order, each at its parent's shape or at a shape that broadcasts to
+    it, or None for no gradient. The walk in ``Tensor.backward`` skips parents
+    that need no gradient, sums each gradient back to its parent's shape and
+    accumulates it. ``backward`` may return ``out.grad`` or a view of it, but
+    must never write into either. It is stored as is, not bound to the
+    output, so nodes only point at their parents: a graph holds no reference
+    cycle and is freed as soon as it is dropped.
     """
-    out = Tensor(data, any(p.requires_grad for p in parents))
+    out = Tensor(y, any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
         out._backward = backward
     return out
-
-
-def custom_op(y: np.ndarray, *operands: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
-    """Build an op node from its output ``y`` and one ``(parent, grad_map)``
-    pair per parent, in parent order.
-
-    ``grad_map`` takes ``out.grad`` and returns the gradient for its parent, at
-    the parent's shape or one it broadcasts to; the result is summed back to
-    the parent's shape and accumulated. It is only called for parents that
-    require gradients, in parent order, and may return ``out.grad`` or a view
-    of it, but must never write into either.
-    """
-
-    def backward(out):
-        for t, grad_map in operands:
-            if t.requires_grad:
-                _accum(t, _unbroadcast(grad_map(out.grad), t.shape))
-
-    return _link(y, tuple(t for t, _ in operands), backward)
-
-
-def _identity(g: np.ndarray) -> np.ndarray:
-    return g
 
 
 def np_sigmoid(x) -> np.ndarray:
@@ -231,18 +218,19 @@ def np_sigmoid(x) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return custom_op(a.data + b.data, (a, _identity), (b, _identity))
+    return custom_op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return custom_op(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
+    return custom_op(a.data * b.data, (a, b), lambda g: (g * b.data if a.requires_grad else None,
+                                                          g * a.data if b.requires_grad else None))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return custom_op(a.data / b.data, (a, lambda g: g / b.data),
-                     (b, lambda g: -g * a.data / (b.data * b.data)))
+    return custom_op(a.data / b.data, (a, b), lambda g: (g / b.data if a.requires_grad else None,
+                                                          -g * a.data / (b.data * b.data) if b.requires_grad else None))
 
 
 def power(a, p: float) -> Tensor:
@@ -250,11 +238,11 @@ def power(a, p: float) -> Tensor:
     a = as_tensor(a)
     p = float(p)
 
-    def grad_map(g):
+    def backward(g):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return g * np.where(a.data != 0.0, p * a.data ** (p - 1.0), 0.0)
+            return (g * np.where(a.data != 0.0, p * a.data ** (p - 1.0), 0.0),)
 
-    return custom_op(a.data**p, (a, grad_map))
+    return custom_op(a.data**p, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -264,8 +252,8 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
-    return custom_op(a.data @ b.data, (a, lambda g: g @ np.swapaxes(b.data, -1, -2)),
-                     (b, lambda g: np.swapaxes(a.data, -1, -2) @ g))
+    return custom_op(a.data @ b.data, (a, b), lambda g: (g @ np.swapaxes(b.data, -1, -2),
+                                                         np.swapaxes(a.data, -1, -2) @ g))
 
 
 def linear(x, w, b) -> Tensor:
@@ -278,42 +266,42 @@ def linear(x, w, b) -> Tensor:
         raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
     y = x.data @ w.data
     y += b.data
-    return custom_op(y, (x, lambda g: g @ np.swapaxes(w.data, -1, -2)),
-                     (w, lambda g: np.swapaxes(x.data, -1, -2) @ g), (b, _identity))
+    return custom_op(y, (x, w, b), lambda g: (g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None,
+                                              np.swapaxes(x.data, -1, -2) @ g, g))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    return custom_op(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0)))
+    return custom_op(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     y = np_sigmoid(a.data)
-    return custom_op(y, (a, lambda g: g * y * (1.0 - y)))
+    return custom_op(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def log(a) -> Tensor:
     """Natural log; inputs must be positive (clamp first)."""
     a = as_tensor(a)
-    return custom_op(np.log(a.data), (a, lambda g: g / a.data))
+    return custom_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def absolute(a) -> Tensor:
     a = as_tensor(a)
-    return custom_op(np.abs(a.data), (a, lambda g: g * np.sign(a.data)))
+    return custom_op(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes through strictly inside the range."""
     a = as_tensor(a)
-    return custom_op(np.clip(a.data, lo, hi), (a, lambda g: g * ((a.data > lo) & (a.data < hi))))
+    return custom_op(np.clip(a.data, lo, hi), (a,), lambda g: (g * ((a.data > lo) & (a.data < hi)),))
 
 
 def _select(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
     """``a`` where ``take_a``, else ``b``; each operand's gradient is masked to
     the elements it supplied."""
-    return custom_op(np.where(take_a, a.data, b.data), (a, lambda g: g * take_a), (b, lambda g: g * ~take_a))
+    return custom_op(np.where(take_a, a.data, b.data), (a, b), lambda g: (g * take_a, g * ~take_a))
 
 
 def minimum(a, b) -> Tensor:
@@ -331,46 +319,42 @@ def maximum(a, b) -> Tensor:
 def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
 
-    def grad_map(g):
+    def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.shape).copy()
+        return (np.broadcast_to(g, a.shape).copy(),)
 
-    return custom_op(a.data.sum(axis=axis), (a, grad_map))
+    return custom_op(a.data.sum(axis=axis), (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return custom_op(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
+    return custom_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def swapaxes(a, ax0: int, ax1: int) -> Tensor:
     a = as_tensor(a)
-    return custom_op(np.swapaxes(a.data, ax0, ax1), (a, lambda g: np.swapaxes(g, ax0, ax1)))
+    return custom_op(np.swapaxes(a.data, ax0, ax1), (a,), lambda g: (np.swapaxes(g, ax0, ax1),))
 
 
 def take(a, key) -> Tensor:
     """Index/slice a tensor; the backward pass scatter-adds into place."""
     a = as_tensor(a)
 
-    def grad_map(g):
+    def backward(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, key, g)
-        return buf
+        return (buf,)
 
-    return custom_op(a.data[key], (a, grad_map))
+    return custom_op(a.data[key], (a,), backward)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
+    ts = tuple(as_tensor(t) for t in tensors)
     bounds = np.cumsum([0] + [t.shape[axis] for t in ts]).tolist()
     lead = (slice(None),) * (axis % ts[0].ndim)
-
-    def piece(i):  # the slice of out.grad that parent i supplied
-        key = lead + (slice(bounds[i], bounds[i + 1]),)
-        return lambda g: g[key]
-
-    return custom_op(np.concatenate([t.data for t in ts], axis=axis), *((t, piece(i)) for i, t in enumerate(ts)))
+    keys = [lead + (slice(lo, hi),) for lo, hi in zip(bounds, bounds[1:])]  # the slice each parent supplied
+    return custom_op(np.concatenate([t.data for t in ts], axis=axis), ts, lambda g: tuple(g[key] for key in keys))
 
 
 LN_EPS = 1e-5  # added to the variance in layer_norm
@@ -385,11 +369,12 @@ def layer_norm(a, gamma, beta) -> Tensor:
     xn = (a.data - mu) / s
     y = xn * gamma.data + beta.data
 
-    def a_grad(g):
+    def backward(g):
         gxn = g * gamma.data
-        return (gxn - gxn.mean(axis=-1, keepdims=True) - xn * (gxn * xn).mean(axis=-1, keepdims=True)) / s
+        return ((gxn - gxn.mean(axis=-1, keepdims=True) - xn * (gxn * xn).mean(axis=-1, keepdims=True)) / s,
+                g * xn, g)
 
-    return custom_op(y, (a, a_grad), (gamma, lambda g: g * xn), (beta, _identity))
+    return custom_op(y, (a, gamma, beta), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -408,21 +393,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     Operands that are not ``(..., n, d)``, ``(..., m, d)`` and ``(..., m, dv)``
     with equal batch axes raise ShapeError.
 
-    The whole call is one graph node with parents ``(q, k, v)``; it keeps q,
-    k, v, each query row's softmax max and sum and the inverted mask, and no
-    probabilities. The forward walks the batch axes (the heads) one at a
-    time: it fills one reused ``(n, m)`` block with a head's logits, does the
-    scale, the ``-inf`` fill and the softmax in it in place, and writes
-    ``block @ v`` into the head's slice of the output. The backward
-    recomputes each head's block with the same ops from the two stored
-    statistics, so the operands' ``.data`` must not change between the
-    forward and the backward. It uses rowsum(dp * p) = rowsum(dout * out),
-    so the softmax gradient needs no extra pass over the logits, and masked
-    entries need no mask because ``p`` is exactly 0 there. A second reused
-    block takes the logit gradient, and each head's q, k and v gradients go
-    into arrays allocated once. Each head runs the matmuls that a
-    whole-batch matmul runs for it, so values and gradients are bitwise
-    those of the whole-batch form.
+    The whole call is one ``custom_op`` node with parents ``(q, k, v)``; it
+    keeps q, k, v, the output, each query row's softmax max and sum and the
+    inverted mask, and no probabilities. The forward walks the batch axes
+    (the heads) one at a time: it fills one reused ``(n, m)`` block with a
+    head's logits, does the scale, the ``-inf`` fill and the softmax in it in
+    place, and writes ``block @ v`` into the head's slice of the output. The
+    backward returns ``(dq, dk, dv)`` from one per-head loop that recomputes
+    each head's block with the same ops from the two stored statistics, so
+    the operands' ``.data`` must not change between the forward and the
+    backward. It uses rowsum(dp * p) = rowsum(dout * out), so the softmax
+    gradient needs no extra pass over the logits, and masked entries need no
+    mask because ``p`` is exactly 0 there. A second reused block takes the
+    logit gradient, and each head's q, k and v gradients go into arrays
+    allocated once. Each head runs the matmuls that a whole-batch matmul runs
+    for it, so values and gradients are bitwise those of the whole-batch
+    form.
     """
     if (min(q.ndim, k.ndim, v.ndim) < 2 or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
             or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
@@ -462,14 +448,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     for i in np.ndindex(heads):
         np.matmul(probs(i, block, True), v.data[i], out=y[i])
 
-    def backward(out):
-        g = out.grad
+    def backward(g):
         dv, dq, p, ds = np.empty(v.shape), np.empty(q.shape), np.empty((n, m)), np.empty((n, m))
         # dk is filled transposed, as q^T @ ds, so it reaches k's parents with
         # the same memory layout (and the same rounding downstream) as a
         # batched q^T @ ds would give
         dkt = np.empty(heads + (k.shape[-1], m))
-        rowsum = (g * out.data).sum(axis=-1, keepdims=True)
+        rowsum = (g * y).sum(axis=-1, keepdims=True)
         for i in np.ndindex(heads):
             probs(i, p, False)
             np.matmul(p.T, g[i], out=dv[i])
@@ -479,11 +464,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
             ds *= scale
             np.matmul(ds, k.data[i], out=dq[i])
             np.matmul(q.data[i].T, ds, out=dkt[i])
-        for t, grad in ((v, dv), (q, dq), (k, np.swapaxes(dkt, -1, -2))):
-            if t.requires_grad:
-                _accum(t, grad)
+        return dq, np.swapaxes(dkt, -1, -2), dv
 
-    return _link(y, (q, k, v), backward)
+    return custom_op(y, (q, k, v), backward)
 
 
 GRAD_CHECK_EPS = 1e-5  # the step of grad_check's central differences
@@ -509,15 +492,13 @@ def grad_check(f: Callable[[], Tensor], wrt: Tensor | Sequence[Tensor]) -> float
 
     worst = 0.0
     for t, g in zip(tensors, grads):
-        flat = t.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            old = flat[i]
-            flat[i] = old + GRAD_CHECK_EPS
+        for i in np.ndindex(t.shape):  # writes into t.data whatever its memory layout
+            old = t.data[i]
+            t.data[i] = old + GRAD_CHECK_EPS
             f_plus = float(f().data)
-            flat[i] = old - GRAD_CHECK_EPS
+            t.data[i] = old - GRAD_CHECK_EPS
             f_minus = float(f().data)
-            flat[i] = old
+            t.data[i] = old
             fd = (f_plus - f_minus) / (2.0 * GRAD_CHECK_EPS)
-            worst = max(worst, abs(gflat[i] - fd) / max(1.0, abs(fd)))
+            worst = max(worst, abs(g[i] - fd) / max(1.0, abs(fd)))
     return worst

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,24 @@ def test_match_cost_rejects_a_label_count_other_than_the_box_count(n_labels):
     gt = np.tile([0.4, 0.4, 0.2, 0.2], (3, 1))
     with pytest.raises(ValueError, match=f"{n_labels} gt_labels for 3 gt_boxes"):
         match_cost_matrix(np.full((2, 4), 0.3), np.full((2, 3), 0.5), gt, np.zeros(n_labels, dtype=int), MatchConfig())
+
+
+@pytest.mark.parametrize("boxes, probs", [((3, 4), (1, 2)), ((3, 4), (2, 2)), ((3, 3), (3, 3)), ((3, 4), (3,)),
+                                          ((4,), (1, 2))],
+                         ids=["one-prob-row", "prob-rows-differ", "3-coord-boxes", "1d-probs", "1d-boxes"])
+def test_match_cost_rejects_predictions_of_mismatched_shapes(boxes, probs):
+    """One row of probabilities for three boxes used to broadcast to all of
+    them, and other mismatches raised numpy's message, naming no stage."""
+    gt = np.array([[0.4, 0.4, 0.2, 0.2]])
+    with pytest.raises(ValueError, match=re.escape(f"match_cost_matrix needs pred_boxes (n, 4) and pred_probs "
+                                                   f"(n, n_classes); got {boxes} and {probs}")):
+        match_cost_matrix(np.full(boxes, 0.3), np.full(probs, 0.5), gt, np.array([0]), MatchConfig())
+
+
+def test_match_cost_with_no_predictions_has_no_rows():
+    gt = np.array([[0.4, 0.4, 0.2, 0.2], [0.6, 0.6, 0.2, 0.2]])
+    cost = match_cost_matrix(np.zeros((0, 4)), np.zeros((0, 3)), gt, np.array([0, 2]), MatchConfig())
+    assert cost.shape == (0, 2)
 
 
 def test_match_cost_with_no_gt_has_no_columns_and_no_pairs():

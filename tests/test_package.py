@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from dataclasses import replace
 
@@ -61,6 +62,37 @@ def test_a_dropped_training_step_leaves_no_garbage_cycles(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def graph_objects(root) -> list:
+    """Every gc-tracked object that ``root``'s graph holds: its nodes and what
+    they reach, following functions only through their closures and
+    defaults, so module globals, code and types are left out."""
+    seen, stack = {}, [root]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or not gc.is_tracked(x) or isinstance(x, (type, types.ModuleType)):
+            continue
+        seen[id(x)] = x
+        if isinstance(x, types.FunctionType):
+            stack += list(x.__closure__ or ()) + list(x.__defaults__ or ())
+        else:
+            stack += gc.get_referents(x)
+    return list(seen.values())
+
+
+def test_a_training_step_graph_holds_few_objects_per_node(tmp_path):
+    """Each node holds one backward function, not a builder closure, an
+    operand tuple and one grad-map closure per parent: objects that every
+    full collection walks while a step's graph is alive. A tiny train-dense
+    step holds about 3.4 per node, and held 6.3 with per-parent closures."""
+    st = import_standin()
+    model = st.setup(st.tiny(st.WORKLOADS["train-dense"]), st.REF_SEED, str(tmp_path))
+    res = st.step(model, 0)
+    objs = graph_objects(res.loss)
+    nodes = sum(isinstance(x, Tensor) for x in objs)
+    assert nodes > 200
+    assert len(objs) <= 5.5 * nodes
 
 
 def test_a_full_size_training_step_peaks_under_32_mb(tmp_path):

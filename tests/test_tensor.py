@@ -16,7 +16,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    return T.custom_op(y, (a, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True))))
+    return T.custom_op(y, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 def composed_attention(q, k, v, mask=None):
@@ -24,7 +24,7 @@ def composed_attention(q, k, v, mask=None):
     node: swapaxes, matmul, scale, ``-inf`` fill, softmax, matmul."""
     logits = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
-        logits = T.custom_op(np.where(mask, logits.data, -np.inf), (logits, lambda g: g * mask))
+        logits = T.custom_op(np.where(mask, logits.data, -np.inf), (logits,), lambda g: (g * mask,))
     return T.matmul(softmax(logits, axis=-1), v)
 
 
@@ -167,6 +167,15 @@ def test_grad_check_examples():
     np.testing.assert_array_equal(c.grad, np.zeros(4))
 
 
+def test_grad_check_perturbs_a_leaf_that_is_not_c_contiguous():
+    """A transposed leaf's ``.data.reshape(-1)`` is a copy: perturbing the copy
+    never reached ``f``, and every finite difference read 0."""
+    x = Tensor(np.arange(12.0).reshape(4, 3).T, requires_grad=True)
+    assert not x.data.flags.c_contiguous
+    assert T.grad_check(lambda: (x * x).sum(), x) < 1e-8
+    assert T.grad_check(lambda: (x * Tensor(np.arange(4.0))).sum(), x) < 1e-8
+
+
 def test_backward_requires_scalar():
     for shape in ((3,), (1,), (1, 1)):
         with pytest.raises(ShapeError):
@@ -197,6 +206,16 @@ def test_repeated_backward_accumulates_each_pass_once():
     loss.backward()
     for t, g in zip((q, k, v), once):
         np.testing.assert_array_equal(t.grad, 2.0 * g)
+
+
+def test_a_none_gradient_reaches_no_ancestor():
+    """A backward may return None for a parent that requires grad: that parent
+    gets no gradient and passes none on, while its sibling gets its own."""
+    x, y = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+    h = x * 2.0
+    T.custom_op(h.data + y.data, (h, y), lambda g: (None, g)).sum().backward()
+    assert x.grad is None and h.grad is None
+    np.testing.assert_array_equal(y.grad, np.ones(3))
 
 
 def test_backward_keeps_leaf_grads_and_releases_interior_ones():
@@ -256,6 +275,33 @@ def test_leaf_grads_are_private_and_match_zero_fill_oracle(kind, monkeypatch):
     f(a, s).backward()
     for t, g in zip(leaves, grads):
         np.testing.assert_array_equal(t.grad, g)
+
+
+CONSTANT_OPERAND_CASES = {  # op: operand shapes, and the positions whose gradient its backward skips
+    "linear": (T.linear, [(2, 5, 4), (4, 3), (3,)], {0}),
+    "mul": (T.mul, [(5, 3), (3,)], {0, 1}),
+    "div": (T.div, [(5, 3), (5, 1)], {0, 1}),
+    "attention": (T.attention, [(2, 4, 6), (2, 5, 6), (2, 5, 3)], set()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTANT_OPERAND_CASES))
+def test_a_constant_operand_gets_no_gradient(kind):
+    """In each operand position, a parent with requires_grad off gets no
+    ``.grad`` while the others get theirs. Where that gradient costs more
+    than a view (``linear``'s x, either operand of ``mul`` and ``div``), the
+    op's backward does not compute it."""
+    op, shapes, skips = CONSTANT_OPERAND_CASES[kind]
+    rng = np.random.default_rng(19)
+    arrays = [rng.uniform(0.5, 1.5, size=s) for s in shapes]
+    for const in range(len(shapes)):
+        leaves = [Tensor(a, requires_grad=i != const) for i, a in enumerate(arrays)]
+        out = op(*leaves)
+        (out * rng.normal(size=out.shape)).sum().backward()
+        assert leaves[const].grad is None
+        assert all(t.grad.shape == t.shape for t in leaves if t.requires_grad)
+        grads = out._backward(np.ones(out.shape))
+        assert len(grads) == len(leaves) and (grads[const] is None) == (const in skips)
 
 
 def test_attention_forced_position():
@@ -500,11 +546,12 @@ def kept_probability_attention(q, k, v, mask=None):
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
-    def backward(out):
-        g = out.grad
+    y = p @ v.data
+
+    def backward(g):
         dv, dq, ds = np.empty(v.shape), np.empty(q.shape), np.empty(p.shape[-2:])
         dkt = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]))
-        rowsum = (g * out.data).sum(axis=-1, keepdims=True)
+        rowsum = (g * y).sum(axis=-1, keepdims=True)
         for i in np.ndindex(p.shape[:-2]):
             np.matmul(p[i].T, g[i], out=dv[i])
             np.matmul(g[i], v.data[i].T, out=ds)
@@ -513,11 +560,9 @@ def kept_probability_attention(q, k, v, mask=None):
             ds *= scale
             np.matmul(ds, k.data[i], out=dq[i])
             np.matmul(q.data[i].T, ds, out=dkt[i])
-        for t, grad in ((v, dv), (q, dq), (k, np.swapaxes(dkt, -1, -2))):
-            if t.requires_grad:
-                T._accum(t, grad)
+        return dq, np.swapaxes(dkt, -1, -2), dv
 
-    return T._link(p @ v.data, (q, k, v), backward)
+    return T.custom_op(y, (q, k, v), backward)
 
 
 def held_arrays(fn):
@@ -550,7 +595,8 @@ def test_attention_recompute_is_bitwise_the_kept_probability_node(kind):
     """Recomputing each head's probabilities in the backward gives the kept-
     probability node's values and gradients bitwise, for every subset of
     operands needing grad. The node holds under half of one (n, m) float
-    block, and a second backward gives exactly twice the gradients."""
+    block besides its output, and a second backward gives exactly twice the
+    gradients."""
     rng = np.random.default_rng(18)
     q, k, v, mask = recompute_case(kind, rng)
     n, m = q.shape[-2], k.shape[-2]
@@ -569,7 +615,8 @@ def test_attention_recompute_is_bitwise_the_kept_probability_node(kind):
                 np.testing.assert_array_equal(t.grad, t_oracle.grad)
             else:
                 assert t.grad is None and t_oracle.grad is None
-        assert sum(a.nbytes for a in held_arrays(out._backward)) < 0.5 * n * m * 8 or n == 0
+        held = sum(a.nbytes for a in held_arrays(out._backward) if a is not out.data)  # rowsum needs the output
+        assert held < 0.5 * n * m * 8 or n == 0
         needs = [t for t, f in zip(leaves, flags) if f]
         once = [t.grad.copy() for t in needs]
         (out * w).sum().backward()
