@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import box_cxcywh_to_xyxy, iou_xyxy
+from .geom import as_boxes, box_cxcywh_to_xyxy, iou_xyxy
 from .tensor import Tensor, np_sigmoid
 
 
@@ -53,14 +53,15 @@ def layer_dn_weights(dn_pred_boxes: np.ndarray, gt_boxes: np.ndarray, theta_l: f
 
     ``dn_pred_boxes`` is (..., n_gt, 4) center/size; query j pairs with GT j
     (identity correspondence, no matching). Returns weights of shape (...,
-    n_gt), empty for no GT. Non-finite boxes raise ``FloatingPointError``;
-    a non-finite ``theta_l``, or a ``tau`` that is not finite and positive,
-    raises ``ValueError``.
+    n_gt), empty for no GT. ``gt_boxes`` is ``(n_gt, 4)``, one ``(4,)`` box
+    or empty; any other shape raises ``ValueError``. Non-finite boxes raise
+    ``FloatingPointError``; a non-finite ``theta_l``, or a ``tau`` that is not
+    finite and positive, raises ``ValueError``.
     """
     if not (np.isfinite(theta_l) and 0.0 < tau < np.inf):
         raise ValueError(f"layer_dn_weights: need finite theta_l and finite tau > 0, got {theta_l}, {tau}")
     dn_pred_boxes = np.asarray(dn_pred_boxes, dtype=np.float64)
-    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    gt_boxes = as_boxes(gt_boxes, "layer_dn_weights")
     if not (np.isfinite(dn_pred_boxes).all() and np.isfinite(gt_boxes).all()):
         raise FloatingPointError("layer_dn_weights: the predicted or GT boxes hold NaN or inf")
     if dn_pred_boxes.shape[-2] != gt_boxes.shape[0]:

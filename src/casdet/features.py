@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor, custom_op
-from .geom import box_cxcywh_to_xyxy
+from .geom import as_boxes, box_cxcywh_to_xyxy
 
 
 # parameter helpers ----------------------------------------------------------
@@ -144,7 +144,8 @@ def _bin_cells(lo: np.ndarray, hi: np.ndarray, n_cells: int, n_bins: int) -> np.
 def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7, 7)) -> Tensor:
     """Channelwise max-pool fixed-size region features for a batch of boxes.
 
-    ``boxes`` is (n, 4) cxcywh in normalized image coordinates; the result is
+    ``boxes`` is (n, 4) cxcywh in normalized image coordinates, one (4,) box
+    or empty; any other shape raises ``ValueError``. The result is
     (n, H_roi, W_roi, C). Along each axis the box, clipped to [0, 1], covers
     cells ``[floor(lo), ceil(hi))``, at least one; this range of ``span`` cells
     is cut into contiguous bins at ``k*span // n_bins``. A bin left empty by a
@@ -156,7 +157,7 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
     ``_ROI_CHUNK * H_roi * W_roi * C`` values. NaN or inf in the grid or the
     boxes raise ``FloatingPointError``.
     """
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    boxes = as_boxes(boxes, "roi_pool_batch")
     if not (np.isfinite(grid.data).all() and np.isfinite(boxes).all()):
         raise FloatingPointError("roi_pool_batch: the grid or the boxes hold NaN or inf")
     hb, wb = out_hw

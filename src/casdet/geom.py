@@ -13,6 +13,23 @@ import numpy as np
 MIN_BOX_SIZE = 1e-3
 
 
+def as_boxes(b, caller: str) -> np.ndarray:
+    """``b`` as a float64 ``(n, 4)`` array of boxes.
+
+    Accepts an ``(n, 4)`` array, one flat ``(4,)`` box, or an empty array
+    (no boxes). Any other shape raises ValueError naming ``caller`` and the
+    shape, rather than being read row-major as some other number of boxes.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    if b.size == 0:
+        return b.reshape(0, 4)
+    if b.shape == (4,):
+        return b.reshape(1, 4)
+    if b.ndim != 2 or b.shape[1] != 4:
+        raise ValueError(f"{caller}: boxes must be (n, 4), one (4,) box or empty; got shape {b.shape}")
+    return b
+
+
 def box_cxcywh_to_xyxy(b: np.ndarray) -> np.ndarray:
     """Convert boxes from (cx, cy, w, h) to (x0, y0, x1, y1)."""
     b = np.asarray(b, dtype=np.float64)

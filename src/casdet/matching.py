@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import box_cxcywh_to_xyxy, giou_xyxy
+from .geom import as_boxes, box_cxcywh_to_xyxy, giou_xyxy
 
 PROB_EPS = 1e-7
 
@@ -123,7 +123,8 @@ def match_cost_matrix(
     probabilities. The localization score feeding the classification term is
     GIoU rescaled to [0, 1]. With no GT the matrix is ``(n_pred, 0)``.
     ``pred_boxes`` that are not ``(n_pred, 4)``, ``pred_probs`` that are not
-    ``(n_pred, n_classes)``, a label count other than the GT box count, or a
+    ``(n_pred, n_classes)``, ``gt_boxes`` that are not ``(n_gt, 4)``, one
+    ``(4,)`` box or empty, a label count other than the GT box count, or a
     label outside ``[0, n_classes)`` raise ``ValueError``; NaN or inf in any
     box or probability raise ``FloatingPointError``.
     """
@@ -132,7 +133,7 @@ def match_cost_matrix(
     if pred_boxes.ndim != 2 or pred_boxes.shape[1] != 4 or pred_probs.ndim != 2 or len(pred_probs) != len(pred_boxes):
         raise ValueError(f"match_cost_matrix needs pred_boxes (n, 4) and pred_probs (n, n_classes); "
                          f"got {pred_boxes.shape} and {pred_probs.shape}")
-    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    gt_boxes = as_boxes(gt_boxes, "match_cost_matrix")
     gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
     if not (np.isfinite(pred_boxes).all() and np.isfinite(pred_probs).all() and np.isfinite(gt_boxes).all()):
         raise FloatingPointError("match_cost_matrix: the predictions or the GT boxes hold NaN or inf")

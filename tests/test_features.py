@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,17 @@ def test_roi_zero_boxes_give_empty_output_and_zero_grad():
     assert out.shape == (0, 3, 4, 3)
     out.sum().backward()
     np.testing.assert_array_equal(grid.grad, np.zeros((5, 6, 3)))
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2)])
+def test_roi_rejects_boxes_that_are_not_n_by_4(shape):
+    """(2, 8) boxes used to be read as 4 boxes and pooled 4 regions without an
+    error."""
+    grid = Tensor(np.random.default_rng(19).normal(size=(4, 4, 2)))
+    with pytest.raises(ValueError, match=r"roi_pool_batch: .*got shape " + re.escape(str(shape))):
+        roi_pool_batch(grid, np.full(shape, 0.5))
+    assert roi_pool_batch(grid, [0.5, 0.5, 0.4, 0.4], out_hw=(2, 2)).shape == (1, 2, 2, 2)
+    assert roi_pool_batch(grid, [], out_hw=(2, 2)).shape == (0, 2, 2, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

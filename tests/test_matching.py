@@ -205,6 +205,20 @@ def test_match_cost_rejects_predictions_of_mismatched_shapes(boxes, probs):
         match_cost_matrix(np.full(boxes, 0.3), np.full(probs, 0.5), gt, np.array([0]), MatchConfig())
 
 
+@pytest.mark.parametrize("gt_shape", [(3, 8), (8,), (2, 2, 4), (2, 3)])
+def test_match_cost_rejects_gt_boxes_that_are_not_n_by_4(gt_shape):
+    """A (3, 8) GT array with 6 labels used to be read as 6 boxes and gave a
+    (2, 6) matrix without an error."""
+    gt = np.full(gt_shape, 0.4)
+    labels = np.zeros(gt.size // 4, dtype=int)
+    with pytest.raises(ValueError, match=re.escape(f"match_cost_matrix: boxes must be (n, 4), one (4,) box or "
+                                                   f"empty; got shape {gt_shape}")):
+        match_cost_matrix(np.full((2, 4), 0.3), np.full((2, 3), 0.5), gt, labels, MatchConfig())
+    one = match_cost_matrix(np.full((2, 4), 0.3), np.full((2, 3), 0.5), [0.4, 0.4, 0.2, 0.2], [1], MatchConfig())
+    assert one.shape == (2, 1)
+    assert match_cost_matrix(np.full((2, 4), 0.3), np.full((2, 3), 0.5), [], [], MatchConfig()).shape == (2, 0)
+
+
 def test_match_cost_with_no_predictions_has_no_rows():
     gt = np.array([[0.4, 0.4, 0.2, 0.2], [0.6, 0.6, 0.2, 0.2]])
     cost = match_cost_matrix(np.zeros((0, 4)), np.zeros((0, 3)), gt, np.array([0, 2]), MatchConfig())

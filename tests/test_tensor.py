@@ -443,8 +443,9 @@ GRAD_SUBSETS = [(q, k, v) for q in (0, 1) for k in (0, 1) for v in (0, 1) if q o
 @pytest.mark.parametrize("kind", ORACLE_KINDS)
 @pytest.mark.parametrize("seed", range(3))
 def test_attention_matches_composed_oracle(kind, seed):
-    """The fused node gives the composed graph's values bitwise and its
-    gradients to 1e-12 relative, for every subset of operands needing grad."""
+    """The fused node gives the composed graph's values and gradients to
+    1e-12 of the oracle's largest magnitude, for every subset of operands
+    needing grad; the same call twice gives bitwise the same values."""
     rng = np.random.default_rng(100 * seed + ORACLE_KINDS[kind])
     q, k, v, mask = oracle_case(kind, rng)
     if kind == "large-logits":
@@ -452,7 +453,8 @@ def test_attention_matches_composed_oracle(kind, seed):
         assert 990.0 < logits.min() and logits.max() < 1010.0
     fused = T.attention(Tensor(q), Tensor(k), Tensor(v), mask)
     assert not fused.requires_grad and fused._parents == ()
-    np.testing.assert_array_equal(fused.data, composed_attention(Tensor(q), Tensor(k), Tensor(v), mask).data)
+    oracle = composed_attention(Tensor(q), Tensor(k), Tensor(v), mask).data
+    assert np.abs(fused.data - oracle).max() <= 1e-12 * np.abs(oracle).max()
     w = rng.normal(size=fused.shape)
     for flags in GRAD_SUBSETS:
         grads = []
@@ -534,9 +536,10 @@ def test_attention_query_rows_with_no_key_raise(batch, masked):
 
 
 def kept_probability_attention(q, k, v, mask=None):
-    """``attention`` as it was when its node kept the ``(..., n, m)``
-    probabilities for the backward: the bitwise oracle of the recomputing
-    node. Operand checks are left out; callers pass valid operands."""
+    """``attention`` as it was when its node kept the whole ``(..., n, m)``
+    probabilities for the backward: the oracle of the node that walks row
+    blocks and recomputes them. Operand checks are left out; callers pass
+    valid operands."""
     scale = 1.0 / np.sqrt(q.shape[-1])
     p = q.data @ np.swapaxes(k.data, -1, -2)
     p *= scale
@@ -579,7 +582,15 @@ def held_arrays(fn):
 
 
 def recompute_case(kind, rng):
-    """(q, k, v, mask) arrays for one case of the recompute oracle."""
+    """(q, k, v, mask) arrays for one case of the kept-probability oracle."""
+    if kind == "ragged-blocks":  # 54-row blocks of 600 keys: 54 + 54 + 22 query rows
+        return rng.normal(size=(4, 130, 16)), rng.normal(size=(4, 600, 16)), rng.normal(size=(4, 600, 16)), None
+    if kind == "dn-inside-a-block":  # 109-row blocks: rows 109-217 hold the last matching and the first DN rows
+        return (rng.normal(size=(300, 8)), rng.normal(size=(300, 8)), rng.normal(size=(300, 6)),
+                attention_mask(200, [20] * 5))
+    if kind == "one-row-blocks":
+        m = T._ATTN_BLOCK + 5
+        return rng.normal(size=(3, 4)), rng.normal(size=(m, 4)), rng.normal(size=(m, 2)), None
     if kind == "encoder":
         return tuple(rng.normal(size=(4, 64, 16)) for _ in range(3)) + (None,)
     if kind == "cross":  # decoder rows against a memory grid
@@ -590,16 +601,21 @@ def recompute_case(kind, rng):
     return rng.normal(size=(3, 0, 8)), rng.normal(size=(3, 7, 8)), rng.normal(size=(3, 7, 5)), None
 
 
-@pytest.mark.parametrize("kind", ["encoder", "cross", "masked-2d", "no-query-rows"])
-def test_attention_recompute_is_bitwise_the_kept_probability_node(kind):
-    """Recomputing each head's probabilities in the backward gives the kept-
-    probability node's values and gradients bitwise, for every subset of
-    operands needing grad. The node holds under half of one (n, m) float
-    block besides its output, and a second backward gives exactly twice the
-    gradients."""
+@pytest.mark.parametrize("kind", ["encoder", "cross", "masked-2d", "no-query-rows", "ragged-blocks",
+                                  "dn-inside-a-block", "one-row-blocks"])
+def test_attention_matches_the_kept_probability_node(kind):
+    """Walking row blocks and recomputing them in the backward gives the kept-
+    probability node's values and gradients to 1e-12 of the oracle's largest
+    magnitude, for every subset of operands needing grad. The node holds
+    under half of one (n, m) float block besides its output, and a second
+    backward gives exactly twice the gradients."""
     rng = np.random.default_rng(18)
     q, k, v, mask = recompute_case(kind, rng)
     n, m = q.shape[-2], k.shape[-2]
+    rows = max(1, T._ATTN_BLOCK // max(m, 1))  # query rows per block
+    if kind in ("ragged-blocks", "dn-inside-a-block", "one-row-blocks"):
+        assert rows < n
+    assert (kind != "ragged-blocks" or n % rows) and (kind != "one-row-blocks" or rows == 1)
     w = rng.normal(size=q.shape[:-1] + v.shape[-1:])
     for flags in GRAD_SUBSETS:
         runs = []
@@ -609,13 +625,14 @@ def test_attention_recompute_is_bitwise_the_kept_probability_node(kind):
             (out * w).sum().backward()
             runs.append((out, leaves))
         (out, leaves), (oracle, oracle_leaves) = runs
-        np.testing.assert_array_equal(out.data, oracle.data)
+        assert np.abs(out.data - oracle.data).max(initial=0.0) <= 1e-12 * np.abs(oracle.data).max(initial=0.0)
         for t, t_oracle, f in zip(leaves, oracle_leaves, flags):
             if f:
-                np.testing.assert_array_equal(t.grad, t_oracle.grad)
+                assert t.grad.shape == t_oracle.grad.shape
+                assert np.abs(t.grad - t_oracle.grad).max(initial=0.0) <= 1e-12 * np.abs(t_oracle.grad).max(initial=0.0)
             else:
                 assert t.grad is None and t_oracle.grad is None
-        held = sum(a.nbytes for a in held_arrays(out._backward) if a is not out.data)  # rowsum needs the output
+        held = sum(a.nbytes for a in held_arrays(out._backward) if a is not out.data)  # r needs the output
         assert held < 0.5 * n * m * 8 or n == 0
         needs = [t for t, f in zip(leaves, flags) if f]
         once = [t.grad.copy() for t in needs]
@@ -645,6 +662,26 @@ def test_attention_backward_works_one_block_at_a_time():
     assert all(t.grad is not None for t in (q, k, v))
     assert held < 0.5 * block_nbytes
     assert peak < 3 * block_nbytes
+
+
+def test_attention_peaks_under_half_a_block_when_rows_split_into_blocks():
+    """At 512 keys a block holds 64 query rows, so the forward and backward
+    together peak under half of one (n, m) float block: the backward's
+    recomputed rows, their logit gradient, the operands' gradients and the
+    output."""
+    rng = np.random.default_rng(19)
+    q, k, v = (Tensor(rng.normal(size=(1, 512, 4)), requires_grad=True) for _ in range(3))
+    w = rng.normal(size=(1, 512, 4))
+    assert T._ATTN_BLOCK // 512 < 512
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        (T.attention(q, k, v) * w).sum().backward()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(t.grad is not None for t in (q, k, v))
+    assert peak < 0.5 * 512 * 512 * 8
 
 
 def test_forward_deterministic_and_finite_on_bounded_inputs():
