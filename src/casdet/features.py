@@ -3,7 +3,12 @@
 Feature grids are tensors of shape (H', W', C). The backbone is a
 non-overlapping patch embedding; the encoder is a small pre-computed-position
 transformer over flattened cells; RoI pooling is channelwise max over a
-non-overlapping partition of the covered cell range.
+non-overlapping partition of the covered cell range. Each RoI bin is one
+gather from window-max tables, one table per bin extent up to the call's
+largest, each built from a smaller one with one ``np.maximum``. The backward
+rebuilds them as first-maximum indices, where the earlier half of a window
+wins a tie (``np.argmax``'s row-major rule); the RoI node keeps only each
+bin's table index.
 """
 
 from __future__ import annotations
@@ -128,17 +133,53 @@ def dense_fusion(enc: Tensor, backbone: Tensor, params: dict) -> Tensor:
 # RoI pooling ------------------------------------------------------------------
 
 
-_ROI_CHUNK = 32  # boxes per gather pass of roi_pool_batch
+_ROI_CHUNK = 32  # boxes per scatter pass of roi_pool_batch's backward
 
 
-def _bin_cells(lo: np.ndarray, hi: np.ndarray, n_cells: int, n_bins: int) -> np.ndarray:
-    """Cell indices (n, n_bins, K) of each box's bins along one axis; see roi_pool_batch."""
+def _bins(lo: np.ndarray, hi: np.ndarray, n_cells: int, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """First cell and extent, each (n, n_bins), of each box's bins along one axis; see roi_pool_batch."""
     c0 = np.clip(np.floor(lo), 0, n_cells - 1).astype(np.intp)
     c1 = np.clip(np.ceil(hi), c0 + 1, n_cells).astype(np.intp)
     bounds = (np.arange(n_bins + 1) * (c1 - c0)[:, None]) // n_bins
-    size = np.maximum(np.diff(bounds, axis=1), 1)
-    offsets = np.arange(size.max(initial=1))
-    return (c0[:, None] + bounds[:, :-1])[:, :, None] + np.minimum(offsets, size[:, :, None] - 1)
+    return c0[:, None] + bounds[:, :-1], np.maximum(np.diff(bounds, axis=1), 1)
+
+
+def _window_max(cells: np.ndarray, kr: int, kc: int, first_index: bool = False) -> np.ndarray:
+    """Window-max tables (kr, kc, h, w, c) of a grid ``cells`` (h, w, c).
+
+    Entry ``[a - 1, b - 1, r, q]`` is the channelwise max over rows
+    ``r .. r+a-1`` and columns ``q .. q+b-1``, set wherever that window fits
+    in the grid and unset elsewhere. Table ``(1, b)`` is the max of table
+    ``(1, b-1)`` and column ``q+b-1``; table ``(a, b)`` the max of table
+    ``(a-1, b)`` and row ``r+a-1`` of table ``(1, b)``: one ``np.maximum``
+    each. With ``first_index`` the tables hold instead the flat
+    ``(cell, channel)`` index of each window's first maximum in row-major
+    order (as ``np.argmax``): a later half takes over only where it is
+    strictly greater, so on a tie the earlier half, which holds the lower
+    indices, wins.
+    """
+    h, w, c = cells.shape
+    val = np.empty((kr, kc, h, w, c), dtype=cells.dtype)
+    val[0, 0] = cells
+    if first_index:
+        idx = np.empty(val.shape, dtype=np.min_scalar_type(-h * w * c))  # signed: idx[late] - idx[early] cannot wrap
+        idx[0, 0] = np.arange(h * w * c).reshape(h, w, c)
+
+    def merge(dst, early, late):
+        if first_index:  # np.where without its per-element branch, which mispredicts on random data
+            np.add(idx[early], (val[late] > val[early]) * (idx[late] - idx[early]), out=idx[dst])
+        np.maximum(val[early], val[late], out=val[dst])
+
+    every = slice(None)
+    for b in range(1, kc):
+        cols = slice(None, w - b)
+        merge((0, b, every, cols), (0, b - 1, every, cols), (0, 0, every, slice(b, None)))
+    for a in range(1, kr):
+        rows = slice(None, h - a)
+        for b in range(kc):
+            cols = slice(None, w - b)
+            merge((a, b, rows, cols), (a - 1, b, rows, cols), (0, b, slice(a, None), cols))
+    return idx if first_index else val
 
 
 def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7, 7)) -> Tensor:
@@ -150,10 +191,17 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
     cells ``[floor(lo), ceil(hi))``, at least one; this range of ``span`` cells
     is cut into contiguous bins at ``k*span // n_bins``. A bin left empty by a
     small box takes its boundary cell, so tiny boxes replicate their one cell.
-    Gradients flow to the cell that supplied each bin maximum, the first in
-    row-major order among equal maxima (as ``np.argmax``), and are summed in
-    (box, bin, channel) order; box coordinates are constants of the op. Boxes
-    go in chunks of ``_ROI_CHUNK``, which bounds each temporary to
+
+    Each bin is a window of ``kr x kc`` cells, at most the call's largest
+    extents ``K_r x K_c``. The forward builds the ``K_r * K_c`` window-max
+    tables of the grid (``_window_max``) and takes every bin from them with
+    one ``np.take``, indexed by the bin's first cell and its own extent; the
+    node keeps only that ``(n, H_roi, W_roi)`` table index. The backward
+    rebuilds the tables as first-maximum indices: gradients flow to the cell
+    that supplied each bin maximum, the first in row-major order among equal
+    maxima (as ``np.argmax``), and are summed with ``np.add.at`` in (box, bin,
+    channel) order; box coordinates are constants of the op. The backward
+    scatters ``_ROI_CHUNK`` boxes at a time, which bounds its index to
     ``_ROI_CHUNK * H_roi * W_roi * C`` values. NaN or inf in the grid or the
     boxes raise ``FloatingPointError``.
     """
@@ -161,33 +209,22 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
     if not (np.isfinite(grid.data).all() and np.isfinite(boxes).all()):
         raise FloatingPointError("roi_pool_batch: the grid or the boxes hold NaN or inf")
     hb, wb = out_hw
-    h, w, c = grid.shape
+    cells = grid.data
+    h, w, c = cells.shape
     x0, y0, x1, y1 = np.clip(box_cxcywh_to_xyxy(boxes), 0.0, 1.0).T
-    rows = _bin_cells(y0 * h, y1 * h, h, hb)
-    cols = _bin_cells(x0 * w, x1 * w, w, wb)
-    offsets = [(jr, jc) for jr in range(rows.shape[2]) for jc in range(cols.shape[2])]  # row-major
-    chunks = [slice(i, i + _ROI_CHUNK) for i in range(0, len(boxes), _ROI_CHUNK)]
-    cells = grid.data.reshape(h * w, c)
-
-    def gather(s: slice, jr: int, jc: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat cell index (b, hb, wb) and values (b, hb, wb, C) at one offset into each bin."""
-        flat = rows[s, :, jr, None] * w + cols[s, None, :, jc]
-        return flat, np.take(cells, flat, axis=0)
-
-    out = np.full((len(boxes), hb, wb, c), -np.inf)
-    for s in chunks:
-        for jr, jc in offsets:
-            np.maximum(out[s], gather(s, jr, jc)[1], out=out[s])
+    r0, kr = _bins(y0 * h, y1 * h, h, hb)
+    q0, kc = _bins(x0 * w, x1 * w, w, wb)
+    n_kr, n_kc = int(kr.max(initial=1)), int(kc.max(initial=1))
+    table = ((kr - 1) * n_kc)[:, :, None] + (kc - 1)[:, None, :]
+    at = table * (h * w) + (r0 * w)[:, :, None] + q0[:, None, :]  # (n, hb, wb) rows of the stacked tables
+    out = np.take(_window_max(cells, n_kr, n_kc).reshape(-1, c), at, axis=0)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
+        first = _window_max(cells, n_kr, n_kc, first_index=True).reshape(-1, c)
         buf = np.zeros(h * w * c)
-        for s in chunks:
-            win = np.empty(out[s].shape, dtype=np.intp)  # all set: each maximum is a gathered value
-            for jr, jc in reversed(offsets):  # the first maximum in row-major order is written last
-                flat, vals = gather(s, jr, jc)
-                np.copyto(win, flat[..., None] * c, where=vals == out[s])
-            win += np.arange(c)
-            np.add.at(buf, win.ravel(), g[s].ravel())
+        for i in range(0, len(at), _ROI_CHUNK):
+            s = slice(i, i + _ROI_CHUNK)
+            np.add.at(buf, np.take(first, at[s], axis=0).ravel(), g[s].ravel())
         return (buf.reshape(h, w, c),)
 
     return custom_op(out, (grid,), backward)

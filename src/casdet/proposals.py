@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import box_cxcywh_to_xyxy, iou_xyxy, jitter_box
+from .geom import as_boxes, box_cxcywh_to_xyxy, iou_xyxy, jitter_box
 
 
 @dataclass(slots=True)  # no per-instance __dict__: a fixture holds thousands of these
@@ -64,7 +64,8 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
     Each GT box yields a jittered copy with probability ``gt_hit_rate``
     (corner jitter N(0, jitter_sigma * side)), then ``distractor_count``
     random background boxes are appended, ``target_count`` at most. With
-    neither hits nor distractors the scene gets no proposals.
+    neither hits nor distractors the scene gets no proposals. ``gt_boxes`` is
+    (n, 4), one (4,) box or empty; any other shape raises ``ValueError``.
 
     Random-stream contract: for each GT box in order, one ``rng.random()``
     and, on a hit, one ``rng.standard_normal(4)``; then one
@@ -73,7 +74,7 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
     ``target_count`` cuts them off, so the generator's next state depends
     only on the GT count, the hits and ``distractor_count``.
     """
-    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    gt_boxes = as_boxes(gt_boxes, "emulate_proposals")
     hit: list[bool] = []
     noise: list[np.ndarray] = []
     for _ in range(gt_boxes.shape[0]):
@@ -87,8 +88,9 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
 
 def proposal_recall(props: list[Proposal], gts: np.ndarray, iou_thr: float) -> float:
     """Fraction of GT boxes covered by some proposal at IoU >= iou_thr; with no proposals each best IoU is 0.
-    A scene with no GT boxes gives ``nan``, without a warning, so that a mean over scenes can skip it."""
-    gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
+    A scene with no GT boxes gives ``nan``, without a warning, so that a mean over scenes can skip it.
+    ``gts`` is (n, 4), one (4,) box or empty; any other shape raises ``ValueError``."""
+    gts = as_boxes(gts, "proposal_recall")
     if gts.shape[0] == 0:
         return math.nan
     pb = box_cxcywh_to_xyxy(np.array([p.box for p in props], dtype=np.float64).reshape(-1, 4))

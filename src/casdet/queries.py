@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import neck, roi_pool_batch
-from .geom import box_cxcywh_to_xyxy, box_xyxy_to_cxcywh, clamp_box_xyxy
+from .geom import as_boxes, box_cxcywh_to_xyxy, box_xyxy_to_cxcywh, clamp_box_xyxy
 from .proposals import Proposal
 from .tensor import Tensor
 
@@ -73,8 +73,10 @@ def make_dn_queries(
     clamped to valid boxes. Contents are pooled from the noisy boxes.
     Query j of every group corresponds to GT j. With no GT the branch is
     empty: ``(groups, 0, 4)`` anchors and ``(groups, 0, d)`` contents.
+    ``gt_boxes`` is (n, 4), one (4,) box or empty; any other shape raises
+    ``ValueError``.
     """
-    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    gt_boxes = as_boxes(gt_boxes, "make_dn_queries")
     n = gt_boxes.shape[0]
     lam = cfg.box_noise
     g = cfg.groups

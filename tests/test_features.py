@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,7 +285,32 @@ def brute_force_roi_grad(data, boxes, g, out_hw):
     return buf
 
 
+def bin_extents(span, n_bins):
+    """Set of bin extents along one axis of a box that covers ``span`` cells."""
+    return {max((k + 1) * span // n_bins - k * span // n_bins, 1) for k in range(n_bins)}
+
+
+def mixed_extents_case(rng):
+    """A 24x24 grid of rounded values at 7x7 bins, with boxes from one cell to
+    the whole grid: between them, the boxes' bins take every extent from 1x1
+    to 4x4."""
+    n, c = 40, int(rng.integers(1, 5))
+    spans = rng.integers(1, 25, (n, 2))
+    spans[:16] = np.array(np.meshgrid([1, 10, 17, 24], [1, 10, 17, 24])).reshape(2, -1).T
+    first = rng.integers(0, 25 - spans)
+    lo, hi = (first + 0.25) / 24, (first + spans - 0.25) / 24  # inside the first and last cell
+    boxes = np.column_stack([(lo + hi)[:, ::-1] / 2, (hi - lo)[:, ::-1]])  # spans are (rows, cols)
+    pairs = {(a, b) for sr, sc in spans for a in bin_extents(sr, 7) for b in bin_extents(sc, 7)}
+    assert pairs == {(a, b) for a in range(1, 5) for b in range(1, 5)}
+    return np.round(rng.normal(size=(24, 24, c))), boxes, (7, 7)
+
+
 def random_roi_case(rng, kind, case):
+    if kind == "mixed_extents":
+        return mixed_extents_case(rng)
+    if kind == "index_width":  # 2**15 values, the most whose first-maximum indices fit int16, then one channel more
+        boxes = np.column_stack([rng.uniform(0.1, 0.9, (6, 2)), rng.uniform(0.02, 1.2, (6, 2))])
+        return np.round(rng.normal(size=(8, 8, 512 + case % 2))), boxes, (3, 3)
     h, w, c = rng.integers(1, 13), rng.integers(1, 13), rng.integers(1, 5)
     data = rng.normal(size=(h, w, c))
     n = 2 * _ROI_CHUNK + 5 if kind == "batch_over_chunk" else rng.integers(1, 10)
@@ -301,10 +327,11 @@ def random_roi_case(rng, kind, case):
     return data, boxes, out_hw
 
 
-@pytest.mark.parametrize("kind", ["ties", "partly_outside", "zero_width", "wider_than_grid", "batch_over_chunk"])
+@pytest.mark.parametrize("kind", ["ties", "partly_outside", "zero_width", "wider_than_grid", "batch_over_chunk",
+                                  "mixed_extents", "index_width"])
 def test_roi_values_and_grad_bitwise_equal_brute_force(kind):
     rng = np.random.default_rng(16)
-    for case in range(12 if kind == "batch_over_chunk" else 40):
+    for case in range({"batch_over_chunk": 12, "mixed_extents": 6, "index_width": 4}.get(kind, 40)):
         data, boxes, out_hw = random_roi_case(rng, kind, case)
         grid = Tensor(data.copy(), requires_grad=True)
         out = roi_pool_batch(grid, boxes, out_hw)
@@ -313,6 +340,28 @@ def test_roi_values_and_grad_bitwise_equal_brute_force(kind):
         expected = np.stack([brute_force_roi(data, box, out_hw) for box in boxes])
         assert np.array_equal(out.data, expected), (kind, case)
         assert np.array_equal(grid.grad, brute_force_roi_grad(data, boxes, g, out_hw)), (kind, case)
+
+
+def test_roi_forward_and_backward_peak_within_a_fifth_above_the_output():
+    """300 boxes at train-dense shapes: a 7.5 MB output, 0.5 MB of window
+    tables (2x2 at most for these boxes), 0.13 MB of int16 first-maximum
+    indices in the backward and a 0.2 MB scatter index per chunk of boxes.
+    An index over the whole batch would be another 1.9 MB and break the
+    bound."""
+    rng = np.random.default_rng(20)
+    grid = Tensor(rng.normal(size=(16, 16, 64)), requires_grad=True)
+    boxes = np.column_stack([rng.uniform(0.1, 0.9, (300, 2)), rng.uniform(0.02, 0.8, (300, 2))])
+    g = rng.normal(size=(300, 7, 7, 64))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = roi_pool_batch(grid, boxes)
+        (grid_grad,) = out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert grid_grad.shape == grid.shape and grid_grad.any()
+    assert peak < 1.2 * out.data.nbytes
 
 
 def test_roi_zero_boxes_give_empty_output_and_zero_grad():

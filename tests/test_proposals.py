@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -206,6 +207,32 @@ def test_emulator_matches_per_box_oracle_bitwise_and_leaves_rng_in_step():
         seen["no_distractors"] += distractors == 0
         seen["sigma_0.3"] += sigma == 0.3
     assert all(v >= 20 for v in seen.values()), seen
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2)])
+def test_emulator_rejects_gt_boxes_that_are_not_n_by_4(shape):
+    """A (2, 8) GT array used to be read as 4 boxes and emulated without an
+    error."""
+    cfg = EmulatorConfig(gt_hit_rate=1.0, distractor_count=2)
+    with pytest.raises(ValueError, match=r"emulate_proposals: .*got shape " + re.escape(str(shape))):
+        emulate_proposals(np.full(shape, 0.3), cfg, np.random.default_rng(0))
+    box = [0.5, 0.5, 0.3, 0.3]
+    rng_flat, rng_rows = np.random.default_rng(1), np.random.default_rng(1)
+    flat, rows = emulate_proposals(box, cfg, rng_flat), emulate_proposals([box], cfg, rng_rows)
+    assert len(flat) == 3 and all(np.array_equal(a.box, b.box) for a, b in zip(flat, rows))
+    assert rng_flat.random() == rng_rows.random()
+    assert len(emulate_proposals([], cfg, np.random.default_rng(2))) == 2
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2)])
+def test_recall_rejects_gt_boxes_that_are_not_n_by_4(shape):
+    """A (2, 8) GT array used to be read as 4 boxes, so a proposal on each
+    gave recall 1.0 without an error."""
+    props = [Proposal(np.full(4, 0.3))]
+    with pytest.raises(ValueError, match=r"proposal_recall: .*got shape " + re.escape(str(shape))):
+        proposal_recall(props, np.full(shape, 0.3), 0.5)
+    assert proposal_recall(props, [0.3, 0.3, 0.3, 0.3], 0.5) == 1.0
+    assert math.isnan(proposal_recall(props, [], 0.5))
 
 
 def test_emulated_boxes_do_not_share_memory():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -134,6 +136,22 @@ def test_dn_queries_with_no_gt_are_an_empty_branch():
                                         params, rng)
     assert anchors.shape == (5, 0, 4)
     assert contents.shape == (5, 0, 6)
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2)])
+def test_dn_queries_reject_gt_boxes_that_are_not_n_by_4(shape):
+    """A (2, 8) GT array used to be read as 4 boxes and gave (g, 4, 4) DN
+    anchors without an error."""
+    rng = np.random.default_rng(7)
+    params = neck_params(rng)
+    grid = Tensor(rng.normal(size=(8, 8, 4)))
+    cfg = DnConfig(groups=2)
+    with pytest.raises(ValueError, match=r"make_dn_queries: .*got shape " + re.escape(str(shape))):
+        make_dn_queries(np.full(shape, 0.3), cfg, grid, params, rng)
+    anchors, contents = make_dn_queries([0.5, 0.5, 0.3, 0.3], cfg, grid, params, rng)
+    assert anchors.shape == (2, 1, 4) and contents.shape == (2, 1, 6)
+    anchors, contents = make_dn_queries([], cfg, grid, params, rng)
+    assert anchors.shape == (2, 0, 4) and contents.shape == (2, 0, 6)
 
 
 def test_dn_zero_noise_reproduces_gt():
