@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import as_boxes, box_cxcywh_to_xyxy, iou_xyxy
-from .tensor import Tensor, np_sigmoid
+from .tensor import ShapeError, Tensor, np_sigmoid
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,17 @@ def layer_dn_weights(dn_pred_boxes: np.ndarray, gt_boxes: np.ndarray, theta_l: f
 
     ``dn_pred_boxes`` is (..., n_gt, 4) center/size; query j pairs with GT j
     (identity correspondence, no matching). Returns weights of shape (...,
-    n_gt), empty for no GT. ``gt_boxes`` is ``(n_gt, 4)``, one ``(4,)`` box
-    or empty; any other shape raises ``ValueError``. Non-finite boxes raise
+    n_gt), empty for no GT. Predictions of any other shape raise
+    ``ValueError``; ``gt_boxes`` is ``(n_gt, 4)``, one ``(4,)`` box or empty,
+    and any other shape raises ``ValueError`` too. Non-finite boxes raise
     ``FloatingPointError``; a non-finite ``theta_l``, or a ``tau`` that is not
     finite and positive, raises ``ValueError``.
     """
     if not (np.isfinite(theta_l) and 0.0 < tau < np.inf):
         raise ValueError(f"layer_dn_weights: need finite theta_l and finite tau > 0, got {theta_l}, {tau}")
     dn_pred_boxes = np.asarray(dn_pred_boxes, dtype=np.float64)
+    if dn_pred_boxes.ndim < 2 or dn_pred_boxes.shape[-1] != 4:
+        raise ValueError(f"layer_dn_weights: predictions must be (..., n_gt, 4); got shape {dn_pred_boxes.shape}")
     gt_boxes = as_boxes(gt_boxes, "layer_dn_weights")
     if not (np.isfinite(dn_pred_boxes).all() and np.isfinite(gt_boxes).all()):
         raise FloatingPointError("layer_dn_weights: the predicted or GT boxes hold NaN or inf")
@@ -74,6 +77,10 @@ def layer_dn_weights(dn_pred_boxes: np.ndarray, gt_boxes: np.ndarray, theta_l: f
 
 def modulate(feature: Tensor, omega) -> Tensor:
     """Scale features by omega, one weight per query (shape ``feature.shape[:-1]``)
-    or a scalar; omega is detached from the graph.
+    or a scalar; omega is detached from the graph. An omega of any other
+    shape, even one that would broadcast, raises ShapeError.
     """
-    return feature * Tensor(np.asarray(omega, dtype=np.float64)[..., None])
+    omega = np.asarray(omega, dtype=np.float64)
+    if omega.shape not in ((), feature.shape[:-1]):
+        raise ShapeError(f"modulate: omega must be () or {feature.shape[:-1]}; got shape {omega.shape}")
+    return feature * Tensor(omega[..., None])

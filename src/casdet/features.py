@@ -52,27 +52,14 @@ def init_mha(params: dict, rng: np.random.Generator, name: str, d_model: int) ->
 
 def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, params: dict, name: str,
                          n_heads: int) -> Tensor:
-    """Projected multi-head attention.
-
-    Inputs are (..., n, d_model) with the same leading batch axes, which are
-    carried through all heads.
-    """
-    d_model = q_in.shape[-1]
-    if d_model % n_heads != 0:
-        raise ShapeError(f"d_model {d_model} not divisible by n_heads {n_heads}")
-    dh = d_model // n_heads
-
-    def split(x: Tensor) -> Tensor:
-        n = x.shape[-2]
-        return x.reshape(x.shape[:-2] + (n, n_heads, dh)).swapaxes(-2, -3)  # (..., h, n, dh)
-
-    q = split(linear(q_in, params, f"{name}.q"))
-    k = split(linear(k_in, params, f"{name}.k"))
-    v = split(linear(v_in, params, f"{name}.v"))
-    att = T.attention(q, k, v)  # (..., h, n, dh)
-    n = att.shape[-2]
-    merged = att.swapaxes(-2, -3).reshape(att.shape[:-3] + (n, d_model))
-    return linear(merged, params, f"{name}.o")
+    """Projected multi-head attention of ``(n, d_model)`` queries on ``(m, d_model)``
+    keys and values. Head i attends with, and writes, columns ``i*dh:(i+1)*dh``
+    of the projections, ``dh = d_model // n_heads`` (``T.attention``'s column
+    layout); an ``n_heads`` that does not divide ``d_model`` raises ShapeError."""
+    q = linear(q_in, params, f"{name}.q")
+    k = linear(k_in, params, f"{name}.k")
+    v = linear(v_in, params, f"{name}.v")
+    return linear(T.attention(q, k, v, heads=n_heads), params, f"{name}.o")
 
 
 def init_ffn(params: dict, rng: np.random.Generator, name: str, d_model: int, hidden: int) -> None:

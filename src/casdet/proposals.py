@@ -89,11 +89,12 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
 def proposal_recall(props: list[Proposal], gts: np.ndarray, iou_thr: float) -> float:
     """Fraction of GT boxes covered by some proposal at IoU >= iou_thr; with no proposals each best IoU is 0.
     A scene with no GT boxes gives ``nan``, without a warning, so that a mean over scenes can skip it.
-    ``gts`` is (n, 4), one (4,) box or empty; any other shape raises ``ValueError``."""
+    ``gts`` is (n, 4), one (4,) box or empty, and each proposal's box (4,); any other shape raises
+    ``ValueError``."""
     gts = as_boxes(gts, "proposal_recall")
     if gts.shape[0] == 0:
         return math.nan
-    pb = box_cxcywh_to_xyxy(np.array([p.box for p in props], dtype=np.float64).reshape(-1, 4))
+    pb = box_cxcywh_to_xyxy(as_boxes(np.array([p.box for p in props], dtype=np.float64), "proposal_recall"))
     gb = box_cxcywh_to_xyxy(gts)
     best = iou_xyxy(pb[:, None], gb[None]).max(axis=0, initial=0.0)
     return float((best >= iou_thr).mean())
@@ -106,13 +107,20 @@ def save_proposals(path, by_scene: dict[int, list[Proposal]]) -> None:
     with every float written as its ``repr`` so that ``load_proposals``
     reads it back bitwise. The first line is a ``#`` comment naming the
     fields. A scene with zero proposals writes no line, so it is absent from
-    what ``load_proposals`` returns.
+    what ``load_proposals`` returns. A box that is not ``(4,)`` or that it would
+    reject raises ``ValueError`` naming its scene, before the file is opened.
     """
+    boxes = {}
+    for scene_id in sorted(by_scene):
+        b = as_boxes(np.array([p.box for p in by_scene[scene_id]], dtype=np.float64), f"save_proposals, scene {scene_id}")
+        if not (np.isfinite(b).all() and (b[:, 2:] > 0).all()):
+            raise ValueError(f"save_proposals, scene {scene_id}: a box has a non-finite coordinate or w or h <= 0")
+        boxes[scene_id] = b.tolist()
+
     def lines():
         yield "# scene_id cx cy w h [score]\n"
-        for scene_id in sorted(by_scene):
-            props = by_scene[scene_id]
-            for p, (cx, cy, w, h) in zip(props, np.array([p.box for p in props], dtype=np.float64).tolist()):
+        for scene_id, rows in boxes.items():
+            for p, (cx, cy, w, h) in zip(by_scene[scene_id], rows):
                 score = "" if p.score is None else f" {float(p.score)!r}"
                 yield f"{scene_id} {cx!r} {cy!r} {w!r} {h!r}{score}\n"
 

@@ -52,9 +52,9 @@ def init_matching_queries(props: list[Proposal], grid: Tensor, params: dict) -> 
 
     Zero proposals give ``(0, 4)`` anchors and ``(0, d)`` contents: the scene
     has no matching rows and so no detections, and its GT boxes count toward
-    recall as missed.
+    recall as missed. A proposal box that is not ``(4,)`` raises ``ValueError``.
     """
-    anchors = np.array([p.box for p in props], dtype=np.float64).reshape(-1, 4)
+    anchors = as_boxes(np.array([p.box for p in props], dtype=np.float64), "init_matching_queries")
     contents = neck(roi_pool_batch(grid, anchors), params)
     return anchors, contents
 

@@ -19,15 +19,13 @@ without a copy, and later ones are summed out of place. Leaves (tensors with
 no backward, such as parameters) keep ``.grad`` as their own copy; interior
 nodes drop theirs as soon as their backward has run.
 
-``attention`` keeps q, k and v plus each query row's softmax max and sum, and
-no probabilities: its forward and backward walk each head in blocks of query
-rows small enough to stay in a core's L2 cache, the forward normalises the
-output once, after the value matmul, and the backward recomputes each block,
-so the operands' ``.data`` must not change between the forward and the
-backward. Its values and gradients are within 1e-12 relative of the form that
-keeps whole probability matrices, not bitwise equal to it. Elementwise ops
-broadcast like numpy, and ``matmul`` follows numpy's stacked-matrix rules.
-Only what the detector needs is implemented.
+``attention`` takes 2-D operands with its heads side by side in the columns,
+as in FlashAttention's ``(tokens, heads, head_dim)``, and keeps no
+probabilities: it walks each head in blocks of query rows small enough to
+stay in a core's L2 cache, works in contiguous per-head buffers, and its
+backward recomputes each block from the operands' unchanged ``.data``.
+Elementwise ops broadcast like numpy, and ``matmul`` follows numpy's
+stacked-matrix rules. Only what the detector needs is implemented.
 """
 
 from __future__ import annotations
@@ -130,9 +128,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def swapaxes(self, a: int, b: int):
-        return swapaxes(self, a, b)
 
 
 def as_tensor(x) -> Tensor:
@@ -335,11 +330,6 @@ def reshape(a, shape) -> Tensor:
     return custom_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
-def swapaxes(a, ax0: int, ax1: int) -> Tensor:
-    a = as_tensor(a)
-    return custom_op(np.swapaxes(a.data, ax0, ax1), (a,), lambda g: (np.swapaxes(g, ax0, ax1),))
-
-
 def take(a, key) -> Tensor:
     """Index/slice a tensor; the backward pass scatter-adds into place."""
     a = as_tensor(a)
@@ -383,52 +373,48 @@ def layer_norm(a, gamma, beta) -> Tensor:
 _ATTN_BLOCK = 32768  # float64 logits per block of query rows in attention (256 KiB, within a core's L2)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention: ``q (..., n, d)``, ``k (..., m, d)``,
-    ``v (..., m, dv)``, with the same leading batch axes.
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *, heads: int = 1) -> Tensor:
+    """Scaled dot-product attention, ``heads`` heads side by side in the columns.
 
-    ``mask`` is an optional boolean ``(n, m)`` array (True = may attend) that
-    broadcasts over the batch axes. Masked logits are set to ``-inf`` before
-    the softmax, so masked keys get exactly zero weight however large their
-    logits are, and the gradient of a masked logit is exactly zero. A mask
-    whose shape is not ``(n, m)`` raises ShapeError; a row with no allowed key
-    raises MaskError, signalling a malformed isolation mask, and so do query
-    rows when k has no rows. q with no rows gives a ``(..., 0, dv)`` output.
-    NaN or inf in q, k or v raise FloatingPointError.
+    ``q (n, heads*d)``, ``k (m, heads*d)`` and ``v (m, heads*dv)`` give an
+    ``(n, heads*dv)`` output; head i reads columns ``i*d:(i+1)*d`` of q and k,
+    and ``i*dv:(i+1)*dv`` of v and the output. ``mask`` is an optional boolean
+    ``(n, m)`` array (True = may attend) shared by the heads: masked logits are
+    ``-inf`` before the softmax, so masked keys get exactly zero weight and
+    gradient however large their logits are. Operands that are not 2-D with
+    matching widths and key counts, a ``heads`` that is not a positive divisor
+    of both widths, or a mask that is not ``(n, m)`` raise ShapeError; a query
+    row with no allowed key (a malformed isolation mask, or no k rows) raises
+    MaskError; NaN or inf in q, k or v raise FloatingPointError.
 
-    Operands that are not ``(..., n, d)``, ``(..., m, d)`` and ``(..., m, dv)``
-    with equal batch axes raise ShapeError.
-
-    The whole call is one ``custom_op`` node with parents ``(q, k, v)``; it
-    keeps q, k, v, the output, each query row's softmax max and sum and the
-    inverted mask, and no probabilities. Forward and backward walk each head
-    in blocks of ``max(1, _ATTN_BLOCK // m)`` query rows, so that every
-    elementwise pass over a block's logits runs in a core's L2 cache. A block
-    holds ``exp(logit - row max)`` of its rows, with the scale applied to q's
-    rows before the matmul, and its product with v goes into the output
-    unnormalised; the output is divided by the row sums once, after the loop,
-    as in FlashAttention (Dao et al., 2022). The backward recomputes each
-    block with the same ops from the stored row max, so the operands'
-    ``.data`` must not change between the forward and the backward. With
-    ``gn = dout / row sum`` and ``r = rowsum(gn * out)``, a block's logit
-    gradient is ``e * (gn @ v^T - r)``, so the softmax gradient needs no
-    probabilities and masked entries need no mask, since ``e`` is exactly 0
-    there; the scale is applied to dq and dk once, after the loop. The
-    matmuls run on row blocks and the normalisation moves after the value
-    matmul, so values and gradients are within 1e-12 relative (about 1e-15
-    in practice) of the form that keeps whole ``(n, m)`` probabilities, and
-    not bitwise equal to it.
+    The call is one ``custom_op`` node with parents ``(q, k, v)``. It keeps the
+    output, each row's softmax max and sum per head and the inverted mask,
+    and no probabilities. Forward and backward walk each head in blocks of
+    ``max(1, _ATTN_BLOCK // m)`` query rows, so each pass over a block's
+    logits stays in L2. A block holds ``exp(logit - row max)``, q's rows
+    scaled before the matmul; its product with v is divided by the row sums
+    once, after the loop, as in FlashAttention (Dao et al., 2022). Output and
+    gradients are built in contiguous ``(heads, rows, width)`` buffers, each
+    turned into columns by one transpose copy (none for one head). The
+    backward recomputes each block from the row max and the operands'
+    ``.data``, which must not change in between. With ``gn = dout / row sum``
+    and ``r = rowsum(gn * out)``, a block's logit gradient is ``e * (gn @ v^T
+    - r)``, which needs no mask since ``e`` is 0 where masked. Values and
+    gradients are within 1e-12 relative (about 1e-15 in practice) of the form
+    that keeps whole ``(n, m)`` probabilities.
     """
-    if (min(q.ndim, k.ndim, v.ndim) < 2 or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
-            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
-        raise ShapeError(f"attention needs q (..., n, d), k (..., m, d), v (..., m, dv); "
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+        raise ShapeError(f"attention needs q (n, heads*d), k (m, heads*d), v (m, heads*dv); "
                          f"got {q.shape}, {k.shape}, {v.shape}")
+    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
+        raise ShapeError(f"attention: {heads} heads do not divide the widths {q.shape[1]} and {v.shape[1]}")
     if not (np.isfinite(q.data).all() and np.isfinite(k.data).all() and np.isfinite(v.data).all()):
         raise FloatingPointError("attention: q, k or v hold NaN or inf")
-    heads, n, m = q.shape[:-2], q.shape[-2], k.shape[-2]
+    n, m = q.shape[0], k.shape[0]
+    hd, hv = q.shape[1] // heads, v.shape[1] // heads  # each head's columns of q and k, and of v
     if m == 0 < n:
         raise MaskError(f"attention: {n} query rows and no key to attend to")
-    scale = 1.0 / math.sqrt(q.shape[-1])
+    scale = 1.0 / math.sqrt(hd)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n, m):
@@ -439,47 +425,57 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     hidden = None if mask is None else ~mask  # True where a logit is masked out
     rows = max(1, _ATTN_BLOCK // max(m, 1))
     spans = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-    row_max, row_sum = np.empty(heads + (n, 1)), np.empty(heads + (n, 1))
+    qk_cols = [slice(i * hd, (i + 1) * hd) for i in range(heads)]
+    v_cols = [slice(i * hv, (i + 1) * hv) for i in range(heads)]
+    row_max, row_sum = np.empty((heads, n, 1)), np.empty((heads, n, 1))
 
     def exp_logits(i, lo, hi, e, first):
         """Head i's exp(logit - row max) of query rows lo:hi, into e; the
         first call per block stores the rows' max and sum."""
-        np.matmul(q.data[i][lo:hi] * scale, k.data[i].T, out=e)
+        np.matmul(q.data[lo:hi, qk_cols[i]] * scale, k.data[:, qk_cols[i]].T, out=e)
         if hidden is not None:
             np.copyto(e, -np.inf, where=hidden[lo:hi])
         if first:  # initial: a (rows, 0) block (no key) reduces too
-            np.max(e, axis=-1, keepdims=True, initial=-np.inf, out=row_max[i][lo:hi])
-        e -= row_max[i][lo:hi]
+            np.max(e, axis=-1, keepdims=True, initial=-np.inf, out=row_max[i, lo:hi])
+        e -= row_max[i, lo:hi]
         np.exp(e, out=e)
         if first:
-            np.sum(e, axis=-1, keepdims=True, out=row_sum[i][lo:hi])
+            np.sum(e, axis=-1, keepdims=True, out=row_sum[i, lo:hi])
         return e
 
-    y, block = np.empty(heads + (n, v.shape[-1])), np.empty((min(rows, n), m))
-    for i in np.ndindex(heads):
+    y, block = np.empty((heads, n, hv)), np.empty((min(rows, n), m))
+    for i in range(heads):
         for lo, hi in spans:
-            np.matmul(exp_logits(i, lo, hi, block[:hi - lo], True), v.data[i], out=y[i][lo:hi])
+            np.matmul(exp_logits(i, lo, hi, block[:hi - lo], True), v.data[:, v_cols[i]], out=y[i, lo:hi])
     y /= row_sum
+    out = _merge_heads(y)
 
     def backward(g):
-        gn = g / row_sum
-        r = (gn * y).sum(axis=-1, keepdims=True)
-        dq, dk, dv = np.empty(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+        gn = np.empty((heads, n, hv))
+        np.divide(g.reshape(n, heads, hv).transpose(1, 0, 2), row_sum, out=gn)
+        r = (gn * out.reshape(n, heads, hv).transpose(1, 0, 2)).sum(axis=-1, keepdims=True)
+        dq, dk, dv = np.empty((heads, n, hd)), np.zeros((heads, m, hd)), np.zeros((heads, m, hv))
         e_block, ds_block = np.empty((min(rows, n), m)), np.empty((min(rows, n), m))
-        for i in np.ndindex(heads):
+        for i in range(heads):
             for lo, hi in spans:
                 e, ds = exp_logits(i, lo, hi, e_block[:hi - lo], False), ds_block[:hi - lo]
-                dv[i] += e.T @ gn[i][lo:hi]
-                np.matmul(gn[i][lo:hi], v.data[i].T, out=ds)
-                ds -= r[i][lo:hi]
+                dv[i] += e.T @ gn[i, lo:hi]
+                np.matmul(gn[i, lo:hi], v.data[:, v_cols[i]].T, out=ds)
+                ds -= r[i, lo:hi]
                 ds *= e
-                np.matmul(ds, k.data[i], out=dq[i][lo:hi])
-                dk[i] += ds.T @ q.data[i][lo:hi]
+                np.matmul(ds, k.data[:, qk_cols[i]], out=dq[i, lo:hi])
+                dk[i] += ds.T @ q.data[lo:hi, qk_cols[i]]
         dq *= scale
         dk *= scale
-        return dq, dk, dv
+        return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 
-    return custom_op(y, (q, k, v), backward)
+    return custom_op(out, (q, k, v), backward)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """A ``(heads, rows, width)`` array as ``(rows, heads*width)``: a transposed
+    copy, or a view for one head."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * a.shape[2])
 
 
 GRAD_CHECK_EPS = 1e-5  # the step of grad_check's central differences

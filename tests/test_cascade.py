@@ -5,7 +5,7 @@ import pytest
 
 from casdet import tensor as T
 from casdet.cascade import CascadeConfig, dn_weight, layer_dn_weights, modulate, threshold_schedule
-from casdet.tensor import Tensor
+from casdet.tensor import ShapeError, Tensor
 
 
 def sigma(x):
@@ -123,6 +123,17 @@ def test_layer_dn_weights_rejects_gt_boxes_that_are_not_n_by_4(gt_shape):
     assert layer_dn_weights(pred[:, :0], [], 0.3, 0.1).shape == (2, 0)
 
 
+@pytest.mark.parametrize("pred_shape", [(3, 2, 3), (4,), (2, 5), (2, 2, 4, 1)])
+def test_layer_dn_weights_rejects_predictions_that_are_not_n_gt_by_4(pred_shape):
+    """(3, 2, 3) predictions used to give (3, 2) weights without an error, a
+    (4,) one an IndexError and a (2, 5) one numpy's broadcast error."""
+    gts = np.full((2, 4), 0.3)
+    with pytest.raises(ValueError, match=r"layer_dn_weights: .*got shape " + re.escape(str(pred_shape))):
+        layer_dn_weights(np.full(pred_shape, 0.3), gts, 0.3, 0.1)
+    assert layer_dn_weights(np.full((3, 2, 4), 0.3), gts, 0.3, 0.1).shape == (3, 2)
+    assert layer_dn_weights(np.full((2, 4), 0.3), gts, 0.3, 0.1).shape == (2,)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_layer_dn_weights_non_finite_prediction_raises_with_stage_name(bad):
     """A NaN box, predicted or GT (a pseudo-label in ISOD), used to score IoU
@@ -165,6 +176,17 @@ def test_modulate_broadcasts_per_query_weights():
     omega = np.array([[0.1, 0.5, 1.0], [0.9, 0.2, 0.3]])
     out = modulate(f, omega).data
     np.testing.assert_allclose(out, f.data * omega[..., None], atol=1e-15)
+
+
+@pytest.mark.parametrize("omega_shape", [(3,), (5, 1), (1, 3), (5, 3, 1), (5, 3, 8)])
+def test_modulate_rejects_omega_of_another_shape(omega_shape):
+    """A (3,) omega on (5, 3, 8) features used to be broadcast across the 5
+    groups without an error."""
+    f = Tensor(np.ones((5, 3, 8)))
+    with pytest.raises(ShapeError, match=r"modulate: .*got shape " + re.escape(str(omega_shape))):
+        modulate(f, np.full(omega_shape, 0.5))
+    assert modulate(f, np.full((5, 3), 0.5)).shape == (5, 3, 8)
+    assert modulate(f, 0.5).shape == (5, 3, 8)
 
 
 def test_modulate_gradient_scales_linearly():

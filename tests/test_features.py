@@ -98,16 +98,55 @@ def test_encoder_grad_flows():
     assert err < 1e-5
 
 
-def test_mha_batched_matches_per_group():
-    rng = np.random.default_rng(7)
-    d = 8
+def swap(a: Tensor, ax0: int, ax1: int) -> Tensor:
+    """``a`` with two axes swapped, as one graph node."""
+    return T.custom_op(np.swapaxes(a.data, ax0, ax1), (a,), lambda g: (np.swapaxes(g, ax0, ax1),))
+
+
+def split_merge_mha(q_in: Tensor, k_in: Tensor, v_in: Tensor, params: dict, name: str, n_heads: int) -> Tensor:
+    """``multi_head_attention`` as it was before attention took its heads in
+    the columns: each projection is split into ``(heads, n, dh)`` with a
+    reshape and a swap node, and the stacked head outputs are merged back the
+    same way. The batched attention call it made is one call per head."""
+    d_model = q_in.shape[-1]
+    dh = d_model // n_heads
+
+    def split(x: Tensor) -> Tensor:
+        return swap(x.reshape(x.shape[0], n_heads, dh), 0, 1)  # (h, n, dh)
+
+    q = split(linear(q_in, params, f"{name}.q"))
+    k = split(linear(k_in, params, f"{name}.k"))
+    v = split(linear(v_in, params, f"{name}.v"))
+    n = q.shape[1]
+    att = T.concat([T.attention(q[i], k[i], v[i]).reshape(1, n, dh) for i in range(n_heads)], axis=0)
+    return linear(swap(att, 0, 1).reshape(n, d_model), params, f"{name}.o")
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("n, m", [(5, 7), (200, 190)], ids=["one-block", "row-blocks"])
+def test_mha_matches_the_split_and_merge_form_bitwise(heads, n, m):
+    """Heads in the columns give the split-and-merge graph's output and every
+    gradient, of the inputs and of the four projections, byte for byte, with
+    more keys than queries and the other way round, in one row block and in
+    several."""
+    rng = np.random.default_rng(heads)
+    d = 16
     params = {}
     init_mha(params, rng, "attn", d)
-    x = rng.normal(size=(3, 5, d))
-    batched = multi_head_attention(Tensor(x), Tensor(x), Tensor(x), params, "attn", 2).data
-    for g in range(3):
-        single = multi_head_attention(Tensor(x[g]), Tensor(x[g]), Tensor(x[g]), params, "attn", 2).data
-        np.testing.assert_allclose(batched[g], single, atol=1e-12)
+    arrays = [rng.normal(size=(rows, d)) for rows in (n, m, m)]
+    w = rng.normal(size=(n, d))
+    if n == 200:
+        assert T._ATTN_BLOCK // m < n
+    runs = []
+    for fn in (multi_head_attention, split_merge_mha):
+        for p in params.values():
+            p.grad = None
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fn(*leaves, params, "attn", heads)
+        (out * w).sum().backward()
+        runs.append([out.data] + [t.grad for t in leaves] + [p.grad for p in params.values()])
+    for got, want in zip(*runs):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_linear_grad_check_3d_input():
@@ -122,17 +161,16 @@ def test_linear_grad_check_3d_input():
     assert err < 1e-6
 
 
-def test_mha_grad_check_batched_queries_and_keys():
-    """Queries, keys and values that share a batch axis, with keys longer
-    than queries, as in cross-attention."""
+def test_mha_grad_check_keys_longer_than_queries():
+    """Keys and values longer than the queries, as in cross-attention."""
     rng = np.random.default_rng(17)
     d = 8
     params = {}
     init_mha(params, rng, "attn", d)
-    q_in = Tensor(rng.normal(size=(3, 4, d)), requires_grad=True)
-    k_in = Tensor(rng.normal(size=(3, 5, d)), requires_grad=True)
-    v_in = Tensor(rng.normal(size=(3, 5, d)), requires_grad=True)
-    w = rng.normal(size=(3, 4, d))
+    q_in = Tensor(rng.normal(size=(4, d)), requires_grad=True)
+    k_in = Tensor(rng.normal(size=(5, d)), requires_grad=True)
+    v_in = Tensor(rng.normal(size=(5, d)), requires_grad=True)
+    w = rng.normal(size=(4, d))
     err = T.grad_check(lambda: (multi_head_attention(q_in, k_in, v_in, params, "attn", 2) * w).sum(),
                        [q_in, k_in, v_in, params["attn.k.w"], params["attn.v.w"]])
     assert err < 1e-6

@@ -138,7 +138,7 @@ def test_a_decoder_layer_with_cascade_modulation_passes_grad_check(tmp_path):
     """One decoder layer of the stand-in at tiny shapes: masked self-attention
     over matching and DN rows, cross-attention, FFN, the DN rows scaled by a
     fixed omega, and the box and class heads. The graph holds linear,
-    layer_norm, reshape, swapaxes, concat, take, sigmoid and masked attention;
+    layer_norm, reshape, concat, take, sigmoid, masked and multi-head attention;
     omega gets no gradient."""
     st = import_standin()
     model = st.setup(st.tiny(st.WORKLOADS["train-dense"]), st.REF_SEED, str(tmp_path))

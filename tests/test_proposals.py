@@ -235,6 +235,43 @@ def test_recall_rejects_gt_boxes_that_are_not_n_by_4(shape):
     assert math.isnan(proposal_recall(props, [], 0.5))
 
 
+# Proposal lists whose boxes do not stack to (n, 4): each used to be re-read row-major as some other count.
+BAD_BOXES = {"one-(8,)-box": [np.full(8, 0.3)], "four-(3,)-boxes": [np.full(3, 0.3)] * 4,
+             "(1, 4)-boxes": [np.full((1, 4), 0.3)] * 2}
+
+
+@pytest.mark.parametrize("boxes", BAD_BOXES.values(), ids=BAD_BOXES.keys())
+def test_recall_rejects_proposal_boxes_that_are_not_4(boxes):
+    """One (8,) proposal box used to count as 2 proposals and give recall 1.0
+    without an error."""
+    gts = np.full((1, 4), 0.3)
+    with pytest.raises(ValueError, match=r"proposal_recall: .*got shape"):
+        proposal_recall([Proposal(b) for b in boxes], gts, 0.5)
+    assert proposal_recall([Proposal(np.full(4, 0.3))], gts, 0.5) == 1.0
+    assert proposal_recall([], gts, 0.5) == 0.0
+
+
+# Scene 7's proposals: boxes that do not stack to (n, 4), and boxes load_proposals rejects.
+UNSAVABLE = {**BAD_BOXES, "zero-width": [np.array([0.5, 0.5, 0.0, 0.2])],
+             "negative-zero-height": [np.array([0.5, 0.5, 0.2, -0.0])],
+             "negative-height": [np.full(4, 0.3), np.array([0.5, 0.5, 0.2, -0.1])],
+             "nan": [np.array([np.nan, 0.5, 0.2, 0.2])], "inf-width": [np.array([0.5, 0.5, np.inf, 0.2])]}
+
+
+@pytest.mark.parametrize("boxes", UNSAVABLE.values(), ids=UNSAVABLE.keys())
+def test_save_proposals_rejects_what_load_proposals_cannot_read(tmp_path, boxes):
+    """A box of the wrong shape used to fail with a bare unpacking error after
+    the header was written, and a zero-width or NaN box was written as a line
+    the reader then rejected. Now the error names the scene and no file is
+    written; a valid fixture's text is unchanged."""
+    path = tmp_path / "props.txt"
+    with pytest.raises(ValueError, match="save_proposals, scene 7"):
+        save_proposals(path, {2: [Proposal(np.full(4, 0.25))], 7: [Proposal(b) for b in boxes]})
+    assert not path.exists()
+    save_proposals(path, {2: [Proposal(np.full(4, 0.25), 0.5)], 7: [Proposal(np.array([0.5, 0.5, 5e-324, 1.0]))]})
+    assert path.read_text() == "# scene_id cx cy w h [score]\n2 0.25 0.25 0.25 0.25 0.5\n7 0.5 0.5 5e-324 1.0\n"
+
+
 def test_emulated_boxes_do_not_share_memory():
     gts = np.tile([0.5, 0.5, 0.3, 0.3], (5, 1))
     props = emulate_proposals(gts, EmulatorConfig(gt_hit_rate=1.0, distractor_count=3), np.random.default_rng(9))

@@ -119,6 +119,23 @@ def test_init_matching_queries_with_no_proposals_is_an_empty_branch():
     np.testing.assert_array_equal(attention_mask(0, [2]), np.ones((2, 2), dtype=bool))
 
 
+# Proposal lists whose boxes do not stack to (n, 4): each used to be re-read row-major as some other count.
+BAD_BOXES = {"one-(8,)-box": [np.full(8, 0.3)], "four-(3,)-boxes": [np.full(3, 0.3)] * 4,
+             "(1, 4)-boxes": [np.full((1, 4), 0.3)] * 2}
+
+
+@pytest.mark.parametrize("boxes", BAD_BOXES.values(), ids=BAD_BOXES.keys())
+def test_init_matching_queries_rejects_proposal_boxes_that_are_not_4(boxes):
+    """One (8,) box used to give 2 anchors, and four (3,) boxes 3 anchors,
+    without an error."""
+    rng = np.random.default_rng(4)
+    params, grid = neck_params(rng), Tensor(rng.normal(size=(8, 8, 4)))
+    with pytest.raises(ValueError, match=r"init_matching_queries: .*got shape"):
+        init_matching_queries([Proposal(b) for b in boxes], grid, params)
+    assert init_matching_queries([Proposal(np.full(4, 0.3))], grid, params)[0].shape == (1, 4)
+    assert init_matching_queries([], grid, params)[0].shape == (0, 4)
+
+
 def test_dn_query_counts():
     rng = np.random.default_rng(3)
     params = neck_params(rng)

@@ -1,3 +1,5 @@
+import functools
+import math
 import re
 import tracemalloc
 
@@ -19,13 +21,32 @@ def softmax(a, axis: int = -1) -> Tensor:
     return T.custom_op(y, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
+def swap_last(a) -> Tensor:
+    """``a`` with its last two axes swapped, as one graph node."""
+    return T.custom_op(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
+
+
 def composed_attention(q, k, v, mask=None):
-    """``attention`` as a chain of graph nodes, as it was before the fused
-    node: swapaxes, matmul, scale, ``-inf`` fill, softmax, matmul."""
-    logits = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    """``attention`` as a chain of graph nodes over batched ``(..., n, d)``
+    operands, as it was before the fused node: transpose, matmul, scale,
+    ``-inf`` fill, softmax, matmul."""
+    logits = T.matmul(q, swap_last(k)) * (1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
         logits = T.custom_op(np.where(mask, logits.data, -np.inf), (logits,), lambda g: (g * mask,))
     return T.matmul(softmax(logits, axis=-1), v)
+
+
+def columns(a: np.ndarray) -> np.ndarray:
+    """A batched ``(..., rows, width)`` array in ``attention``'s column layout
+    ``(rows, heads*width)``, one head per batch index in order; a 2-D array
+    is one head and comes back as it is."""
+    a = np.asarray(a).reshape((n_heads(a),) + a.shape[-2:])
+    return a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * a.shape[2])
+
+
+def n_heads(a: np.ndarray) -> int:
+    """The head count of a batched array: the product of its batch axes."""
+    return math.prod(a.shape[:-2])
 
 
 def rand_t(rng, shape, away_from_zero=False):
@@ -144,7 +165,7 @@ def test_primitives_pass_grad_check(seed):
         (lambda: (x[1:, ::2] ** 2).sum(), [x]),
         (lambda: (T.concat([x, y], axis=1) * w10).sum(), [x, y]),
         (lambda: (T.concat([y, x, y], axis=-1) * np.tile(w, (1, 3))).sum(), [x, y]),
-        (lambda: (x.reshape(5, 3).swapaxes(0, 1) * w).sum(), [x]),
+        (lambda: (x.reshape(5, 3) * w.reshape(5, 3)).sum(), [x]),
         (lambda: (x.sum(axis=0) ** 2).sum(), [x]),
         (lambda: (T.clip(x, -0.9, 0.9) * w).sum(), [x]),
     ]
@@ -199,8 +220,8 @@ def test_repeated_backward_accumulates_each_pass_once():
     np.testing.assert_array_equal(x.grad, np.full(3, 12.0))
     # attention's node keeps no probabilities, and a second walk recomputes them
     rng = np.random.default_rng(3)
-    q, k, v = rand_t(rng, (2, 4, 6)), rand_t(rng, (2, 5, 6)), rand_t(rng, (2, 5, 3))
-    loss = (T.attention(q, k, v, random_mask(rng, 4, 5)) * rng.normal(size=(2, 4, 3))).sum()
+    q, k, v = (Tensor(columns(rand_t(rng, s).data), requires_grad=True) for s in ((2, 4, 6), (2, 5, 6), (2, 5, 3)))
+    loss = (T.attention(q, k, v, random_mask(rng, 4, 5), heads=2) * columns(rng.normal(size=(2, 4, 3)))).sum()
     loss.backward()
     once = [t.grad.copy() for t in (q, k, v)]
     loss.backward()
@@ -250,7 +271,7 @@ OWNERSHIP_CASES = {
 
 def interior_reuse(y):
     """One interior node that receives three gradients, two of them one array."""
-    return (T.add(y, y) + y.swapaxes(0, 1).swapaxes(0, 1)).sum()
+    return (T.add(y, y) + swap_last(swap_last(y))).sum()
 
 
 @pytest.mark.parametrize("kind", sorted(OWNERSHIP_CASES))
@@ -281,7 +302,7 @@ CONSTANT_OPERAND_CASES = {  # op: operand shapes, and the positions whose gradie
     "linear": (T.linear, [(2, 5, 4), (4, 3), (3,)], {0}),
     "mul": (T.mul, [(5, 3), (3,)], {0, 1}),
     "div": (T.div, [(5, 3), (5, 1)], {0, 1}),
-    "attention": (T.attention, [(2, 4, 6), (2, 5, 6), (2, 5, 3)], set()),
+    "attention": (functools.partial(T.attention, heads=2), [(4, 12), (5, 12), (5, 6)], set()),
 }
 
 
@@ -401,11 +422,11 @@ def test_attention_batched_matches_loop():
     v = rng.normal(size=(3, 6, 8))
     mask = rng.random((4, 6)) > 0.5
     mask[~mask.any(axis=1), 0] = True
-    for m in (None, mask):  # an (n, m) mask broadcasts over the head axis
-        batched = T.attention(Tensor(q), Tensor(k), Tensor(v), m).data
+    for m in (None, mask):  # the heads share the (n, m) mask
+        batched = T.attention(Tensor(columns(q)), Tensor(columns(k)), Tensor(columns(v)), m, heads=3).data
         for i in range(3):
             single = T.attention(Tensor(q[i]), Tensor(k[i]), Tensor(v[i]), m).data
-            np.testing.assert_allclose(batched[i], single, atol=1e-12)
+            np.testing.assert_allclose(batched[:, 8 * i:8 * (i + 1)], single, atol=1e-12)
 
 
 def random_mask(rng, n, m):
@@ -415,7 +436,7 @@ def random_mask(rng, n, m):
 
 
 def oracle_case(kind, rng):
-    """(q, k, v, mask) arrays for one seeded oracle case."""
+    """(q, k, v, mask) arrays for one seeded oracle case, batched over heads."""
     if kind == "2d":
         return rng.normal(size=(6, 8)), rng.normal(size=(9, 8)), rng.normal(size=(9, 5)), random_mask(rng, 6, 9)
     if kind == "heads":
@@ -443,29 +464,29 @@ GRAD_SUBSETS = [(q, k, v) for q in (0, 1) for k in (0, 1) for v in (0, 1) if q o
 @pytest.mark.parametrize("kind", ORACLE_KINDS)
 @pytest.mark.parametrize("seed", range(3))
 def test_attention_matches_composed_oracle(kind, seed):
-    """The fused node gives the composed graph's values and gradients to
-    1e-12 of the oracle's largest magnitude, for every subset of operands
-    needing grad; the same call twice gives bitwise the same values."""
+    """The fused node, on the batched oracle's operands in the column layout,
+    gives the composed graph's values and gradients to 1e-12 of the oracle's
+    largest magnitude, for every subset of operands needing grad; the same
+    call twice gives bitwise the same values."""
     rng = np.random.default_rng(100 * seed + ORACLE_KINDS[kind])
     q, k, v, mask = oracle_case(kind, rng)
     if kind == "large-logits":
         logits = np.abs(q @ k.T / 2.0)
         assert 990.0 < logits.min() and logits.max() < 1010.0
-    fused = T.attention(Tensor(q), Tensor(k), Tensor(v), mask)
+    fused = T.attention(Tensor(columns(q)), Tensor(columns(k)), Tensor(columns(v)), mask, heads=n_heads(q))
     assert not fused.requires_grad and fused._parents == ()
-    oracle = composed_attention(Tensor(q), Tensor(k), Tensor(v), mask).data
+    oracle = columns(composed_attention(Tensor(q), Tensor(k), Tensor(v), mask).data)
     assert np.abs(fused.data - oracle).max() <= 1e-12 * np.abs(oracle).max()
-    w = rng.normal(size=fused.shape)
+    w = rng.normal(size=q.shape[:-1] + v.shape[-1:])
     for flags in GRAD_SUBSETS:
-        grads = []
-        for fn in (T.attention, composed_attention):
-            leaves = [Tensor(a, requires_grad=f) for a, f in zip((q, k, v), flags)]
-            out = fn(*leaves, mask)
-            if fn is T.attention:
-                assert out._parents == tuple(leaves)
-                np.testing.assert_array_equal(out.data, fused.data)
-            (out * w).sum().backward()
-            grads.append([t.grad for t in leaves])
+        leaves = [Tensor(columns(a), requires_grad=f) for a, f in zip((q, k, v), flags)]
+        out = T.attention(*leaves, mask, heads=n_heads(q))
+        assert out._parents == tuple(leaves)
+        np.testing.assert_array_equal(out.data, fused.data)
+        (out * columns(w)).sum().backward()
+        oracle_leaves = [Tensor(a, requires_grad=f) for a, f in zip((q, k, v), flags)]
+        (composed_attention(*oracle_leaves, mask) * w).sum().backward()
+        grads = [[t.grad for t in leaves], [None if t.grad is None else columns(t.grad) for t in oracle_leaves]]
         for t_fused, t_oracle, f in zip(*grads, flags):
             if not f:
                 assert t_fused is None and t_oracle is None
@@ -486,11 +507,11 @@ def test_attention_rejects_non_finite_inputs():
 
 
 def test_attention_mask_of_wrong_shape_raises():
-    q = Tensor(np.ones((2, 3, 4)))
-    k = Tensor(np.ones((2, 5, 4)))
+    q = Tensor(columns(np.ones((2, 3, 4))))
+    k = Tensor(columns(np.ones((2, 5, 4))))
     for shape in ((5, 3), (3, 4), (2, 3, 5)):
         with pytest.raises(ShapeError):
-            T.attention(q, k, k, np.ones(shape, dtype=bool))
+            T.attention(q, k, k, np.ones(shape, dtype=bool), heads=2)
 
 
 def test_attention_operands_of_wrong_shape_raise():
@@ -498,13 +519,27 @@ def test_attention_operands_of_wrong_shape_raise():
     cases = [((3, 4), (5, 6), (5, 2)),        # q and k differ in their last axis
              ((3, 4), (5, 4), (6, 2)),        # k and v differ in length
              ((4,), (5, 4), (5, 2)),          # a q with no query axis
-             ((2, 3, 4), (5, 4), (5, 2)),     # k and v lack q's batch axis
-             ((3, 4), (2, 5, 4), (2, 5, 2)),  # q lacks k and v's batch axis
-             ((2, 3, 4), (2, 5, 4), (3, 5, 2)),  # v's batch axis differs
-             ((2, 1, 3, 4), (1, 2, 5, 4), (1, 2, 5, 2))]  # batch axes that would broadcast
+             ((3, 4), (5, 4), (5,)),          # a v with no width axis
+             # batch axes, whatever their sizes: heads go side by side in the columns
+             ((2, 3, 4), (5, 4), (5, 2)),
+             ((3, 4), (2, 5, 4), (2, 5, 2)),
+             ((2, 3, 4), (2, 5, 4), (2, 5, 2)),
+             ((2, 3, 4), (2, 5, 4), (3, 5, 2)),
+             ((2, 1, 3, 4), (1, 2, 5, 4), (1, 2, 5, 2))]
     for shapes in cases:
         with pytest.raises(ShapeError, match=re.escape(", ".join(map(str, shapes)))):
             T.attention(*(Tensor(rng.normal(size=s), requires_grad=True) for s in shapes))
+
+
+@pytest.mark.parametrize("heads, widths", [(0, (8, 6)), (-2, (8, 6)), (3, (8, 6)), (4, (8, 6)), (2, (7, 6)),
+                                           (5, (10, 4))])
+def test_attention_rejects_a_head_count_that_does_not_divide_the_widths(heads, widths):
+    """``heads`` must be a positive divisor of q and k's width and of v's."""
+    rng = np.random.default_rng(20)
+    d, dv = widths
+    q, k, v = (Tensor(rng.normal(size=s)) for s in ((3, d), (5, d), (5, dv)))
+    with pytest.raises(ShapeError, match=f"{heads} heads"):
+        T.attention(q, k, v, heads=heads)
 
 
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["2d", "batched"])
@@ -513,12 +548,14 @@ def test_attention_operands_of_wrong_shape_raise():
 def test_attention_with_no_query_rows(batch, m, masked):
     """A scene with no proposals and no GT has no decoder rows: self-attention
     is a (0, 0) block and cross-attention a (0, m) one. The output is
-    (..., 0, dv); every operand gets a finite gradient of its own shape, zero
-    for k and v, which no query reads."""
+    (0, heads*dv), for one head or a batch of three in the columns; every
+    operand gets a finite gradient of its own shape, zero for k and v, which
+    no query reads."""
     rng = np.random.default_rng(16)
-    q, k, v = (Tensor(rng.normal(size=batch + s), requires_grad=True) for s in ((0, 4), (m, 4), (m, 2)))
-    out = T.attention(q, k, v, np.ones((0, m), dtype=bool) if masked else None)
-    assert out.shape == batch + (0, 2)
+    heads = math.prod(batch)
+    q, k, v = (Tensor(columns(rng.normal(size=batch + s)), requires_grad=True) for s in ((0, 4), (m, 4), (m, 2)))
+    out = T.attention(q, k, v, np.ones((0, m), dtype=bool) if masked else None, heads=heads)
+    assert out.shape == (0, 2 * heads)
     (out * rng.normal(size=out.shape)).sum().backward()
     for t in (q, k, v):
         assert t.grad.shape == t.shape and np.isfinite(t.grad).all()
@@ -530,9 +567,9 @@ def test_attention_with_no_query_rows(batch, m, masked):
 def test_attention_query_rows_with_no_key_raise(batch, masked):
     """k and v with no rows leave every query row nothing to attend to."""
     rng = np.random.default_rng(17)
-    q, k, v = (Tensor(rng.normal(size=batch + s)) for s in ((3, 4), (0, 4), (0, 2)))
+    q, k, v = (Tensor(columns(rng.normal(size=batch + s))) for s in ((3, 4), (0, 4), (0, 2)))
     with pytest.raises(MaskError, match="no key"):
-        T.attention(q, k, v, np.ones((3, 0), dtype=bool) if masked else None)
+        T.attention(q, k, v, np.ones((3, 0), dtype=bool) if masked else None, heads=math.prod(batch))
 
 
 def kept_probability_attention(q, k, v, mask=None):
@@ -582,7 +619,8 @@ def held_arrays(fn):
 
 
 def recompute_case(kind, rng):
-    """(q, k, v, mask) arrays for one case of the kept-probability oracle."""
+    """(q, k, v, mask) arrays for one case of the kept-probability oracle,
+    batched over heads."""
     if kind == "ragged-blocks":  # 54-row blocks of 600 keys: 54 + 54 + 22 query rows
         return rng.normal(size=(4, 130, 16)), rng.normal(size=(4, 600, 16)), rng.normal(size=(4, 600, 16)), None
     if kind == "dn-inside-a-block":  # 109-row blocks: rows 109-217 hold the last matching and the first DN rows
@@ -618,42 +656,43 @@ def test_attention_matches_the_kept_probability_node(kind):
     assert (kind != "ragged-blocks" or n % rows) and (kind != "one-row-blocks" or rows == 1)
     w = rng.normal(size=q.shape[:-1] + v.shape[-1:])
     for flags in GRAD_SUBSETS:
-        runs = []
-        for fn in (T.attention, kept_probability_attention):
-            leaves = [Tensor(a, requires_grad=f) for a, f in zip((q, k, v), flags)]
-            out = fn(*leaves, mask)
-            (out * w).sum().backward()
-            runs.append((out, leaves))
-        (out, leaves), (oracle, oracle_leaves) = runs
-        assert np.abs(out.data - oracle.data).max(initial=0.0) <= 1e-12 * np.abs(oracle.data).max(initial=0.0)
+        leaves = [Tensor(columns(a), requires_grad=f) for a, f in zip((q, k, v), flags)]
+        out = T.attention(*leaves, mask, heads=n_heads(q))
+        (out * columns(w)).sum().backward()
+        oracle_leaves = [Tensor(a, requires_grad=f) for a, f in zip((q, k, v), flags)]
+        oracle = kept_probability_attention(*oracle_leaves, mask)
+        (oracle * w).sum().backward()
+        want = columns(oracle.data)
+        assert np.abs(out.data - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
         for t, t_oracle, f in zip(leaves, oracle_leaves, flags):
             if f:
-                assert t.grad.shape == t_oracle.grad.shape
-                assert np.abs(t.grad - t_oracle.grad).max(initial=0.0) <= 1e-12 * np.abs(t_oracle.grad).max(initial=0.0)
+                want = columns(t_oracle.grad)
+                assert t.grad.shape == want.shape
+                assert np.abs(t.grad - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
             else:
                 assert t.grad is None and t_oracle.grad is None
         held = sum(a.nbytes for a in held_arrays(out._backward) if a is not out.data)  # r needs the output
         assert held < 0.5 * n * m * 8 or n == 0
         needs = [t for t, f in zip(leaves, flags) if f]
         once = [t.grad.copy() for t in needs]
-        (out * w).sum().backward()
+        (out * columns(w)).sum().backward()
         for t, g in zip(needs, once):
             np.testing.assert_array_equal(t.grad, 2.0 * g)
 
 
 def test_attention_backward_works_one_block_at_a_time():
-    """The node keeps no (..., n, m) probabilities: after the forward it holds
+    """The node keeps no (heads, n, m) probabilities: after the forward it holds
     under half of one (n, m) block, and the forward and backward together
     peak under three blocks (the backward's recomputed block, its logit
     gradient and the q, k and v gradients)."""
     rng = np.random.default_rng(15)
-    q, k, v = (Tensor(rng.normal(size=(4, 256, 4)), requires_grad=True) for _ in range(3))
-    w = rng.normal(size=(4, 256, 4))
+    q, k, v = (Tensor(columns(rng.normal(size=(4, 256, 4))), requires_grad=True) for _ in range(3))
+    w = columns(rng.normal(size=(4, 256, 4)))
     block_nbytes = 256 * 256 * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = T.attention(q, k, v)
+        out = T.attention(q, k, v, heads=4)
         held = tracemalloc.get_traced_memory()[0] - start
         (out * w).sum().backward()
         peak = tracemalloc.get_traced_memory()[1] - start
@@ -670,8 +709,8 @@ def test_attention_peaks_under_half_a_block_when_rows_split_into_blocks():
     recomputed rows, their logit gradient, the operands' gradients and the
     output."""
     rng = np.random.default_rng(19)
-    q, k, v = (Tensor(rng.normal(size=(1, 512, 4)), requires_grad=True) for _ in range(3))
-    w = rng.normal(size=(1, 512, 4))
+    q, k, v = (Tensor(columns(rng.normal(size=(1, 512, 4))), requires_grad=True) for _ in range(3))
+    w = columns(rng.normal(size=(1, 512, 4)))
     assert T._ATTN_BLOCK // 512 < 512
     tracemalloc.start()
     try:
