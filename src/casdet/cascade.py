@@ -54,8 +54,8 @@ def layer_dn_weights(dn_pred_boxes: np.ndarray, gt_boxes: np.ndarray, theta_l: f
     ``dn_pred_boxes`` is (..., n_gt, 4) center/size; query j pairs with GT j
     (identity correspondence, no matching). Returns weights of shape (...,
     n_gt), empty for no GT. Predictions of any other shape raise
-    ``ValueError``; ``gt_boxes`` is ``(n_gt, 4)``, one ``(4,)`` box or empty,
-    and any other shape raises ``ValueError`` too. Non-finite boxes raise
+    ``ValueError``; ``gt_boxes`` is ``(n_gt, 4)`` or ``(0,)``, and any other
+    shape raises ``ValueError`` too. Non-finite boxes raise
     ``FloatingPointError``; a non-finite ``theta_l``, or a ``tau`` that is not
     finite and positive, raises ``ValueError``.
     """

@@ -5,10 +5,10 @@ non-overlapping patch embedding; the encoder is a small pre-computed-position
 transformer over flattened cells; RoI pooling is channelwise max over a
 non-overlapping partition of the covered cell range. Each RoI bin is one
 gather from window-max tables, one table per bin extent up to the call's
-largest, each built from a smaller one with one ``np.maximum``. The backward
-rebuilds them as first-maximum indices, where the earlier half of a window
-wins a tie (``np.argmax``'s row-major rule); the RoI node keeps only each
-bin's table index.
+largest, each built from a smaller one with one ``np.maximum``. The same pass
+builds each window's first-maximum index, where the earlier half of a window
+wins a tie (``np.argmax``'s row-major rule); the RoI node keeps those index
+tables and each bin's table row, and its backward only scatters.
 """
 
 from __future__ import annotations
@@ -131,30 +131,28 @@ def _bins(lo: np.ndarray, hi: np.ndarray, n_cells: int, n_bins: int) -> tuple[np
     return c0[:, None] + bounds[:, :-1], np.maximum(np.diff(bounds, axis=1), 1)
 
 
-def _window_max(cells: np.ndarray, kr: int, kc: int, first_index: bool = False) -> np.ndarray:
-    """Window-max tables (kr, kc, h, w, c) of a grid ``cells`` (h, w, c).
+def _window_max(cells: np.ndarray, kr: int, kc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window-max tables (kr, kc, h, w, c) of a grid ``cells`` (h, w, c), and their first-maximum indices.
 
     Entry ``[a - 1, b - 1, r, q]`` is the channelwise max over rows
     ``r .. r+a-1`` and columns ``q .. q+b-1``, set wherever that window fits
     in the grid and unset elsewhere. Table ``(1, b)`` is the max of table
     ``(1, b-1)`` and column ``q+b-1``; table ``(a, b)`` the max of table
     ``(a-1, b)`` and row ``r+a-1`` of table ``(1, b)``: one ``np.maximum``
-    each. With ``first_index`` the tables hold instead the flat
-    ``(cell, channel)`` index of each window's first maximum in row-major
-    order (as ``np.argmax``): a later half takes over only where it is
-    strictly greater, so on a tie the earlier half, which holds the lower
-    indices, wins.
+    each. The index tables hold the flat ``(cell, channel)`` index of each
+    window's first maximum in row-major order (as ``np.argmax``): a later half
+    takes over only where it is strictly greater, so on a tie the earlier
+    half, which holds the lower indices, wins.
     """
     h, w, c = cells.shape
     val = np.empty((kr, kc, h, w, c), dtype=cells.dtype)
     val[0, 0] = cells
-    if first_index:
-        idx = np.empty(val.shape, dtype=np.min_scalar_type(-h * w * c))  # signed: idx[late] - idx[early] cannot wrap
-        idx[0, 0] = np.arange(h * w * c).reshape(h, w, c)
+    idx = np.empty(val.shape, dtype=np.min_scalar_type(-h * w * c))  # signed: idx[late] - idx[early] cannot wrap
+    idx[0, 0] = np.arange(h * w * c).reshape(h, w, c)
 
     def merge(dst, early, late):
-        if first_index:  # np.where without its per-element branch, which mispredicts on random data
-            np.add(idx[early], (val[late] > val[early]) * (idx[late] - idx[early]), out=idx[dst])
+        # np.where without its per-element branch, which mispredicts on random data
+        np.add(idx[early], (val[late] > val[early]) * (idx[late] - idx[early]), out=idx[dst])
         np.maximum(val[early], val[late], out=val[dst])
 
     every = slice(None)
@@ -166,14 +164,14 @@ def _window_max(cells: np.ndarray, kr: int, kc: int, first_index: bool = False) 
         for b in range(kc):
             cols = slice(None, w - b)
             merge((a, b, rows, cols), (a - 1, b, rows, cols), (0, b, slice(a, None), cols))
-    return idx if first_index else val
+    return val, idx
 
 
 def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7, 7)) -> Tensor:
     """Channelwise max-pool fixed-size region features for a batch of boxes.
 
-    ``boxes`` is (n, 4) cxcywh in normalized image coordinates, one (4,) box
-    or empty; any other shape raises ``ValueError``. The result is
+    ``boxes`` is (n, 4) cxcywh in normalized image coordinates, or (0,) for
+    none; any other shape raises ``ValueError``. The result is
     (n, H_roi, W_roi, C). Along each axis the box, clipped to [0, 1], covers
     cells ``[floor(lo), ceil(hi))``, at least one; this range of ``span`` cells
     is cut into contiguous bins at ``k*span // n_bins``. A bin left empty by a
@@ -181,11 +179,11 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
 
     Each bin is a window of ``kr x kc`` cells, at most the call's largest
     extents ``K_r x K_c``. The forward builds the ``K_r * K_c`` window-max
-    tables of the grid (``_window_max``) and takes every bin from them with
-    one ``np.take``, indexed by the bin's first cell and its own extent; the
-    node keeps only that ``(n, H_roi, W_roi)`` table index. The backward
-    rebuilds the tables as first-maximum indices: gradients flow to the cell
-    that supplied each bin maximum, the first in row-major order among equal
+    tables of the grid and their first-maximum indices (``_window_max``, one
+    pass) and takes every bin from them with one ``np.take``, indexed by the
+    bin's first cell and its own extent; the node keeps the index tables and
+    that ``(n, H_roi, W_roi)`` table row. Gradients flow to the cell that
+    supplied each bin maximum, the first in row-major order among equal
     maxima (as ``np.argmax``), and are summed with ``np.add.at`` in (box, bin,
     channel) order; box coordinates are constants of the op. The backward
     scatters ``_ROI_CHUNK`` boxes at a time, which bounds its index to
@@ -204,10 +202,11 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
     n_kr, n_kc = int(kr.max(initial=1)), int(kc.max(initial=1))
     table = ((kr - 1) * n_kc)[:, :, None] + (kc - 1)[:, None, :]
     at = table * (h * w) + (r0 * w)[:, :, None] + q0[:, None, :]  # (n, hb, wb) rows of the stacked tables
-    out = np.take(_window_max(cells, n_kr, n_kc).reshape(-1, c), at, axis=0)
+    val, first = _window_max(cells, n_kr, n_kc)
+    out = np.take(val.reshape(-1, c), at, axis=0)
+    first = first.reshape(-1, c)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
-        first = _window_max(cells, n_kr, n_kc, first_index=True).reshape(-1, c)
         buf = np.zeros(h * w * c)
         for i in range(0, len(at), _ROI_CHUNK):
             s = slice(i, i + _ROI_CHUNK)

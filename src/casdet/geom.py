@@ -2,7 +2,8 @@
 
 Boxes come in two parametrizations: center/size ``(cx, cy, w, h)`` and
 corner ``(x0, y0, x1, y1)``. All functions take float64 arrays of shape
-``(..., 4)`` and are pure.
+``(..., 4)`` and are pure. A set of boxes enters as one ``(n, 4)`` array via
+``as_boxes``, or ``(0,)``: what ``np.array`` makes of an empty proposal list.
 """
 
 from __future__ import annotations
@@ -16,17 +17,15 @@ MIN_BOX_SIZE = 1e-3
 def as_boxes(b, caller: str) -> np.ndarray:
     """``b`` as a float64 ``(n, 4)`` array of boxes.
 
-    Accepts an ``(n, 4)`` array, one flat ``(4,)`` box, or an empty array
-    (no boxes). Any other shape raises ValueError naming ``caller`` and the
+    Accepts ``(n, 4)``, or ``(0,)`` for no boxes. Any other shape, a flat
+    ``(4,)`` or ``(2, 0)`` too, raises ValueError naming ``caller`` and the
     shape, rather than being read row-major as some other number of boxes.
     """
     b = np.asarray(b, dtype=np.float64)
-    if b.size == 0:
+    if b.shape == (0,):
         return b.reshape(0, 4)
-    if b.shape == (4,):
-        return b.reshape(1, 4)
     if b.ndim != 2 or b.shape[1] != 4:
-        raise ValueError(f"{caller}: boxes must be (n, 4), one (4,) box or empty; got shape {b.shape}")
+        raise ValueError(f"{caller}: boxes must be (n, 4) or (0,); got shape {b.shape}")
     return b
 
 

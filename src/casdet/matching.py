@@ -39,7 +39,7 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
 
     Returns (row, col) pairs sorted by row; with fewer rows than columns some
     columns stay unmatched and vice versa. An empty matrix yields no pairs.
-    NaN or inf in the cost raise ``ValueError``.
+    A cost that is not 2-D, or NaN or inf in it, raise ``ValueError``.
 
     This is the shortest-augmenting-path method (Crouse, 2016) with the
     column order and tie rules of ``scipy.optimize.linear_sum_assignment``,
@@ -50,6 +50,8 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     walked again by every full garbage collection of a training loop.
     """
     cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError(f"hungarian: the cost matrix must be 2-D; got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise ValueError("hungarian: the cost matrix holds NaN or inf")
     transpose = cost.shape[0] > cost.shape[1]
@@ -123,9 +125,9 @@ def match_cost_matrix(
     probabilities. The localization score feeding the classification term is
     GIoU rescaled to [0, 1]. With no GT the matrix is ``(n_pred, 0)``.
     ``pred_boxes`` that are not ``(n_pred, 4)``, ``pred_probs`` that are not
-    ``(n_pred, n_classes)``, ``gt_boxes`` that are not ``(n_gt, 4)``, one
-    ``(4,)`` box or empty, a label count other than the GT box count, or a
-    label outside ``[0, n_classes)`` raise ``ValueError``; NaN or inf in any
+    ``(n_pred, n_classes)``, ``gt_boxes`` that are not ``(n_gt, 4)`` or
+    ``(0,)``, labels that are not ``(n_gt,)`` integers (``[]`` for no GT), or
+    a label outside ``[0, n_classes)`` raise ``ValueError``; NaN or inf in any
     box or probability raise ``FloatingPointError``.
     """
     pred_boxes = np.asarray(pred_boxes, dtype=np.float64)
@@ -134,7 +136,11 @@ def match_cost_matrix(
         raise ValueError(f"match_cost_matrix needs pred_boxes (n, 4) and pred_probs (n, n_classes); "
                          f"got {pred_boxes.shape} and {pred_probs.shape}")
     gt_boxes = as_boxes(gt_boxes, "match_cost_matrix")
-    gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
+    gt_labels = np.asarray(gt_labels)
+    if gt_labels.ndim != 1 or (gt_labels.dtype.kind not in "iu" and gt_labels.size):
+        raise ValueError(f"match_cost_matrix: gt_labels must be (n_gt,) integers; "
+                         f"got {gt_labels.dtype} of shape {gt_labels.shape}")
+    gt_labels = gt_labels.astype(np.int64)
     if not (np.isfinite(pred_boxes).all() and np.isfinite(pred_probs).all() and np.isfinite(gt_boxes).all()):
         raise FloatingPointError("match_cost_matrix: the predictions or the GT boxes hold NaN or inf")
     if gt_labels.shape[0] != gt_boxes.shape[0]:

@@ -65,7 +65,7 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
     (corner jitter N(0, jitter_sigma * side)), then ``distractor_count``
     random background boxes are appended, ``target_count`` at most. With
     neither hits nor distractors the scene gets no proposals. ``gt_boxes`` is
-    (n, 4), one (4,) box or empty; any other shape raises ``ValueError``.
+    (n, 4) or (0,); any other shape raises ``ValueError``.
 
     Random-stream contract: for each GT box in order, one ``rng.random()``
     and, on a hit, one ``rng.standard_normal(4)``; then one
@@ -89,8 +89,7 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
 def proposal_recall(props: list[Proposal], gts: np.ndarray, iou_thr: float) -> float:
     """Fraction of GT boxes covered by some proposal at IoU >= iou_thr; with no proposals each best IoU is 0.
     A scene with no GT boxes gives ``nan``, without a warning, so that a mean over scenes can skip it.
-    ``gts`` is (n, 4), one (4,) box or empty, and each proposal's box (4,); any other shape raises
-    ``ValueError``."""
+    ``gts`` is (n, 4) or (0,), and each proposal's box (4,); any other shape raises ``ValueError``."""
     gts = as_boxes(gts, "proposal_recall")
     if gts.shape[0] == 0:
         return math.nan

@@ -73,8 +73,7 @@ def make_dn_queries(
     clamped to valid boxes. Contents are pooled from the noisy boxes.
     Query j of every group corresponds to GT j. With no GT the branch is
     empty: ``(groups, 0, 4)`` anchors and ``(groups, 0, d)`` contents.
-    ``gt_boxes`` is (n, 4), one (4,) box or empty; any other shape raises
-    ``ValueError``.
+    ``gt_boxes`` is (n, 4) or (0,); any other shape raises ``ValueError``.
     """
     gt_boxes = as_boxes(gt_boxes, "make_dn_queries")
     n = gt_boxes.shape[0]

@@ -383,9 +383,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
     ``-inf`` before the softmax, so masked keys get exactly zero weight and
     gradient however large their logits are. Operands that are not 2-D with
     matching widths and key counts, a ``heads`` that is not a positive divisor
-    of both widths, or a mask that is not ``(n, m)`` raise ShapeError; a query
-    row with no allowed key (a malformed isolation mask, or no k rows) raises
-    MaskError; NaN or inf in q, k or v raise FloatingPointError.
+    of both widths or that leaves a head no q column, or a mask that is not
+    ``(n, m)`` raise ShapeError; a query row with no allowed key (a malformed
+    isolation mask, or no k rows) raises MaskError; NaN or inf in q, k or v
+    raise FloatingPointError.
 
     The call is one ``custom_op`` node with parents ``(q, k, v)``. It keeps the
     output, each row's softmax max and sum per head and the inverted mask,
@@ -406,8 +407,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention needs q (n, heads*d), k (m, heads*d), v (m, heads*dv); "
                          f"got {q.shape}, {k.shape}, {v.shape}")
-    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
-        raise ShapeError(f"attention: {heads} heads do not divide the widths {q.shape[1]} and {v.shape[1]}")
+    if heads < 1 or q.shape[1] < heads or q.shape[1] % heads or v.shape[1] % heads:
+        raise ShapeError(f"attention: {heads} heads do not divide the widths {q.shape[1]} and {v.shape[1]} "
+                         f"with at least one q column per head")
     if not (np.isfinite(q.data).all() and np.isfinite(k.data).all() and np.isfinite(v.data).all()):
         raise FloatingPointError("attention: q, k or v hold NaN or inf")
     n, m = q.shape[0], k.shape[0]

@@ -112,14 +112,16 @@ def test_layer_dn_weights_count_mismatch():
         layer_dn_weights(np.zeros((2, 4)) + 0.3, np.zeros((3, 4)) + 0.3, 0.5, 0.1)
 
 
-@pytest.mark.parametrize("gt_shape", [(3, 8), (8,), (2, 3, 4), (6, 2)])
+@pytest.mark.parametrize("gt_shape", [(3, 8), (8,), (2, 3, 4), (6, 2), (4,), (2, 0), (0, 3), (0, 0)])
 def test_layer_dn_weights_rejects_gt_boxes_that_are_not_n_by_4(gt_shape):
     """A (3, 8) GT array used to be read as 6 boxes, so 6 predictions per
-    group got a (2, 6) omega without an error."""
+    group got a (2, 6) omega without an error; a flat (4,) box was read as
+    one box, and a (2, 0) or (0, 3) array as none."""
     pred = np.full((2, 6, 4), 0.3)
     with pytest.raises(ValueError, match=r"layer_dn_weights: .*got shape " + re.escape(str(gt_shape))):
         layer_dn_weights(pred, np.full(gt_shape, 0.3), 0.3, 0.1)
-    assert layer_dn_weights(pred[:, :1], [0.3, 0.3, 0.3, 0.3], 0.3, 0.1).shape == (2, 1)
+    assert layer_dn_weights(pred[:, :1], [[0.3, 0.3, 0.3, 0.3]], 0.3, 0.1).shape == (2, 1)
+    assert layer_dn_weights(pred[:, :0], np.zeros((0, 4)), 0.3, 0.1).shape == (2, 0)
     assert layer_dn_weights(pred[:, :0], [], 0.3, 0.1).shape == (2, 0)
 
 

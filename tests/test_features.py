@@ -383,9 +383,9 @@ def test_roi_values_and_grad_bitwise_equal_brute_force(kind):
 def test_roi_forward_and_backward_peak_within_a_fifth_above_the_output():
     """300 boxes at train-dense shapes: a 7.5 MB output, 0.5 MB of window
     tables (2x2 at most for these boxes), 0.13 MB of int16 first-maximum
-    indices in the backward and a 0.2 MB scatter index per chunk of boxes.
-    An index over the whole batch would be another 1.9 MB and break the
-    bound."""
+    indices built with them and kept by the node, and a 0.2 MB scatter index
+    per chunk of boxes. An index over the whole batch would be another 1.9 MB
+    and break the bound."""
     rng = np.random.default_rng(20)
     grid = Tensor(rng.normal(size=(16, 16, 64)), requires_grad=True)
     boxes = np.column_stack([rng.uniform(0.1, 0.9, (300, 2)), rng.uniform(0.02, 0.8, (300, 2))])
@@ -402,6 +402,25 @@ def test_roi_forward_and_backward_peak_within_a_fifth_above_the_output():
     assert peak < 1.2 * out.data.nbytes
 
 
+def test_roi_backward_does_not_read_the_grid_again():
+    """The node keeps the first-maximum indices from its forward, so
+    changing the grid's values in place before the backward leaves the
+    gradient as it was."""
+    rng = np.random.default_rng(21)
+    data = rng.normal(size=(9, 9, 3))
+    boxes = np.column_stack([rng.uniform(0.2, 0.8, (12, 2)), rng.uniform(0.1, 0.9, (12, 2))])
+    g = rng.normal(size=(12, 3, 3, 3))
+    grads = []
+    for overwrite in (False, True):
+        grid = Tensor(data.copy(), requires_grad=True)
+        out = roi_pool_batch(grid, boxes, out_hw=(3, 3))
+        if overwrite:
+            grid.data[:] = -grid.data
+        (grad,) = out._backward(g)
+        grads.append(grad)
+    assert np.array_equal(grads[0], grads[1]) and grads[0].any()
+
+
 def test_roi_zero_boxes_give_empty_output_and_zero_grad():
     grid = Tensor(np.random.default_rng(17).normal(size=(5, 6, 3)), requires_grad=True)
     out = roi_pool_batch(grid, np.zeros((0, 4)), out_hw=(3, 4))
@@ -410,14 +429,15 @@ def test_roi_zero_boxes_give_empty_output_and_zero_grad():
     np.testing.assert_array_equal(grid.grad, np.zeros((5, 6, 3)))
 
 
-@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2)])
+@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2), (4,), (2, 0), (0, 3), (0, 0)])
 def test_roi_rejects_boxes_that_are_not_n_by_4(shape):
     """(2, 8) boxes used to be read as 4 boxes and pooled 4 regions without an
-    error."""
+    error; a flat (4,) box was read as one box, and a (2, 0) array as none."""
     grid = Tensor(np.random.default_rng(19).normal(size=(4, 4, 2)))
     with pytest.raises(ValueError, match=r"roi_pool_batch: .*got shape " + re.escape(str(shape))):
         roi_pool_batch(grid, np.full(shape, 0.5))
-    assert roi_pool_batch(grid, [0.5, 0.5, 0.4, 0.4], out_hw=(2, 2)).shape == (1, 2, 2, 2)
+    assert roi_pool_batch(grid, [[0.5, 0.5, 0.4, 0.4]], out_hw=(2, 2)).shape == (1, 2, 2, 2)
+    assert roi_pool_batch(grid, np.zeros((0, 4)), out_hw=(2, 2)).shape == (0, 2, 2, 2)
     assert roi_pool_batch(grid, [], out_hw=(2, 2)).shape == (0, 2, 2, 2)
 
 

@@ -70,6 +70,14 @@ def test_hungarian_equals_scipy_assignment_ties_included():
         assert hungarian(cost) == sorted(zip(rows.tolist(), cols.tolist()))
 
 
+@pytest.mark.parametrize("shape", [(3,), (0,), (2, 2, 2)])
+def test_hungarian_rejects_a_cost_that_is_not_2d(shape):
+    """(3,) and (0,) costs used to raise IndexError, and (2, 2, 2) "too many
+    values to unpack", naming no stage."""
+    with pytest.raises(ValueError, match=re.escape(f"hungarian: the cost matrix must be 2-D; got shape {shape}")):
+        hungarian(np.zeros(shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_hungarian_rejects_non_finite_cost(bad):
     cost = np.zeros((2, 3))
@@ -185,6 +193,23 @@ def test_match_cost_rejects_labels_outside_the_classes(labels, bad):
         match_cost_matrix(pred, np.full((2, 3), 0.5), gt, np.array(labels), MatchConfig())
 
 
+@pytest.mark.parametrize("labels", [[[0, 1]], [[0], [1]], [0.9, 1.7], [0.0, 1.0], [True, False]],
+                         ids=["(1, 2)", "(2, 1)", "fractions", "whole-floats", "bools"])
+def test_match_cost_reads_labels_as_n_gt_integers(labels):
+    """A (1, 2) label array for 2 GT boxes used to be flattened, and labels
+    [0.9, 1.7] were cast to [0, 1], each giving a cost matrix without an
+    error. Labels are class ids: an (n_gt,) integer array, or [] for no GT."""
+    pred, probs = np.full((2, 4), 0.3), np.full((2, 3), 0.5)
+    gt = np.array([[0.4, 0.4, 0.2, 0.2], [0.6, 0.6, 0.2, 0.2]])
+    shape = np.asarray(labels).shape
+    with pytest.raises(ValueError, match=re.escape("match_cost_matrix: gt_labels must be (n_gt,) integers; ")
+                       + r".* of shape " + re.escape(str(shape))):
+        match_cost_matrix(pred, probs, gt, labels, MatchConfig())
+    assert match_cost_matrix(pred, probs, gt, [0, 1], MatchConfig()).shape == (2, 2)
+    assert match_cost_matrix(pred, probs, gt, np.array([0, 1], dtype=np.uint8), MatchConfig()).shape == (2, 2)
+    assert match_cost_matrix(pred, probs, np.zeros((0, 4)), [], MatchConfig()).shape == (2, 0)
+
+
 @pytest.mark.parametrize("n_labels", [1, 2, 4])
 def test_match_cost_rejects_a_label_count_other_than_the_box_count(n_labels):
     """One label for three boxes would broadcast to all of them."""
@@ -205,18 +230,20 @@ def test_match_cost_rejects_predictions_of_mismatched_shapes(boxes, probs):
         match_cost_matrix(np.full(boxes, 0.3), np.full(probs, 0.5), gt, np.array([0]), MatchConfig())
 
 
-@pytest.mark.parametrize("gt_shape", [(3, 8), (8,), (2, 2, 4), (2, 3)])
+@pytest.mark.parametrize("gt_shape", [(3, 8), (8,), (2, 2, 4), (2, 3), (4,), (2, 0), (0, 3), (0, 0)])
 def test_match_cost_rejects_gt_boxes_that_are_not_n_by_4(gt_shape):
     """A (3, 8) GT array with 6 labels used to be read as 6 boxes and gave a
-    (2, 6) matrix without an error."""
+    (2, 6) matrix without an error; a flat (4,) box was read as one box, and
+    a (2, 0) array as none."""
     gt = np.full(gt_shape, 0.4)
     labels = np.zeros(gt.size // 4, dtype=int)
-    with pytest.raises(ValueError, match=re.escape(f"match_cost_matrix: boxes must be (n, 4), one (4,) box or "
-                                                   f"empty; got shape {gt_shape}")):
-        match_cost_matrix(np.full((2, 4), 0.3), np.full((2, 3), 0.5), gt, labels, MatchConfig())
-    one = match_cost_matrix(np.full((2, 4), 0.3), np.full((2, 3), 0.5), [0.4, 0.4, 0.2, 0.2], [1], MatchConfig())
-    assert one.shape == (2, 1)
-    assert match_cost_matrix(np.full((2, 4), 0.3), np.full((2, 3), 0.5), [], [], MatchConfig()).shape == (2, 0)
+    pred, probs = np.full((2, 4), 0.3), np.full((2, 3), 0.5)
+    with pytest.raises(ValueError, match=re.escape(f"match_cost_matrix: boxes must be (n, 4) or (0,); "
+                                                   f"got shape {gt_shape}")):
+        match_cost_matrix(pred, probs, gt, labels, MatchConfig())
+    assert match_cost_matrix(pred, probs, [[0.4, 0.4, 0.2, 0.2]], [1], MatchConfig()).shape == (2, 1)
+    assert match_cost_matrix(pred, probs, np.zeros((0, 4)), [], MatchConfig()).shape == (2, 0)
+    assert match_cost_matrix(pred, probs, [], [], MatchConfig()).shape == (2, 0)
 
 
 def test_match_cost_with_no_predictions_has_no_rows():

@@ -209,35 +209,35 @@ def test_emulator_matches_per_box_oracle_bitwise_and_leaves_rng_in_step():
     assert all(v >= 20 for v in seen.values()), seen
 
 
-@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2)])
+@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2), (4,), (2, 0), (0, 3), (0, 0)])
 def test_emulator_rejects_gt_boxes_that_are_not_n_by_4(shape):
     """A (2, 8) GT array used to be read as 4 boxes and emulated without an
-    error."""
+    error; a flat (4,) box was read as one box, and a (2, 0) array as none."""
     cfg = EmulatorConfig(gt_hit_rate=1.0, distractor_count=2)
     with pytest.raises(ValueError, match=r"emulate_proposals: .*got shape " + re.escape(str(shape))):
         emulate_proposals(np.full(shape, 0.3), cfg, np.random.default_rng(0))
-    box = [0.5, 0.5, 0.3, 0.3]
-    rng_flat, rng_rows = np.random.default_rng(1), np.random.default_rng(1)
-    flat, rows = emulate_proposals(box, cfg, rng_flat), emulate_proposals([box], cfg, rng_rows)
-    assert len(flat) == 3 and all(np.array_equal(a.box, b.box) for a, b in zip(flat, rows))
-    assert rng_flat.random() == rng_rows.random()
+    assert len(emulate_proposals([[0.5, 0.5, 0.3, 0.3]], cfg, np.random.default_rng(1))) == 3
+    assert len(emulate_proposals(np.zeros((0, 4)), cfg, np.random.default_rng(2))) == 2
     assert len(emulate_proposals([], cfg, np.random.default_rng(2))) == 2
 
 
-@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2)])
+@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2), (4,), (2, 0), (0, 3), (0, 0)])
 def test_recall_rejects_gt_boxes_that_are_not_n_by_4(shape):
     """A (2, 8) GT array used to be read as 4 boxes, so a proposal on each
-    gave recall 1.0 without an error."""
+    gave recall 1.0 without an error; a flat (4,) box was read as one box,
+    and a (2, 0) array as none."""
     props = [Proposal(np.full(4, 0.3))]
     with pytest.raises(ValueError, match=r"proposal_recall: .*got shape " + re.escape(str(shape))):
         proposal_recall(props, np.full(shape, 0.3), 0.5)
-    assert proposal_recall(props, [0.3, 0.3, 0.3, 0.3], 0.5) == 1.0
+    assert proposal_recall(props, [[0.3, 0.3, 0.3, 0.3]], 0.5) == 1.0
+    assert math.isnan(proposal_recall(props, np.zeros((0, 4)), 0.5))
     assert math.isnan(proposal_recall(props, [], 0.5))
 
 
 # Proposal lists whose boxes do not stack to (n, 4): each used to be re-read row-major as some other count.
 BAD_BOXES = {"one-(8,)-box": [np.full(8, 0.3)], "four-(3,)-boxes": [np.full(3, 0.3)] * 4,
-             "(1, 4)-boxes": [np.full((1, 4), 0.3)] * 2}
+             "(1, 4)-boxes": [np.full((1, 4), 0.3)] * 2,
+             "four-0-d-boxes": [np.float64(v) for v in (0.5, 0.5, 0.2, 0.2)]}  # stacked to (4,): one box
 
 
 @pytest.mark.parametrize("boxes", BAD_BOXES.values(), ids=BAD_BOXES.keys())

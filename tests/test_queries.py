@@ -121,7 +121,8 @@ def test_init_matching_queries_with_no_proposals_is_an_empty_branch():
 
 # Proposal lists whose boxes do not stack to (n, 4): each used to be re-read row-major as some other count.
 BAD_BOXES = {"one-(8,)-box": [np.full(8, 0.3)], "four-(3,)-boxes": [np.full(3, 0.3)] * 4,
-             "(1, 4)-boxes": [np.full((1, 4), 0.3)] * 2}
+             "(1, 4)-boxes": [np.full((1, 4), 0.3)] * 2,
+             "four-0-d-boxes": [np.float64(v) for v in (0.5, 0.5, 0.2, 0.2)]}  # stacked to (4,): one box
 
 
 @pytest.mark.parametrize("boxes", BAD_BOXES.values(), ids=BAD_BOXES.keys())
@@ -155,20 +156,22 @@ def test_dn_queries_with_no_gt_are_an_empty_branch():
     assert contents.shape == (5, 0, 6)
 
 
-@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2)])
+@pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2), (4,), (2, 0), (0, 3), (0, 0)])
 def test_dn_queries_reject_gt_boxes_that_are_not_n_by_4(shape):
     """A (2, 8) GT array used to be read as 4 boxes and gave (g, 4, 4) DN
-    anchors without an error."""
+    anchors without an error; a flat (4,) box was read as one box, and a
+    (2, 0) array as none."""
     rng = np.random.default_rng(7)
     params = neck_params(rng)
     grid = Tensor(rng.normal(size=(8, 8, 4)))
     cfg = DnConfig(groups=2)
     with pytest.raises(ValueError, match=r"make_dn_queries: .*got shape " + re.escape(str(shape))):
         make_dn_queries(np.full(shape, 0.3), cfg, grid, params, rng)
-    anchors, contents = make_dn_queries([0.5, 0.5, 0.3, 0.3], cfg, grid, params, rng)
+    anchors, contents = make_dn_queries([[0.5, 0.5, 0.3, 0.3]], cfg, grid, params, rng)
     assert anchors.shape == (2, 1, 4) and contents.shape == (2, 1, 6)
-    anchors, contents = make_dn_queries([], cfg, grid, params, rng)
-    assert anchors.shape == (2, 0, 4) and contents.shape == (2, 0, 6)
+    for empty in (np.zeros((0, 4)), []):
+        anchors, contents = make_dn_queries(empty, cfg, grid, params, rng)
+        assert anchors.shape == (2, 0, 4) and contents.shape == (2, 0, 6)
 
 
 def test_dn_zero_noise_reproduces_gt():

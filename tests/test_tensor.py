@@ -532,9 +532,11 @@ def test_attention_operands_of_wrong_shape_raise():
 
 
 @pytest.mark.parametrize("heads, widths", [(0, (8, 6)), (-2, (8, 6)), (3, (8, 6)), (4, (8, 6)), (2, (7, 6)),
-                                           (5, (10, 4))])
+                                           (5, (10, 4)), (5, (0, 5)), (1, (0, 5))])
 def test_attention_rejects_a_head_count_that_does_not_divide_the_widths(heads, widths):
-    """``heads`` must be a positive divisor of q and k's width and of v's."""
+    """``heads`` must be a positive divisor of q and k's width and of v's,
+    and leave each head at least one q column: zero-width q and k used to
+    raise ZeroDivisionError from the 1/sqrt(d) scale."""
     rng = np.random.default_rng(20)
     d, dv = widths
     q, k, v = (Tensor(rng.normal(size=s)) for s in ((3, d), (5, d), (5, dv)))
