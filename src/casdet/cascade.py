@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import as_boxes, box_cxcywh_to_xyxy, iou_xyxy
+from .geom import as_boxes, box_cxcywh_to_xyxy, iou_xyxy, require_integer
 from .tensor import ShapeError, Tensor, np_sigmoid
 
 
@@ -34,6 +34,7 @@ class CascadeConfig:
             raise ValueError("theta1 + delta_theta must not exceed 1")
         if not 0.0 < self.tau < np.inf:
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        require_integer("n_layers", self.n_layers)
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import ffn, init_linear
+from .geom import require_integer
 from .tensor import Tensor
 
 PE_TEMPERATURE = 10000.0  # base of the geometric frequency ladder of sinusoidal_pe
@@ -29,6 +30,7 @@ class PeConfig:
     dim_per_coord: int = 32
 
     def __post_init__(self):
+        require_integer("dim_per_coord", self.dim_per_coord)
         if self.dim_per_coord <= 0 or self.dim_per_coord % 2 != 0:
             raise ValueError(f"dim_per_coord must be a positive even integer, got {self.dim_per_coord}")
 

@@ -4,6 +4,7 @@ Boxes come in two parametrizations: center/size ``(cx, cy, w, h)`` and
 corner ``(x0, y0, x1, y1)``. All functions take float64 arrays of shape
 ``(..., 4)`` and are pure. A set of boxes enters as one ``(n, 4)`` array via
 ``as_boxes``, or ``(0,)``: what ``np.array`` makes of an empty proposal list.
+The configs check their count fields with ``require_integer``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ def as_boxes(b, caller: str) -> np.ndarray:
     if b.ndim != 2 or b.shape[1] != 4:
         raise ValueError(f"{caller}: boxes must be (n, 4) or (0,); got shape {b.shape}")
     return b
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a Python or numpy
+    integer: a bool, or a float even when whole, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def box_cxcywh_to_xyxy(b: np.ndarray) -> np.ndarray:

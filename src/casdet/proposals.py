@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import as_boxes, box_cxcywh_to_xyxy, iou_xyxy, jitter_box
+from .geom import as_boxes, box_cxcywh_to_xyxy, iou_xyxy, jitter_box, require_integer
 
 
 @dataclass(slots=True)  # no per-instance __dict__: a fixture holds thousands of these
@@ -40,6 +40,8 @@ class EmulatorConfig:
     def __post_init__(self):
         if not (0.0 <= self.gt_hit_rate <= 1.0):
             raise ValueError("gt_hit_rate must be in [0, 1]")
+        require_integer("target_count", self.target_count)
+        require_integer("distractor_count", self.distractor_count)
         if not (self.target_count >= 1 and self.distractor_count >= 0 and 0.0 <= self.jitter_sigma < math.inf):
             raise ValueError("need target_count >= 1, distractor_count >= 0 and jitter_sigma >= 0 and finite")
 

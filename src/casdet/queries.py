@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import neck, roi_pool_batch
-from .geom import as_boxes, box_cxcywh_to_xyxy, box_xyxy_to_cxcywh, clamp_box_xyxy
+from .geom import as_boxes, box_cxcywh_to_xyxy, box_xyxy_to_cxcywh, clamp_box_xyxy, require_integer
 from .proposals import Proposal
 from .tensor import Tensor
 
@@ -27,6 +27,7 @@ class DnConfig:
     box_noise: float = 0.4
 
     def __post_init__(self):
+        require_integer("groups", self.groups)
         if self.groups < 1:
             raise ValueError("groups must be >= 1")
         if not 0.0 <= self.box_noise < np.inf:

@@ -24,6 +24,19 @@ as in FlashAttention's ``(tokens, heads, head_dim)``, and keeps no
 probabilities: it walks each head in blocks of query rows small enough to
 stay in a core's L2 cache, works in contiguous per-head buffers, and its
 backward recomputes each block from the operands' unchanged ``.data``.
+
+``attention`` and ``layer_norm`` take their row statistics from the matmuls
+beside them, not from separate passes over a block: attention's row sums
+are the last column of each block's product with ``[v_h | 1]``; its
+backward gets ``logit - row max`` from one matmul of ``[q_h * scale | -row
+max]`` with ``[k_h^T; 1]``, and ``gn v_h^T - r`` from one of ``[gn | -r]``
+with ``[v_h^T; 1]``. Only the forward's row max is a reduction, and its
+shift a subtraction. Layer norm's row means, forward and backward, are
+matmuls with a ``(d, 1)`` column of ``1/d``. The ones columns live only
+while their head or call runs, so each node holds the arrays it would hold
+without them: attention's output, row max, row sum and inverted mask, and
+layer norm's normalized input and ``1/s``.
+
 Elementwise ops broadcast like numpy, and ``matmul`` follows numpy's
 stacked-matrix rules. Only what the detector needs is implemented.
 """
@@ -354,18 +367,29 @@ LN_EPS = 1e-5  # added to the variance in layer_norm
 
 
 def layer_norm(a, gamma, beta) -> Tensor:
-    """Layer normalization over the last axis with affine parameters."""
+    """Layer normalization over the last axis with affine parameters.
+
+    Each row statistic is a matmul with a ``(d, 1)`` column of ``1/d``: the
+    row mean of the input, then the mean square of the centred rows (two
+    passes, never ``E[x^2] - mean^2``, which cancels when rows sit far from
+    0), and in the backward the row means of ``g * gamma`` and of ``g * gamma
+    * xn``. The node keeps the normalized input ``xn`` and ``1/s``, ``s``
+    being each row's standard deviation with ``LN_EPS`` added to the
+    variance: one array the size of the input and one column.
+    """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    s = np.sqrt(var + LN_EPS)
-    xn = (a.data - mu) / s
+    mean_col = np.full((a.shape[-1], 1), 1.0 / a.shape[-1])
+    xn = a.data - a.data @ mean_col
+    inv_s = 1.0 / np.sqrt((xn * xn) @ mean_col + LN_EPS)
+    xn *= inv_s
     y = xn * gamma.data + beta.data
 
     def backward(g):
         gxn = g * gamma.data
-        return ((gxn - gxn.mean(axis=-1, keepdims=True) - xn * (gxn * xn).mean(axis=-1, keepdims=True)) / s,
-                g * xn, g)
+        dx = gxn - gxn @ mean_col
+        dx -= xn * ((gxn * xn) @ mean_col)
+        dx *= inv_s
+        return dx, g * xn, g
 
     return custom_op(y, (a, gamma, beta), backward)
 
@@ -392,17 +416,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
     output, each row's softmax max and sum per head and the inverted mask,
     and no probabilities. Forward and backward walk each head in blocks of
     ``max(1, _ATTN_BLOCK // m)`` query rows, so each pass over a block's
-    logits stays in L2. A block holds ``exp(logit - row max)``, q's rows
-    scaled before the matmul; its product with v is divided by the row sums
-    once, after the loop, as in FlashAttention (Dao et al., 2022). Output and
-    gradients are built in contiguous ``(heads, rows, width)`` buffers, each
-    turned into columns by one transpose copy (none for one head). The
-    backward recomputes each block from the row max and the operands'
-    ``.data``, which must not change in between. With ``gn = dout / row sum``
-    and ``r = rowsum(gn * out)``, a block's logit gradient is ``e * (gn @ v^T
-    - r)``, which needs no mask since ``e`` is 0 where masked. Values and
-    gradients are within 1e-12 relative (about 1e-15 in practice) of the form
-    that keeps whole ``(n, m)`` probabilities.
+    logits stays in L2. Each head builds contiguous ``[k_h^T; 1]`` and
+    ``[v_h^T; 1]``, dropped after that head. A block holds ``e = exp(logit -
+    row max)``, q's rows scaled before the matmul; its product with ``[v_h |
+    1]`` is ``[e v_h | row sum]``, whose last column divides the others
+    straight into the output's columns: the output is normalised after the
+    value matmul, as in FlashAttention (Dao et al., 2022). Gradients are
+    built in contiguous ``(heads, rows, width)`` buffers, each turned into
+    columns by one transpose copy (none for one head). The backward
+    recomputes each block from the row max and the operands' ``.data``,
+    which must not change in between: ``[q_h * scale | -row max] @ [k_h^T;
+    1]`` is ``logit - row max``, then the ``-inf`` fill and ``exp`` give
+    ``e``. With ``gn = dout / row sum`` and ``r = rowsum(gn * out)``, ``[gn |
+    -r] @ [v_h^T; 1]`` is ``gn @ v_h^T - r``, and ``e`` times it is the
+    block's logit gradient, which needs no mask since ``e`` is 0 where
+    masked. Values and gradients are within 1e-12 relative (about 1e-15
+    in practice) of the form that keeps whole ``(n, m)`` probabilities.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention needs q (n, heads*d), k (m, heads*d), v (m, heads*dv); "
@@ -429,41 +458,52 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
     spans = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     qk_cols = [slice(i * hd, (i + 1) * hd) for i in range(heads)]
     v_cols = [slice(i * hv, (i + 1) * hv) for i in range(heads)]
-    row_max, row_sum = np.empty((heads, n, 1)), np.empty((heads, n, 1))
+    row_max = np.empty((heads, n, 1))
 
-    def exp_logits(i, lo, hi, e, first):
-        """Head i's exp(logit - row max) of query rows lo:hi, into e; the
-        first call per block stores the rows' max and sum."""
-        np.matmul(q.data[lo:hi, qk_cols[i]] * scale, k.data[:, qk_cols[i]].T, out=e)
-        if hidden is not None:
-            np.copyto(e, -np.inf, where=hidden[lo:hi])
-        if first:  # initial: a (rows, 0) block (no key) reduces too
-            np.max(e, axis=-1, keepdims=True, initial=-np.inf, out=row_max[i, lo:hi])
-        e -= row_max[i, lo:hi]
-        np.exp(e, out=e)
-        if first:
-            np.sum(e, axis=-1, keepdims=True, out=row_sum[i, lo:hi])
-        return e
+    def head_operands(i):
+        """Head i's ``[k_h^T; 1]`` and ``[v_h^T; 1]``, contiguous."""
+        kt1, vt1 = np.empty((hd + 1, m)), np.empty((hv + 1, m))
+        kt1[:hd], kt1[hd] = k.data[:, qk_cols[i]].T, 1.0
+        vt1[:hv], vt1[hv] = v.data[:, v_cols[i]].T, 1.0
+        return kt1, vt1
 
-    y, block = np.empty((heads, n, hv)), np.empty((min(rows, n), m))
+    row_sum, out = np.empty((heads, n, 1)), np.empty((n, heads * hv))
+    out_heads = _split_heads(out, heads)
+    e_block, y_block = np.empty((min(rows, n), m)), np.empty((min(rows, n), hv + 1))
     for i in range(heads):
+        kt1, vt1 = head_operands(i)
         for lo, hi in spans:
-            np.matmul(exp_logits(i, lo, hi, block[:hi - lo], True), v.data[:, v_cols[i]], out=y[i, lo:hi])
-    y /= row_sum
-    out = _merge_heads(y)
+            e, y = e_block[:hi - lo], y_block[:hi - lo]
+            np.matmul(q.data[lo:hi, qk_cols[i]] * scale, kt1[:hd], out=e)
+            if hidden is not None:
+                np.copyto(e, -np.inf, where=hidden[lo:hi])
+            # initial: a (rows, 0) block (no key) reduces too
+            np.max(e, axis=-1, keepdims=True, initial=-np.inf, out=row_max[i, lo:hi])
+            e -= row_max[i, lo:hi]
+            np.exp(e, out=e)
+            np.matmul(e, vt1.T, out=y)  # [e v_h | row sum]
+            row_sum[i, lo:hi] = y[:, hv:]
+            np.divide(y[:, :hv], row_sum[i, lo:hi], out=out_heads[i, lo:hi])
 
     def backward(g):
-        gn = np.empty((heads, n, hv))
-        np.divide(g.reshape(n, heads, hv).transpose(1, 0, 2), row_sum, out=gn)
-        r = (gn * out.reshape(n, heads, hv).transpose(1, 0, 2)).sum(axis=-1, keepdims=True)
+        gn = np.empty((heads, n, hv + 1))  # [g / row sum | -r], r = rowsum(g / row sum * out)
+        np.divide(_split_heads(g, heads), row_sum, out=gn[..., :hv])
+        np.negative((gn[..., :hv] * _split_heads(out, heads)).sum(axis=-1), out=gn[..., hv])
         dq, dk, dv = np.empty((heads, n, hd)), np.zeros((heads, m, hd)), np.zeros((heads, m, hv))
         e_block, ds_block = np.empty((min(rows, n), m)), np.empty((min(rows, n), m))
+        q1_block = np.empty((min(rows, n), hd + 1))
         for i in range(heads):
+            kt1, vt1 = head_operands(i)
             for lo, hi in spans:
-                e, ds = exp_logits(i, lo, hi, e_block[:hi - lo], False), ds_block[:hi - lo]
-                dv[i] += e.T @ gn[i, lo:hi]
-                np.matmul(gn[i, lo:hi], v.data[:, v_cols[i]].T, out=ds)
-                ds -= r[i, lo:hi]
+                e, ds, q1 = e_block[:hi - lo], ds_block[:hi - lo], q1_block[:hi - lo]
+                np.multiply(q.data[lo:hi, qk_cols[i]], scale, out=q1[:, :hd])
+                np.negative(row_max[i, lo:hi], out=q1[:, hd:])
+                np.matmul(q1, kt1, out=e)  # [q_h * scale | -row max] [k_h^T; 1] = logit - row max
+                if hidden is not None:
+                    np.copyto(e, -np.inf, where=hidden[lo:hi])
+                np.exp(e, out=e)
+                dv[i] += e.T @ gn[i, lo:hi, :hv]
+                np.matmul(gn[i, lo:hi], vt1, out=ds)  # [gn | -r] [v_h^T; 1] = gn v_h^T - r
                 ds *= e
                 np.matmul(ds, k.data[:, qk_cols[i]], out=dq[i, lo:hi])
                 dk[i] += ds.T @ q.data[lo:hi, qk_cols[i]]
@@ -472,6 +512,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
         return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 
     return custom_op(out, (q, k, v), backward)
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """A ``(rows, heads*width)`` array as a ``(heads, rows, width)`` view."""
+    return a.reshape(a.shape[0], heads, a.shape[1] // heads).transpose(1, 0, 2)
 
 
 def _merge_heads(a: np.ndarray) -> np.ndarray:

@@ -49,6 +49,15 @@ def test_cascade_config_validation():
             CascadeConfig(delta_theta=bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0, 2.5, True], ids=["nan", "inf", "whole-float", "float", "bool"])
+def test_cascade_config_takes_an_integer_layer_count(bad):
+    """nan, inf and True passed ``n_layers >= 1``, and a float count failed
+    later in ``threshold_schedule``; a numpy integer is a count."""
+    with pytest.raises(ValueError, match="n_layers must be an integer"):
+        CascadeConfig(n_layers=bad)
+    assert len(threshold_schedule(CascadeConfig(n_layers=np.int64(3)))) == 3
+
+
 def test_negative_increment_is_rejected():
     # It would give a falling schedule that leaves [0, 1]: 0.3, 0.05, -0.2.
     with pytest.raises(ValueError, match="delta_theta"):

@@ -58,6 +58,16 @@ def test_pe_config_validation():
         PeConfig(dim_per_coord=7)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0, 2.5, True], ids=["nan", "inf", "whole-float", "float", "bool"])
+def test_pe_config_takes_an_integer_width(bad):
+    """A whole float passed the even-width check and failed later in
+    ``box_pe_vector``; the other values were refused only as not even, or
+    not positive. A numpy integer is a width."""
+    with pytest.raises(ValueError, match="dim_per_coord must be an integer"):
+        PeConfig(dim_per_coord=bad)
+    assert box_pe_vector(np.zeros((2, 4)), PeConfig(dim_per_coord=np.int64(4))).shape == (2, 16)
+
+
 @pytest.mark.parametrize("dim", [2, 8, 32])
 @pytest.mark.parametrize("shape", [(4,), (7, 4), (2, 3, 4), (0, 4)])
 def test_box_pe_vector_bitwise_equal_to_the_per_coordinate_concatenation(dim, shape):

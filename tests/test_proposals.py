@@ -70,6 +70,18 @@ def test_emulator_config_names_the_bound_it_breaks():
             EmulatorConfig(**bad)
 
 
+@pytest.mark.parametrize("field", ["target_count", "distractor_count"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0, 2.5, True], ids=["nan", "inf", "whole-float", "float", "bool"])
+def test_emulator_config_takes_integer_counts(field, bad):
+    """Each count is an integer: a float one failed later in
+    ``emulate_proposals``, and True passed as 1. A numpy integer is a count."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        EmulatorConfig(**{field: bad})
+    cfg = EmulatorConfig(**{field: np.int64(3)})
+    gts = np.array([[0.5, 0.5, 0.2, 0.2]])
+    assert len(emulate_proposals(gts, cfg, np.random.default_rng(0))) >= 1
+
+
 @pytest.mark.parametrize("distractors", [6, 0])
 def test_emulator_with_no_gt_draws_only_the_background(distractors):
     """No GT: one ``rng.random((distractor_count, 4))`` gives the distractors;

@@ -199,6 +199,15 @@ def test_dn_noisy_boxes_keep_overlap():
     assert count == 1000
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0, 2.5, True], ids=["nan", "inf", "whole-float", "float", "bool"])
+def test_dn_config_takes_an_integer_group_count(bad):
+    """nan, inf and True passed ``groups >= 1``, and a float count failed
+    later in ``make_dn_queries``; a numpy integer is a count."""
+    with pytest.raises(ValueError, match="groups must be an integer"):
+        DnConfig(groups=bad)
+    assert DnConfig(groups=np.int64(3)).groups == 3
+
+
 def test_dn_config_validation():
     with pytest.raises(ValueError):
         DnConfig(groups=0)

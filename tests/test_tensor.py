@@ -620,6 +620,25 @@ def held_arrays(fn):
     return found
 
 
+def wide_logits_case(rng):
+    """Two heads of integer q and k, whose logits are exact: query row r's
+    logit on key r is 700 +- 8, its other unmasked logits are within 28 of 0,
+    and keys 8-11, at 800 +- 8, are masked for every row, as is key 12 + r
+    for row r. So ``exp(logit - row max)`` is exactly 1 on key r, below 1e-280
+    on every other key, and would overflow on the masked keys."""
+    n, m, d = 8, 20, 16  # 16 columns per head: the 1/sqrt(d) scale is exact
+    q = rng.integers(-2, 3, size=(2, n, d)).astype(float)
+    k = rng.integers(-2, 3, size=(2, m, d)).astype(float)
+    q[:, :, :n] = 0.0
+    rows = np.arange(n)
+    q[:, rows, rows], k[:, rows, rows] = 40.0, 70.0
+    k[:, 8:12, :n] = 80.0
+    mask = np.ones((n, m), dtype=bool)
+    mask[:, 8:12] = False
+    mask[rows, rows + 12] = False
+    return q, k, rng.integers(-3, 3, size=(2, m, 5)) + 0.5, mask  # v exact, and never 0
+
+
 def recompute_case(kind, rng):
     """(q, k, v, mask) arrays for one case of the kept-probability oracle,
     batched over heads."""
@@ -638,17 +657,26 @@ def recompute_case(kind, rng):
     if kind == "masked-2d":  # matching rows and three DN groups, one of them empty
         mask = attention_mask(5, [3, 0, 2])
         return rng.normal(size=(10, 8)), rng.normal(size=(10, 8)), rng.normal(size=(10, 6)), mask
+    if kind == "wide-logits":
+        return wide_logits_case(rng)
     return rng.normal(size=(3, 0, 8)), rng.normal(size=(3, 7, 8)), rng.normal(size=(3, 7, 5)), None
 
 
 @pytest.mark.parametrize("kind", ["encoder", "cross", "masked-2d", "no-query-rows", "ragged-blocks",
-                                  "dn-inside-a-block", "one-row-blocks"])
+                                  "dn-inside-a-block", "one-row-blocks", "wide-logits"])
 def test_attention_matches_the_kept_probability_node(kind):
     """Walking row blocks and recomputing them in the backward gives the kept-
     probability node's values and gradients to 1e-12 of the oracle's largest
     magnitude, for every subset of operands needing grad. The node holds
     under half of one (n, m) float block besides its output, and a second
-    backward gives exactly twice the gradients."""
+    backward gives exactly twice the gradients.
+
+    With wide logits the backward's ``logit - row max``, one matmul of
+    ``[q * scale | -row max]`` with ``[k^T; 1]``, is exactly 0 on each row's
+    key, as the forward's subtraction is: each output row is that key's v
+    row, and that key's v gradient is the row's output gradient, bit for
+    bit. Every other unmasked weight vanishes (below 1e-250), and the masked
+    keys, whose logits are larger still, get no gradient at all."""
     rng = np.random.default_rng(18)
     q, k, v, mask = recompute_case(kind, rng)
     n, m = q.shape[-2], k.shape[-2]
@@ -657,10 +685,19 @@ def test_attention_matches_the_kept_probability_node(kind):
         assert rows < n
     assert (kind != "ragged-blocks" or n % rows) and (kind != "one-row-blocks" or rows == 1)
     w = rng.normal(size=q.shape[:-1] + v.shape[-1:])
+    if kind == "wide-logits":
+        w = np.floor(4.0 * w) + 0.5  # exact, and never 0
     for flags in GRAD_SUBSETS:
         leaves = [Tensor(columns(a), requires_grad=f) for a, f in zip((q, k, v), flags)]
         out = T.attention(*leaves, mask, heads=n_heads(q))
         (out * columns(w)).sum().backward()
+        if kind == "wide-logits":
+            np.testing.assert_array_equal(out.data, columns(v[:, :n]))
+            if flags[2]:
+                dv = v.shape[-1]
+                grad = leaves[2].grad.reshape(m, -1, dv).transpose(1, 0, 2)
+                np.testing.assert_array_equal(grad[:, :n], w)
+                assert not grad[:, 8:12].any() and np.abs(grad[:, 12:]).max() < 1e-250
         oracle_leaves = [Tensor(a, requires_grad=f) for a, f in zip((q, k, v), flags)]
         oracle = kept_probability_attention(*oracle_leaves, mask)
         (oracle * w).sum().backward()
@@ -723,6 +760,53 @@ def test_attention_peaks_under_half_a_block_when_rows_split_into_blocks():
         tracemalloc.stop()
     assert all(t.grad is not None for t in (q, k, v))
     assert peak < 0.5 * 512 * 512 * 8
+
+
+def textbook_layer_norm(a, gamma, beta):
+    """``layer_norm`` as it was with ``np.mean`` and ``np.var``: the oracle of
+    the node that takes its row means from matmuls."""
+    mu = a.data.mean(axis=-1, keepdims=True)
+    s = np.sqrt(a.data.var(axis=-1, keepdims=True) + T.LN_EPS)
+    xn = (a.data - mu) / s
+
+    def backward(g):
+        gxn = g * gamma.data
+        return ((gxn - gxn.mean(axis=-1, keepdims=True) - xn * (gxn * xn).mean(axis=-1, keepdims=True)) / s,
+                g * xn, g)
+
+    return T.custom_op(xn * gamma.data + beta.data, (a, gamma, beta), backward)
+
+
+def layer_norm_case(kind, rng):
+    if kind == "offset":  # 1000 standard deviations off 0: E[x^2] - mean^2 loses about 1e-10
+        return 1e6 + 1e3 * rng.normal(size=(8, 64))
+    if kind == "constant-row":  # variance 0: only LN_EPS keeps the row finite
+        x = rng.normal(size=(5, 16))
+        x[2] = 0.3
+        return x
+    return rng.normal(size={"d6": (7, 6), "3d": (2, 5, 6), "no-rows": (0, 6)}[kind])
+
+
+@pytest.mark.parametrize("kind", ["offset", "constant-row", "d6", "3d", "no-rows"])
+def test_layer_norm_matches_the_textbook_form(kind):
+    """Row means from matmuls with a column of 1/d, and the variance as the
+    mean square of the centred rows, give the np.mean and np.var form's
+    values and gradients of x, gamma and beta to 1e-12 of the oracle's
+    largest magnitude: with a common offset of 1e6, with a constant row, at
+    d = 6, where 1/d is inexact, on a (2, 5, 6) input and on no rows."""
+    rng = np.random.default_rng(23)
+    x = layer_norm_case(kind, rng)
+    d = x.shape[-1]
+    gamma, beta, w = rng.normal(size=d), rng.normal(size=d), rng.normal(size=x.shape)
+    got, want = [], []
+    for op, found in ((T.layer_norm, got), (textbook_layer_norm, want)):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        out = op(*leaves)
+        (out * w).sum().backward()
+        found += [out.data] + [t.grad for t in leaves]
+    for g, o in zip(got, want):
+        assert g.shape == o.shape
+        assert np.abs(g - o).max(initial=0.0) <= 1e-12 * np.abs(o).max(initial=0.0)
 
 
 def test_forward_deterministic_and_finite_on_bounded_inputs():
