@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor, custom_op
-from .geom import as_boxes, box_cxcywh_to_xyxy
+from .geom import as_boxes, box_cxcywh_to_xyxy, require_integer
 
 
 # parameter helpers ----------------------------------------------------------
@@ -170,8 +170,10 @@ def _window_max(cells: np.ndarray, kr: int, kc: int) -> tuple[np.ndarray, np.nda
 def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7, 7)) -> Tensor:
     """Channelwise max-pool fixed-size region features for a batch of boxes.
 
-    ``boxes`` is (n, 4) cxcywh in normalized image coordinates, or (0,) for
-    none; any other shape raises ``ValueError``. The result is
+    ``grid`` is (H', W', C), else ``ShapeError``; ``out_hw`` is two positive
+    integers (bools refused), else ``ValueError``. ``boxes`` is (n, 4) cxcywh
+    in normalized image coordinates, or (0,) for none; any other shape raises
+    ``ValueError``. The result is
     (n, H_roi, W_roi, C). Along each axis the box, clipped to [0, 1], covers
     cells ``[floor(lo), ceil(hi))``, at least one; this range of ``span`` cells
     is cut into contiguous bins at ``k*span // n_bins``. A bin left empty by a
@@ -190,6 +192,15 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
     ``_ROI_CHUNK * H_roi * W_roi * C`` values. NaN or inf in the grid or the
     boxes raise ``FloatingPointError``.
     """
+    bad_hw = f"roi_pool_batch: out_hw must be two positive integers, got {out_hw!r}"
+    if not isinstance(out_hw, (tuple, list)) or len(out_hw) != 2:
+        raise ValueError(bad_hw)
+    for v in out_hw:
+        require_integer("roi_pool_batch: out_hw", v)
+    if min(out_hw) < 1:
+        raise ValueError(bad_hw)
+    if grid.ndim != 3:
+        raise ShapeError(f"roi_pool_batch: the grid must be (H', W', C), got shape {grid.shape}")
     boxes = as_boxes(boxes, "roi_pool_batch")
     if not (np.isfinite(grid.data).all() and np.isfinite(boxes).all()):
         raise FloatingPointError("roi_pool_batch: the grid or the boxes hold NaN or inf")

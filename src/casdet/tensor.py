@@ -12,12 +12,20 @@ that need no gradient, sums each gradient back down to its parent's shape and
 accumulates it. ``linear`` (for x), ``mul`` and ``div`` return None for an
 operand that needs no gradient, rather than compute one the walk would drop.
 
-The walk owns its gradient buffers. A backward may return ``out.grad``, or a
-view of it, as a parent's gradient, so it must never write into ``out.grad``
-or into an array it has returned; a tensor's first gradient is adopted
-without a copy, and later ones are summed out of place. Leaves (tensors with
-no backward, such as parameters) keep ``.grad`` as their own copy; interior
-nodes drop theirs as soon as their backward has run.
+The walk owns its gradient buffers, and a step holds each array once. A
+backward returns, per parent, None, ``out.grad``, a view of it, or an array
+it built and keeps no reference to; it never returns one built array for
+two parents, and never writes into ``out.grad`` or into an array it has
+returned. A tensor adopts its first gradient without a copy, except that a
+leaf (a tensor with no backward, such as a parameter) copies one that is
+``out.grad``, a view, or not a C-ordered float64 array, so a leaf's
+``.grad`` shares memory with no other array. A leaf adds later gradients
+into its ``.grad`` in place; an interior node sums them out of place, since
+its ``.grad`` may be another node's, and drops it as soon as its backward
+has run. Backwards read their parents' ``.data`` rather than keep copies,
+and ``attention`` and ``layer_norm`` rebuild what they need from it
+(recompute over store, as in gradient checkpointing), so a parent's
+``.data`` must not change between the forward and the backward.
 
 ``attention`` takes 2-D operands with its heads side by side in the columns,
 as in FlashAttention's ``(tokens, heads, head_dim)``, and keeps no
@@ -35,7 +43,8 @@ shift a subtraction. Layer norm's row means, forward and backward, are
 matmuls with a ``(d, 1)`` column of ``1/d``. The ones columns live only
 while their head or call runs, so each node holds the arrays it would hold
 without them: attention's output, row max, row sum and inverted mask, and
-layer norm's normalized input and ``1/s``.
+layer norm's row mean and ``1/s`` (its backward rebuilds the normalized
+input from them).
 
 Elementwise ops broadcast like numpy, and ``matmul`` follows numpy's
 stacked-matrix rules. Only what the detector needs is implemented.
@@ -81,11 +90,12 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph.
 
-        Leaves accumulate into their ``.grad``, so two calls give twice the
-        gradient of one. Every interior node except ``self`` has ``.grad``
-        set to None once its backward has run; ``_parents`` and the backwards
-        stay, so the graph can be walked and differentiated again. A node
-        that received no gradient passes none on.
+        Leaves accumulate into their ``.grad`` in place, so two calls give
+        twice the gradient of one in the same array. Every interior node
+        except ``self`` has ``.grad`` set to None once its backward has run;
+        ``_parents`` and the backwards stay, so the graph can be walked and
+        differentiated again. A node that received no gradient passes none
+        on.
         """
         if self.data.ndim != 0:
             raise ShapeError(f"backward() requires a 0-d scalar, got shape {self.shape}")
@@ -95,7 +105,10 @@ class Tensor:
                 continue
             for p, g in zip(node._parents, node._backward(node.grad)):
                 if g is not None and p.requires_grad:
-                    _accum(p, _unbroadcast(g, p.shape))
+                    g = _unbroadcast(g, p.shape)
+                    if p._backward is None and p.grad is None and not _private(g, node.grad):
+                        g = np.array(g, dtype=np.float64, order="C")
+                    _accum(p, g)
             if node is not self:
                 node.grad = None
 
@@ -167,20 +180,28 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad`` without writing into ``g`` or the old ``.grad``.
+    """Add ``g`` into ``t.grad`` without writing into ``g``.
 
-    An interior node adopts its first ``g`` as is, so ``g`` may be the
-    caller's ``out.grad`` or a view of it; a leaf stores a C-ordered float64
-    copy, so its ``.grad`` shares memory with no other array and is an array
-    even when ``g`` is a numpy scalar. Later contributions are summed out of
-    place.
+    A first ``g`` is adopted as is: an interior node's may be the caller's
+    ``out.grad`` or a view of it, and the walk hands a leaf only an array
+    that nothing else holds (see ``_private``). Later contributions are added
+    into a leaf's ``.grad`` in place, and summed out of place for an interior
+    node, whose ``.grad`` may be another node's array.
     """
-    if t.grad is not None:
-        t.grad = t.grad + g
-    elif t._backward is None:
-        t.grad = np.array(g, dtype=np.float64, order="C")
-    else:
+    if t.grad is None:
         t.grad = g
+    elif t._backward is None:
+        t.grad += g
+    else:
+        t.grad = t.grad + g
+
+
+def _private(g, out_grad: np.ndarray) -> bool:
+    """Whether a leaf may adopt ``g``, a gradient a backward returned for
+    ``out_grad``, as its ``.grad``: a C-ordered float64 array that is neither
+    ``out_grad`` nor a view, so by the walk's contract nothing else holds it."""
+    return (g is not out_grad and isinstance(g, np.ndarray) and g.base is None
+            and g.dtype == np.float64 and g.flags.c_contiguous)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -205,10 +226,13 @@ def custom_op(y: np.ndarray, parents: tuple[Tensor, ...],
     parent order, each at its parent's shape or at a shape that broadcasts to
     it, or None for no gradient. The walk in ``Tensor.backward`` skips parents
     that need no gradient, sums each gradient back to its parent's shape and
-    accumulates it. ``backward`` may return ``out.grad`` or a view of it, but
-    must never write into either. It is stored as is, not bound to the
-    output, so nodes only point at their parents: a graph holds no reference
-    cycle and is freed as soon as it is dropped.
+    accumulates it. ``backward`` may return ``out.grad``, a view of it or an
+    array it built and keeps no reference to, but never one built array for
+    two parents, and it must never write into ``out.grad`` or what it
+    returned: a leaf may adopt a built array as its ``.grad`` and add into
+    it later. It is stored as is, not bound to the output, so nodes only
+    point at their parents: a graph holds no reference cycle and is freed
+    as soon as it is dropped.
     """
     out = Tensor(y, any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -269,10 +293,12 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` as one node with parents ``(x, w, b)``: ``x (..., n_in)``,
-    ``w (n_in, n_out)``, ``b (n_out,)``, gradients as in ``matmul`` and ``add``."""
+    ``w (n_in, n_out)``, ``b (n_out,)``, gradients as in ``matmul`` and ``add``;
+    other shapes raise ShapeError."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim < 2 or w.ndim < 2:
-        raise ShapeError("linear operands must have ndim >= 2")
+    if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs x (..., n_in), w (n_in, n_out) and b (n_out,); "
+                         f"got {x.shape}, {w.shape}, {b.shape}")
     if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
     y = x.data @ w.data
@@ -373,18 +399,29 @@ def layer_norm(a, gamma, beta) -> Tensor:
     row mean of the input, then the mean square of the centred rows (two
     passes, never ``E[x^2] - mean^2``, which cancels when rows sit far from
     0), and in the backward the row means of ``g * gamma`` and of ``g * gamma
-    * xn``. The node keeps the normalized input ``xn`` and ``1/s``, ``s``
-    being each row's standard deviation with ``LN_EPS`` added to the
-    variance: one array the size of the input and one column.
+    * xn``. The node keeps two columns, the row mean and ``1/s``, ``s`` being
+    each row's standard deviation with ``LN_EPS`` added to the variance; the
+    backward rebuilds the normalized input ``xn`` from them with the
+    forward's own two ops, so the input's ``.data`` must not change between
+    the forward and the backward. The backward holds the rebuilt ``xn``,
+    ``g * gamma`` and the input gradient at once. An input whose last axis is
+    empty, or a gamma or beta that is not ``(d,)``, raises ShapeError.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    mean_col = np.full((a.shape[-1], 1), 1.0 / a.shape[-1])
-    xn = a.data - a.data @ mean_col
+    d = a.shape[-1] if a.ndim else 0
+    if d == 0 or gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeError(f"layer_norm needs a (..., d) input with d >= 1 and (d,) gamma and beta; "
+                         f"got {a.shape}, {gamma.shape}, {beta.shape}")
+    mean_col = np.full((d, 1), 1.0 / d)
+    mean = a.data @ mean_col
+    xn = a.data - mean
     inv_s = 1.0 / np.sqrt((xn * xn) @ mean_col + LN_EPS)
     xn *= inv_s
     y = xn * gamma.data + beta.data
 
     def backward(g):
+        xn = a.data - mean  # the forward's own two ops, so bitwise its xn
+        xn *= inv_s
         gxn = g * gamma.data
         dx = gxn - gxn @ mean_col
         dx -= xn * ((gxn * xn) @ mean_col)
@@ -421,9 +458,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
     row max)``, q's rows scaled before the matmul; its product with ``[v_h |
     1]`` is ``[e v_h | row sum]``, whose last column divides the others
     straight into the output's columns: the output is normalised after the
-    value matmul, as in FlashAttention (Dao et al., 2022). Gradients are
-    built in contiguous ``(heads, rows, width)`` buffers, each turned into
-    columns by one transpose copy (none for one head). The backward
+    value matmul, as in FlashAttention (Dao et al., 2022). The backward
+    allocates ``dq``, ``dk`` and ``dv`` once, in the ``(rows, heads*width)``
+    layout it returns, and builds one head at a time in contiguous
+    ``dq_h``, ``dk_h`` and ``dv_h``, each copied into its head's columns
+    when the head is done; besides the three gradients it holds those, two
+    blocks, the head's operands and ``[gn | -r]`` for every head. It
     recomputes each block from the row max and the operands' ``.data``,
     which must not change in between: ``[q_h * scale | -row max] @ [k_h^T;
     1]`` is ``logit - row max``, then the ``-inf`` fill and ``exp`` give
@@ -489,11 +529,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
         gn = np.empty((heads, n, hv + 1))  # [g / row sum | -r], r = rowsum(g / row sum * out)
         np.divide(_split_heads(g, heads), row_sum, out=gn[..., :hv])
         np.negative((gn[..., :hv] * _split_heads(out, heads)).sum(axis=-1), out=gn[..., hv])
-        dq, dk, dv = np.empty((heads, n, hd)), np.zeros((heads, m, hd)), np.zeros((heads, m, hv))
+        dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        dq_h, dk_h, dv_h = np.empty((n, hd)), np.empty((m, hd)), np.empty((m, hv))  # one head's, contiguous
         e_block, ds_block = np.empty((min(rows, n), m)), np.empty((min(rows, n), m))
         q1_block = np.empty((min(rows, n), hd + 1))
         for i in range(heads):
             kt1, vt1 = head_operands(i)
+            dk_h.fill(0.0)
+            dv_h.fill(0.0)
             for lo, hi in spans:
                 e, ds, q1 = e_block[:hi - lo], ds_block[:hi - lo], q1_block[:hi - lo]
                 np.multiply(q.data[lo:hi, qk_cols[i]], scale, out=q1[:, :hd])
@@ -502,14 +545,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
                 if hidden is not None:
                     np.copyto(e, -np.inf, where=hidden[lo:hi])
                 np.exp(e, out=e)
-                dv[i] += e.T @ gn[i, lo:hi, :hv]
+                dv_h += e.T @ gn[i, lo:hi, :hv]
                 np.matmul(gn[i, lo:hi], vt1, out=ds)  # [gn | -r] [v_h^T; 1] = gn v_h^T - r
                 ds *= e
-                np.matmul(ds, k.data[:, qk_cols[i]], out=dq[i, lo:hi])
-                dk[i] += ds.T @ q.data[lo:hi, qk_cols[i]]
-        dq *= scale
-        dk *= scale
-        return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+                np.matmul(ds, k.data[:, qk_cols[i]], out=dq_h[lo:hi])
+                dk_h += ds.T @ q.data[lo:hi, qk_cols[i]]
+            np.multiply(dq_h, scale, out=dq[:, qk_cols[i]])
+            np.multiply(dk_h, scale, out=dk[:, qk_cols[i]])
+            dv[:, v_cols[i]] = dv_h
+        return dq, dk, dv
 
     return custom_op(out, (q, k, v), backward)
 
@@ -517,12 +561,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     """A ``(rows, heads*width)`` array as a ``(heads, rows, width)`` view."""
     return a.reshape(a.shape[0], heads, a.shape[1] // heads).transpose(1, 0, 2)
-
-
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """A ``(heads, rows, width)`` array as ``(rows, heads*width)``: a transposed
-    copy, or a view for one head."""
-    return a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * a.shape[2])
 
 
 GRAD_CHECK_EPS = 1e-5  # the step of grad_check's central differences

@@ -441,6 +441,25 @@ def test_roi_rejects_boxes_that_are_not_n_by_4(shape):
     assert roi_pool_batch(grid, [], out_hw=(2, 2)).shape == (0, 2, 2, 2)
 
 
+@pytest.mark.parametrize("grid_shape, out_hw", [
+    ((4, 4, 2), (0, 7)), ((4, 4, 2), (-1, 7)), ((4, 4, 2), (7, 0)), ((4, 4, 2), (True, 2)),
+    ((4, 4, 2), (2.5, 7)), ((4, 4, 2), (7,)), ((4, 4, 2), 7),
+    ((4, 4), (2, 2)), ((1, 4, 4, 2), (2, 2))])
+def test_roi_rejects_a_bin_count_or_grid_of_another_shape(grid_shape, out_hw):
+    """``out_hw`` is two positive integers and the grid is ``(H', W', C)``.
+    A zero or negative bin count used to give an empty output, ``(True, 2)``
+    pooled one row, ``2.5`` failed in a numpy cast and a grid of another rank
+    in a bare unpacking error."""
+    grid = Tensor(np.random.default_rng(20).normal(size=grid_shape))
+    boxes = [[0.5, 0.5, 0.4, 0.4]]
+    if len(grid_shape) != 3:
+        with pytest.raises(ShapeError, match=r"roi_pool_batch: .*" + re.escape(str(grid_shape))):
+            roi_pool_batch(grid, boxes, out_hw)
+    else:
+        with pytest.raises(ValueError, match=r"roi_pool_batch: out_hw"):
+            roi_pool_batch(grid, boxes, out_hw)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_roi_non_finite_input_raises_with_stage_name(bad):
     data = np.random.default_rng(18).normal(size=(4, 4, 2))

@@ -117,6 +117,17 @@ def test_linear_shape_errors():
         T.linear(Tensor(np.ones(3)), Tensor(np.ones((3, 5))), Tensor(np.ones(5)))
 
 
+@pytest.mark.parametrize("w_shape, b_shape", [((3, 4), (2, 4)), ((3, 4), ()), ((3, 4), (1,)), ((3, 4), (5,)),
+                                              ((2, 3, 4), (4,))])
+def test_linear_takes_a_matrix_weight_and_a_vector_bias(w_shape, b_shape):
+    """``w`` is ``(n_in, n_out)`` and ``b`` is ``(n_out,)``. A ``(2, 4)`` bias
+    used to be added per row, a 0-d or ``(1,)`` one broadcast, and a ``(2, 3,
+    4)`` weight taken as a stack of weights."""
+    x = Tensor(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match=re.escape(f"got {x.shape}, {w_shape}, {b_shape}")):
+        T.linear(x, Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+
+
 def test_softmax_uniform_and_shift_invariance():
     y = softmax(Tensor([3.0, 3.0, 3.0, 3.0])).data
     np.testing.assert_allclose(y, 0.25)
@@ -254,6 +265,19 @@ def test_backward_keeps_leaf_grads_and_releases_interior_ones():
     assert {id(t): t._parents for t in (c, d, loss)} == parents
 
 
+def test_a_leaf_adds_later_gradients_into_its_own_array():
+    """A leaf adopts the weight gradient ``linear``'s backward built, and a
+    second pass adds into that same array rather than summing out of place."""
+    rng = np.random.default_rng(25)
+    x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((5, 4), (4, 3), (3,)))
+    loss = (T.linear(x, w, b) * rng.normal(size=(5, 3))).sum()
+    loss.backward()
+    first, once = w.grad, w.grad.copy()
+    loss.backward()
+    assert w.grad is first
+    np.testing.assert_array_equal(w.grad, 2.0 * once)
+
+
 def zero_fill_accum(t, g):
     """``_accum`` as it was before the walk owned its buffers."""
     if t.grad is None:
@@ -266,6 +290,7 @@ OWNERSHIP_CASES = {
     "add(a,a)": lambda a, s: (T.add(a, a) * s).sum(),
     "reshape(a)+s": lambda a, s: ((a.reshape(4, 3) + s.reshape(4, 3)) * 2.0).sum(),
     "interior reuse": lambda a, s: interior_reuse(a * s),
+    "linear": lambda a, s: (T.linear(a.reshape(4, 3), s, np.ones(4)) ** 2).sum(),  # s adopts its gradient
 }
 
 
@@ -762,6 +787,45 @@ def test_attention_peaks_under_half_a_block_when_rows_split_into_blocks():
     assert peak < 0.5 * 512 * 512 * 8
 
 
+def test_attention_backward_peaks_under_1_6_mb_beside_its_gradients():
+    """At q, k and v of (576, 64) with 4 heads, the backward builds one head's
+    gradients at a time, in contiguous buffers it copies into the returned
+    columns, and holds no (heads, rows, width) stacks of them: beyond the
+    three gradients it returns it peaks at about 1.37 MB, and at 1.88 MB with
+    the stacks."""
+    rng = np.random.default_rng(26)
+    q, k, v = (Tensor(rng.normal(size=(576, 64)), requires_grad=True) for _ in range(3))
+    out = T.attention(q, k, v, heads=4)
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [a.shape for a in grads] == [(576, 64)] * 3
+    assert peak - sum(a.nbytes for a in grads) < 1.6e6
+
+
+def kept_xn_layer_norm(a, gamma, beta):
+    """``layer_norm`` as it was when the node kept the normalized input: the
+    oracle, bit for bit, of the node that keeps the row mean and rebuilds it."""
+    mean_col = np.full((a.shape[-1], 1), 1.0 / a.shape[-1])
+    xn = a.data - a.data @ mean_col
+    inv_s = 1.0 / np.sqrt((xn * xn) @ mean_col + T.LN_EPS)
+    xn *= inv_s
+
+    def backward(g):
+        gxn = g * gamma.data
+        dx = gxn - gxn @ mean_col
+        dx -= xn * ((gxn * xn) @ mean_col)
+        dx *= inv_s
+        return dx, g * xn, g
+
+    return T.custom_op(xn * gamma.data + beta.data, (a, gamma, beta), backward)
+
+
 def textbook_layer_norm(a, gamma, beta):
     """``layer_norm`` as it was with ``np.mean`` and ``np.var``: the oracle of
     the node that takes its row means from matmuls."""
@@ -807,6 +871,51 @@ def test_layer_norm_matches_the_textbook_form(kind):
     for g, o in zip(got, want):
         assert g.shape == o.shape
         assert np.abs(g - o).max(initial=0.0) <= 1e-12 * np.abs(o).max(initial=0.0)
+
+
+def layer_norm_results(op, x, gamma, beta, w) -> list:
+    """The output and the gradients of x, gamma and beta of ``(op(x, gamma,
+    beta) * w).sum()``."""
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    out = op(*leaves)
+    (out * w).sum().backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+def test_layer_norm_keeps_two_columns_and_matches_the_kept_xn_node():
+    """At (576, 64) the node holds under a tenth of its output's bytes beside
+    the output: the row mean and ``1/s``, not the normalized input (301.5 KB
+    beside a 295 KB output when it kept it). On every input of the textbook
+    test, its values and its gradients of x, gamma and beta are byte-equal
+    to the node that kept the normalized input."""
+    rng = np.random.default_rng(27)
+    x, gamma, beta = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((576, 64), (64,), (64,)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = T.layer_norm(x, gamma, beta)
+        held = tracemalloc.get_traced_memory()[0] - start - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * out.data.nbytes
+    for kind in ("offset", "constant-row", "d6", "3d", "no-rows"):
+        x = layer_norm_case(kind, np.random.default_rng(23))
+        d = x.shape[-1]
+        args = (x, rng.normal(size=d), rng.normal(size=d), rng.normal(size=x.shape))
+        got, want = layer_norm_results(T.layer_norm, *args), layer_norm_results(kept_xn_layer_norm, *args)
+        for g, o in zip(got, want):
+            assert g.shape == o.shape and g.tobytes() == o.tobytes(), kind
+
+
+@pytest.mark.parametrize("x_shape, gamma_shape, beta_shape", [((3, 4), (3, 4), (4,)), ((3, 4), (4,), (3, 4)),
+                                                              ((3, 4), (5,), (4,)), ((3, 4), (4,), ()),
+                                                              ((3, 0), (0,), (0,)), ((), (1,), (1,))])
+def test_layer_norm_takes_affine_parameters_over_a_nonempty_last_axis(x_shape, gamma_shape, beta_shape):
+    """gamma and beta are ``(d,)`` over a last axis of ``d >= 1``. A ``(3, 4)``
+    gamma or beta used to be taken per element, a 0-d beta broadcast, and an
+    empty last axis raised ZeroDivisionError."""
+    with pytest.raises(ShapeError, match=re.escape(f"got {x_shape}, {gamma_shape}, {beta_shape}")):
+        T.layer_norm(Tensor(np.ones(x_shape)), Tensor(np.ones(gamma_shape)), Tensor(np.ones(beta_shape)))
 
 
 def test_forward_deterministic_and_finite_on_bounded_inputs():
