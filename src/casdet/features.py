@@ -7,8 +7,13 @@ non-overlapping partition of the covered cell range. Each RoI bin is one
 gather from window-max tables, one table per bin extent up to the call's
 largest, each built from a smaller one with one ``np.maximum``. The same pass
 builds each window's first-maximum index, where the earlier half of a window
-wins a tie (``np.argmax``'s row-major rule); the RoI node keeps those index
-tables and each bin's table row, and its backward only scatters.
+wins a tie (``np.argmax``'s row-major rule). RoI pooling and the neck's first
+projection ``neck.1`` are one node: each bin's gathered rows are multiplied
+by that bin's block of the weight and summed into the output, so no region
+and no region gradient is ever built. The node keeps the index tables and
+each bin's table row, not the values; its backward reads the bin maxima back
+from the grid at their first-maximum cells, so the grid's ``.data`` must not
+change between the forward and the backward.
 """
 
 from __future__ import annotations
@@ -167,30 +172,45 @@ def _window_max(cells: np.ndarray, kr: int, kc: int) -> tuple[np.ndarray, np.nda
     return val, idx
 
 
-def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7, 7)) -> Tensor:
-    """Channelwise max-pool fixed-size region features for a batch of boxes.
+def roi_pool_batch(grid: Tensor, boxes: np.ndarray, w, b, out_hw: tuple[int, int] = (7, 7)) -> Tensor:
+    """Channelwise max-pool fixed-size region features for a batch of boxes,
+    and project each box's flattened region with ``w`` and ``b``.
 
     ``grid`` is (H', W', C), else ``ShapeError``; ``out_hw`` is two positive
     integers (bools refused), else ``ValueError``. ``boxes`` is (n, 4) cxcywh
     in normalized image coordinates, or (0,) for none; any other shape raises
-    ``ValueError``. The result is
-    (n, H_roi, W_roi, C). Along each axis the box, clipped to [0, 1], covers
-    cells ``[floor(lo), ceil(hi))``, at least one; this range of ``span`` cells
-    is cut into contiguous bins at ``k*span // n_bins``. A bin left empty by a
-    small box takes its boundary cell, so tiny boxes replicate their one cell.
+    ``ValueError``. ``w`` is ``(H_roi * W_roi * C, n_out)`` and ``b``
+    ``(n_out,)``, else ``ShapeError``. The result is ``(n, n_out)``: the
+    ``(n, H_roi, W_roi, C)`` regions, flattened row-major, times ``w`` plus
+    ``b``, as one node with parents ``(grid, w, b)``. Along each axis the box,
+    clipped to [0, 1], covers cells ``[floor(lo), ceil(hi))``, at least one;
+    this range of ``span`` cells is cut into contiguous bins at ``k*span //
+    n_bins``. A bin left empty by a small box takes its boundary cell, so tiny
+    boxes replicate their one cell.
 
     Each bin is a window of ``kr x kc`` cells, at most the call's largest
     extents ``K_r x K_c``. The forward builds the ``K_r * K_c`` window-max
     tables of the grid and their first-maximum indices (``_window_max``, one
-    pass) and takes every bin from them with one ``np.take``, indexed by the
-    bin's first cell and its own extent; the node keeps the index tables and
-    that ``(n, H_roi, W_roi)`` table row. Gradients flow to the cell that
+    pass), gathers each bin's ``(n, C)`` rows from them with one ``np.take``,
+    indexed by the bin's first cell and its own extent, and adds the rows
+    times that bin's ``(C, n_out)`` block of ``w`` into the output (as Fast
+    R-CNN's RoI head feeds its pooled features to one fc layer). No region is
+    ever built; the value tables are dropped after the forward, and the node
+    keeps the index tables and each bin's ``(n, H_roi, W_roi)`` table row.
+
+    The backward reads each bin's values back from the grid at their
+    first-maximum cells, which hold them exactly, so the grid's ``.data``
+    must not change between the forward and the backward. ``w``'s gradient
+    is built one bin's row block at a time. The grid's gradient,
+    ``_ROI_CHUNK`` boxes at a time, is ``g @ w^T`` sent to the cell that
     supplied each bin maximum, the first in row-major order among equal
-    maxima (as ``np.argmax``), and are summed with ``np.add.at`` in (box, bin,
-    channel) order; box coordinates are constants of the op. The backward
-    scatters ``_ROI_CHUNK`` boxes at a time, which bounds its index to
-    ``_ROI_CHUNK * H_roi * W_roi * C`` values. NaN or inf in the grid or the
-    boxes raise ``FloatingPointError``.
+    maxima (as ``np.argmax``), and summed with ``np.add.at`` in (box, bin,
+    channel) order, which bounds the scatter's index to ``_ROI_CHUNK * H_roi *
+    W_roi * C`` values; box coordinates are constants of the op. Values and
+    gradients are within 1e-12 relative of pooling, flattening and a
+    ``linear`` node; at an identity ``w`` and a zero ``b`` the values and the
+    grid's gradient are bitwise those of the pooling alone. NaN or inf in the
+    grid or the boxes raise ``FloatingPointError``.
     """
     bad_hw = f"roi_pool_batch: out_hw must be two positive integers, got {out_hw!r}"
     if not isinstance(out_hw, (tuple, list)) or len(out_hw) != 2:
@@ -202,33 +222,50 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, out_hw: tuple[int, int] = (7
     if grid.ndim != 3:
         raise ShapeError(f"roi_pool_batch: the grid must be (H', W', C), got shape {grid.shape}")
     boxes = as_boxes(boxes, "roi_pool_batch")
-    if not (np.isfinite(grid.data).all() and np.isfinite(boxes).all()):
-        raise FloatingPointError("roi_pool_batch: the grid or the boxes hold NaN or inf")
     hb, wb = out_hw
     cells = grid.data
-    h, w, c = cells.shape
+    gh, gw, c = cells.shape
+    w, b = T.as_tensor(w), T.as_tensor(b)
+    if w.ndim != 2 or w.shape[0] != hb * wb * c or b.shape != w.shape[1:]:
+        raise ShapeError(f"roi_pool_batch: w must be ({hb * wb * c}, n_out) and b (n_out,) for {out_hw} bins "
+                         f"of {c} channels; got {w.shape} and {b.shape}")
+    if not (np.isfinite(cells).all() and np.isfinite(boxes).all()):
+        raise FloatingPointError("roi_pool_batch: the grid or the boxes hold NaN or inf")
     x0, y0, x1, y1 = np.clip(box_cxcywh_to_xyxy(boxes), 0.0, 1.0).T
-    r0, kr = _bins(y0 * h, y1 * h, h, hb)
-    q0, kc = _bins(x0 * w, x1 * w, w, wb)
+    r0, kr = _bins(y0 * gh, y1 * gh, gh, hb)
+    q0, kc = _bins(x0 * gw, x1 * gw, gw, wb)
     n_kr, n_kc = int(kr.max(initial=1)), int(kc.max(initial=1))
     table = ((kr - 1) * n_kc)[:, :, None] + (kc - 1)[:, None, :]
-    at = table * (h * w) + (r0 * w)[:, :, None] + q0[:, None, :]  # (n, hb, wb) rows of the stacked tables
+    at = table * (gh * gw) + (r0 * gw)[:, :, None] + q0[:, None, :]  # (n, hb, wb) rows of the stacked tables
     val, first = _window_max(cells, n_kr, n_kc)
-    out = np.take(val.reshape(-1, c), at, axis=0)
-    first = first.reshape(-1, c)
+    val, first = val.reshape(-1, c), first.reshape(-1, c)
+    n, n_out = len(at), w.shape[1]
+    per_bin = at.reshape(n, hb * wb).T  # (bins, n): bin k's table row for each box
+    out = np.zeros((n, n_out))
+    for rows, w_k in zip(per_bin, w.data.reshape(hb * wb, c, n_out)):
+        out += np.take(val, rows, axis=0) @ w_k
+    out += b.data
 
-    def backward(g: np.ndarray) -> tuple[np.ndarray]:
-        buf = np.zeros(h * w * c)
-        for i in range(0, len(at), _ROI_CHUNK):
-            s = slice(i, i + _ROI_CHUNK)
-            np.add.at(buf, np.take(first, at[s], axis=0).ravel(), g[s].ravel())
-        return (buf.reshape(h, w, c),)
+    def backward(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+        dw = None
+        if w.requires_grad:
+            dw, flat = np.empty(w.shape), grid.data.reshape(-1)
+            for rows, dw_k in zip(per_bin, dw.reshape(hb * wb, c, n_out)):
+                maxima = np.take(flat, np.take(first, rows, axis=0))  # each sits at its first-maximum cell
+                np.matmul(maxima.T, g, out=dw_k)
+        dgrid = None
+        if grid.requires_grad:
+            dgrid = np.zeros(grid.shape)
+            for i in range(0, n, _ROI_CHUNK):
+                s = slice(i, i + _ROI_CHUNK)
+                np.add.at(dgrid.reshape(-1), np.take(first, at[s], axis=0).ravel(), (g[s] @ w.data.T).ravel())
+        return dgrid, dw, g
 
-    return custom_op(out, (grid,), backward)
+    return custom_op(out, (grid, w, b), backward)
 
 
-def neck(region: Tensor, params: dict) -> Tensor:
-    """Flatten region features and project to the model width via ``neck.1`` and ``neck.2``."""
-    flat_dim = region.shape[-3] * region.shape[-2] * region.shape[-1]
-    flat = region.reshape(region.shape[:-3] + (flat_dim,))
-    return linear(T.relu(linear(flat, params, "neck.1")), params, "neck.2")
+def neck(hidden: Tensor, params: dict) -> Tensor:
+    """The rest of the neck after ``neck.1``, which ``roi_pool_batch`` applies
+    to the pooled regions: ReLU, then ``neck.2`` to the model width, from
+    ``(n, d_hidden)`` to ``(n, d_model)``."""
+    return linear(T.relu(hidden), params, "neck.2")

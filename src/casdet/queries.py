@@ -56,7 +56,7 @@ def init_matching_queries(props: list[Proposal], grid: Tensor, params: dict) -> 
     recall as missed. A proposal box that is not ``(4,)`` raises ``ValueError``.
     """
     anchors = as_boxes(np.array([p.box for p in props], dtype=np.float64), "init_matching_queries")
-    contents = neck(roi_pool_batch(grid, anchors), params)
+    contents = neck(roi_pool_batch(grid, anchors, params["neck.1.w"], params["neck.1.b"]), params)
     return anchors, contents
 
 
@@ -86,5 +86,5 @@ def make_dn_queries(
     noisy[..., :2] = gt_boxes[None, :, :2] + shift
     noisy[..., 2:] = gt_boxes[None, :, 2:] * scale
     noisy = box_xyxy_to_cxcywh(clamp_box_xyxy(box_cxcywh_to_xyxy(noisy)))
-    contents = neck(roi_pool_batch(grid, noisy.reshape(g * n, 4)), params)
+    contents = neck(roi_pool_batch(grid, noisy.reshape(g * n, 4), params["neck.1.w"], params["neck.1.b"]), params)
     return noisy, contents.reshape(g, n, contents.shape[-1])

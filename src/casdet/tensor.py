@@ -8,9 +8,10 @@ makes independent graphs safe to build and differentiate concurrently.
 A node's ``backward`` maps its output's gradient to a tuple with one gradient
 per parent, in parent order: an array at the parent's shape or at a shape
 that broadcasts to it, or None for no gradient. The walk alone skips parents
-that need no gradient, sums each gradient back down to its parent's shape and
-accumulates it. ``linear`` (for x), ``mul`` and ``div`` return None for an
-operand that needs no gradient, rather than compute one the walk would drop.
+that need no gradient, sums or broadcasts each gradient to exactly its
+parent's shape and accumulates it. ``linear`` (for x), ``mul`` and ``div``
+return None for an operand that needs no gradient, rather than compute one
+the walk would drop.
 
 The walk owns its gradient buffers, and a step holds each array once. A
 backward returns, per parent, None, ``out.grad``, a view of it, or an array
@@ -205,16 +206,20 @@ def _private(g, out_grad: np.ndarray) -> bool:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
+    """A gradient at exactly ``shape``: summed down over the axes ``shape``
+    was broadcast along, and broadcast up (a read-only view) along the axes
+    where ``g`` is the one broadcast. A ``g`` of lower rank is read with
+    unit axes in front, as numpy broadcasting reads it."""
     if g.shape == shape:
         return g
+    g = g.reshape((1,) * (len(shape) - g.ndim) + g.shape)
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-    return g
+    return g if g.shape == shape else np.broadcast_to(g, shape)
 
 
 def custom_op(y: np.ndarray, parents: tuple[Tensor, ...],
@@ -225,14 +230,14 @@ def custom_op(y: np.ndarray, parents: tuple[Tensor, ...],
     ``backward`` maps ``out.grad`` to a tuple with one gradient per parent, in
     parent order, each at its parent's shape or at a shape that broadcasts to
     it, or None for no gradient. The walk in ``Tensor.backward`` skips parents
-    that need no gradient, sums each gradient back to its parent's shape and
-    accumulates it. ``backward`` may return ``out.grad``, a view of it or an
-    array it built and keeps no reference to, but never one built array for
-    two parents, and it must never write into ``out.grad`` or what it
-    returned: a leaf may adopt a built array as its ``.grad`` and add into
-    it later. It is stored as is, not bound to the output, so nodes only
-    point at their parents: a graph holds no reference cycle and is freed
-    as soon as it is dropped.
+    that need no gradient, sums or broadcasts each gradient to exactly its
+    parent's shape and accumulates it. ``backward`` may return ``out.grad``,
+    a view of it or an array it built and keeps no reference to, but never
+    one built array for two parents, and it must never write into
+    ``out.grad`` or what it returned: a leaf may adopt a built array as its
+    ``.grad`` and add into it later. It is stored as is, not bound to the
+    output, so nodes only point at their parents: a graph holds no reference
+    cycle and is freed as soon as it is dropped.
     """
     out = Tensor(y, any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -369,13 +374,27 @@ def reshape(a, shape) -> Tensor:
     return custom_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
+def _may_repeat(key) -> bool:
+    """Whether an index key holds an integer array, and so may name one
+    element twice; slices, ints, None, Ellipsis and boolean masks cannot."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return any(not isinstance(k, (slice, int, np.integer, type(None), type(Ellipsis)))
+               and np.asarray(k).dtype != bool for k in parts)
+
+
 def take(a, key) -> Tensor:
-    """Index/slice a tensor; the backward pass scatter-adds into place."""
+    """Index/slice a tensor; the backward pass adds into place, with
+    ``np.add.at`` only for a key that may name an element twice (both forms
+    compute ``0.0 + g``, so they agree bitwise where neither repeats)."""
     a = as_tensor(a)
+    repeats = _may_repeat(key)
 
     def backward(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
+        if repeats:
+            np.add.at(buf, key, g)
+        else:
+            buf[key] += g
         return (buf,)
 
     return custom_op(a.data[key], (a,), backward)

@@ -201,10 +201,20 @@ def test_fusion_linearity_with_zero_bias():
     np.testing.assert_allclose(b, 3.0 * a, atol=1e-12)
 
 
+def pooled(grid: Tensor, boxes, out_hw=(7, 7)) -> Tensor:
+    """``roi_pool_batch`` through an identity projection (``w = I``, ``b = 0``,
+    constants), reshaped to the ``(n, H_roi, W_roi, C)`` regions. Each output
+    column gets exactly one nonzero term, so the values and the grid's
+    gradient are those of the pooling alone, bitwise."""
+    n_in = out_hw[0] * out_hw[1] * grid.shape[-1]
+    out = roi_pool_batch(grid, boxes, np.eye(n_in), np.zeros(n_in), out_hw)
+    return out.reshape((out.shape[0],) + tuple(out_hw) + (grid.shape[-1],))
+
+
 def test_roi_constant_grid():
     grid = Tensor(np.full((8, 8, 4), 2.5))
     box = np.array([0.4, 0.5, 0.3, 0.35])
-    out = roi_pool_batch(grid, box[None])[0]
+    out = pooled(grid, box[None])[0]
     assert out.shape == (7, 7, 4)
     np.testing.assert_array_equal(out.data, 2.5)
 
@@ -217,7 +227,7 @@ def test_roi_identity_on_exact_bin_grid():
     box = np.array(
         [(box_xyxy[0] + box_xyxy[2]) / 2, (box_xyxy[1] + box_xyxy[3]) / 2, box_xyxy[2] - box_xyxy[0], box_xyxy[3] - box_xyxy[1]]
     )
-    out = roi_pool_batch(grid, box[None])[0]
+    out = pooled(grid, box[None])[0]
     np.testing.assert_array_equal(out.data, grid.data[1:8, 0:7])
 
 
@@ -225,7 +235,7 @@ def test_roi_tiny_box_replicates_single_cell():
     rng = np.random.default_rng(11)
     grid = Tensor(rng.normal(size=(8, 8, 5)))
     box = np.array([3.5 / 8, 2.5 / 8, 0.01, 0.01])  # inside cell (row 2, col 3)
-    out = roi_pool_batch(grid, box[None])[0]
+    out = pooled(grid, box[None])[0]
     np.testing.assert_array_equal(out.data, np.broadcast_to(grid.data[2, 3], (7, 7, 5)))
 
 
@@ -269,7 +279,7 @@ def test_roi_matches_brute_force_enumeration():
         box = np.array(
             [rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), rng.uniform(0.02, 0.6), rng.uniform(0.02, 0.6)]
         )
-        out = roi_pool_batch(grid, box[None])[0].data
+        out = pooled(grid, box[None])[0].data
         np.testing.assert_array_equal(out, brute_force_roi(grid.data, box))
 
 
@@ -279,7 +289,7 @@ def test_roi_bin_indices_pure_function_of_cell_range():
     # both boxes cover cell rows 2..5, cols 2..5; outputs must be identical
     a = np.array([0.47, 0.47, 0.32, 0.32])
     b = np.array([0.48, 0.46, 0.33, 0.34])
-    np.testing.assert_array_equal(roi_pool_batch(grid, a[None])[0].data, roi_pool_batch(grid, b[None])[0].data)
+    np.testing.assert_array_equal(pooled(grid, a[None])[0].data, pooled(grid, b[None])[0].data)
 
 
 def test_roi_batch_matches_singles_and_grad():
@@ -288,16 +298,17 @@ def test_roi_batch_matches_singles_and_grad():
     boxes = np.stack(
         [np.array([0.3, 0.3, 0.3, 0.4]), np.array([0.7, 0.6, 0.2, 0.2]), np.array([0.5, 0.5, 0.9, 0.9])]
     )
-    batch = roi_pool_batch(grid, boxes, out_hw=(3, 3))
+    batch = pooled(grid, boxes, out_hw=(3, 3))
     for i in range(3):
-        np.testing.assert_array_equal(batch.data[i], roi_pool_batch(grid, boxes[i][None], out_hw=(3, 3)).data[0])
+        np.testing.assert_array_equal(batch.data[i], pooled(grid, boxes[i][None], out_hw=(3, 3)).data[0])
     w = rng.normal(size=batch.shape)
-    err = T.grad_check(lambda: (roi_pool_batch(grid, boxes, out_hw=(3, 3)) * w).sum(), grid)
+    err = T.grad_check(lambda: (pooled(grid, boxes, out_hw=(3, 3)) * w).sum(), grid)
     assert err < 1e-5
 
 
 def brute_force_roi_grad(data, boxes, g, out_hw):
-    """Grid gradient of ``sum(roi_pool_batch(data, boxes) * g)`` by per-bin loops.
+    """Grid gradient of ``sum(regions * g)``, ``regions`` the pooled
+    ``(n, H_roi, W_roi, C)`` features of ``boxes``, by per-bin loops.
 
     Each bin sends its gradient to its ``np.argmax`` cell, one ``np.add.at``
     per bin, in (box, bin, channel) order.
@@ -372,7 +383,7 @@ def test_roi_values_and_grad_bitwise_equal_brute_force(kind):
     for case in range({"batch_over_chunk": 12, "mixed_extents": 6, "index_width": 4}.get(kind, 40)):
         data, boxes, out_hw = random_roi_case(rng, kind, case)
         grid = Tensor(data.copy(), requires_grad=True)
-        out = roi_pool_batch(grid, boxes, out_hw)
+        out = pooled(grid, boxes, out_hw)
         g = rng.normal(size=out.shape)
         (out * g).sum().backward()
         expected = np.stack([brute_force_roi(data, box, out_hw) for box in boxes])
@@ -380,32 +391,83 @@ def test_roi_values_and_grad_bitwise_equal_brute_force(kind):
         assert np.array_equal(grid.grad, brute_force_roi_grad(data, boxes, g, out_hw)), (kind, case)
 
 
-def test_roi_forward_and_backward_peak_within_a_fifth_above_the_output():
-    """300 boxes at train-dense shapes: a 7.5 MB output, 0.5 MB of window
-    tables (2x2 at most for these boxes), 0.13 MB of int16 first-maximum
-    indices built with them and kept by the node, and a 0.2 MB scatter index
-    per chunk of boxes. An index over the whole batch would be another 1.9 MB
-    and break the bound."""
+def rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest difference, relative to the largest magnitude of ``want``."""
+    return float(np.abs(got - want).max(initial=0.0) / max(np.abs(want).max(initial=0.0), 1e-300))
+
+
+def test_roi_projection_matches_pool_flatten_and_linear():
+    """At a random ``w`` and ``b`` the node is the brute-force regions,
+    flattened, through a ``linear`` node: values and the grid, ``w`` and
+    ``b`` gradients within 1e-12 relative. The per-bin products are summed in
+    another order than one GEMM's, so this is not bitwise."""
+    rng = np.random.default_rng(22)
+    for kind in ("ties", "partly_outside", "batch_over_chunk", "mixed_extents"):
+        for case in range(3):
+            data, boxes, out_hw = random_roi_case(rng, kind, case)
+            n, c = len(boxes), data.shape[-1]
+            w0 = rng.normal(size=(out_hw[0] * out_hw[1] * c, int(rng.integers(1, 9))))
+            b0, g = rng.normal(size=w0.shape[1]), rng.normal(size=(n, w0.shape[1]))
+            grid, w, b = (Tensor(a.copy(), requires_grad=True) for a in (data, w0, b0))
+            out = roi_pool_batch(grid, boxes, w, b, out_hw)
+            (out * g).sum().backward()
+
+            regions = np.stack([brute_force_roi(data, box, out_hw) for box in boxes])
+            w_ref, b_ref = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+            ref = T.linear(Tensor(regions.reshape(n, -1)), w_ref, b_ref)
+            (ref * g).sum().backward()
+            grid_ref = brute_force_roi_grad(data, boxes, (g @ w0.T).reshape(regions.shape), out_hw)
+            assert out.shape == (n, w0.shape[1])
+            for got, want in ((out.data, ref.data), (grid.grad, grid_ref), (w.grad, w_ref.grad), (b.grad, b_ref.grad)):
+                assert rel_err(got, want) < 1e-12, (kind, case)
+
+
+def test_roi_projection_grad_check():
+    rng = np.random.default_rng(23)
+    grid = Tensor(rng.normal(size=(5, 6, 2)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2 * 3 * 2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    boxes = np.column_stack([rng.uniform(0.2, 0.8, (4, 2)), rng.uniform(0.1, 0.9, (4, 2))])
+    proj = rng.normal(size=(4, 3))
+    err = T.grad_check(lambda: (roi_pool_batch(grid, boxes, w, b, (2, 3)) * proj).sum(), [grid, w, b])
+    assert err < 1e-6
+
+
+def test_roi_node_holds_and_peaks_far_below_the_regions():
+    """300 boxes at train-dense shapes (a 16x16x64 grid, 7x7 bins, 64
+    outputs), whose regions would take 7.5 MB. After the forward the node
+    holds its 0.15 MB output, its int16 first-maximum tables (2x2 extents at
+    most for these boxes, 0.13 MB) and the boxes' 0.12 MB of table rows:
+    under a tenth of the regions. The forward peaks with the 0.5 MB of
+    window-max values beside them, under a third; the backward with the
+    1.6 MB ``w`` gradient and one chunk's ``g @ w^T``, under a half."""
     rng = np.random.default_rng(20)
     grid = Tensor(rng.normal(size=(16, 16, 64)), requires_grad=True)
+    w = Tensor(rng.normal(size=(7 * 7 * 64, 64)), requires_grad=True)
+    b = Tensor(rng.normal(size=64), requires_grad=True)
     boxes = np.column_stack([rng.uniform(0.1, 0.9, (300, 2)), rng.uniform(0.02, 0.8, (300, 2))])
-    g = rng.normal(size=(300, 7, 7, 64))
+    g = rng.normal(size=(300, 64))
+    region_bytes = 300 * 7 * 7 * 64 * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = roi_pool_batch(grid, boxes)
-        (grid_grad,) = out._backward(g)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        out = roi_pool_batch(grid, boxes, w, b)
+        held, forward_peak = (m - start for m in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        grads = out._backward(g)
+        backward_peak = tracemalloc.get_traced_memory()[1] - start - held
     finally:
         tracemalloc.stop()
-    assert grid_grad.shape == grid.shape and grid_grad.any()
-    assert peak < 1.2 * out.data.nbytes
+    assert [a.shape for a in grads] == [grid.shape, w.shape, g.shape] and grads[0].any()
+    assert held < region_bytes / 10
+    assert forward_peak < region_bytes / 3
+    assert backward_peak < region_bytes / 2
 
 
 def test_roi_backward_does_not_read_the_grid_again():
-    """The node keeps the first-maximum indices from its forward, so
-    changing the grid's values in place before the backward leaves the
-    gradient as it was."""
+    """With a constant projection the backward needs no bin values: the grid's
+    gradient comes from the first-maximum indices the node keeps, so changing
+    the grid's values in place before the backward leaves it as it was."""
     rng = np.random.default_rng(21)
     data = rng.normal(size=(9, 9, 3))
     boxes = np.column_stack([rng.uniform(0.2, 0.8, (12, 2)), rng.uniform(0.1, 0.9, (12, 2))])
@@ -413,20 +475,26 @@ def test_roi_backward_does_not_read_the_grid_again():
     grads = []
     for overwrite in (False, True):
         grid = Tensor(data.copy(), requires_grad=True)
-        out = roi_pool_batch(grid, boxes, out_hw=(3, 3))
+        out = pooled(grid, boxes, out_hw=(3, 3))
         if overwrite:
             grid.data[:] = -grid.data
-        (grad,) = out._backward(g)
-        grads.append(grad)
+        (out * g).sum().backward()
+        grads.append(grid.grad)
     assert np.array_equal(grads[0], grads[1]) and grads[0].any()
 
 
 def test_roi_zero_boxes_give_empty_output_and_zero_grad():
-    grid = Tensor(np.random.default_rng(17).normal(size=(5, 6, 3)), requires_grad=True)
-    out = roi_pool_batch(grid, np.zeros((0, 4)), out_hw=(3, 4))
-    assert out.shape == (0, 3, 4, 3)
+    rng = np.random.default_rng(17)
+    grid = Tensor(rng.normal(size=(5, 6, 3)), requires_grad=True)
+    assert pooled(grid, np.zeros((0, 4)), out_hw=(3, 4)).shape == (0, 3, 4, 3)
+    w = Tensor(rng.normal(size=(3 * 4 * 3, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    out = roi_pool_batch(grid, np.zeros((0, 4)), w, b, out_hw=(3, 4))
+    assert out.shape == (0, 5)
     out.sum().backward()
     np.testing.assert_array_equal(grid.grad, np.zeros((5, 6, 3)))
+    np.testing.assert_array_equal(w.grad, np.zeros((36, 5)))
+    np.testing.assert_array_equal(b.grad, np.zeros(5))
 
 
 @pytest.mark.parametrize("shape", [(2, 8), (8,), (1, 2, 4), (4, 2), (4,), (2, 0), (0, 3), (0, 0)])
@@ -435,10 +503,10 @@ def test_roi_rejects_boxes_that_are_not_n_by_4(shape):
     error; a flat (4,) box was read as one box, and a (2, 0) array as none."""
     grid = Tensor(np.random.default_rng(19).normal(size=(4, 4, 2)))
     with pytest.raises(ValueError, match=r"roi_pool_batch: .*got shape " + re.escape(str(shape))):
-        roi_pool_batch(grid, np.full(shape, 0.5))
-    assert roi_pool_batch(grid, [[0.5, 0.5, 0.4, 0.4]], out_hw=(2, 2)).shape == (1, 2, 2, 2)
-    assert roi_pool_batch(grid, np.zeros((0, 4)), out_hw=(2, 2)).shape == (0, 2, 2, 2)
-    assert roi_pool_batch(grid, [], out_hw=(2, 2)).shape == (0, 2, 2, 2)
+        pooled(grid, np.full(shape, 0.5))
+    assert pooled(grid, [[0.5, 0.5, 0.4, 0.4]], out_hw=(2, 2)).shape == (1, 2, 2, 2)
+    assert pooled(grid, np.zeros((0, 4)), out_hw=(2, 2)).shape == (0, 2, 2, 2)
+    assert pooled(grid, [], out_hw=(2, 2)).shape == (0, 2, 2, 2)
 
 
 @pytest.mark.parametrize("grid_shape, out_hw", [
@@ -451,13 +519,24 @@ def test_roi_rejects_a_bin_count_or_grid_of_another_shape(grid_shape, out_hw):
     pooled one row, ``2.5`` failed in a numpy cast and a grid of another rank
     in a bare unpacking error."""
     grid = Tensor(np.random.default_rng(20).normal(size=grid_shape))
-    boxes = [[0.5, 0.5, 0.4, 0.4]]
+    boxes, w, b = [[0.5, 0.5, 0.4, 0.4]], np.zeros((8, 3)), np.zeros(3)
     if len(grid_shape) != 3:
         with pytest.raises(ShapeError, match=r"roi_pool_batch: .*" + re.escape(str(grid_shape))):
-            roi_pool_batch(grid, boxes, out_hw)
+            roi_pool_batch(grid, boxes, w, b, out_hw)
     else:
         with pytest.raises(ValueError, match=r"roi_pool_batch: out_hw"):
-            roi_pool_batch(grid, boxes, out_hw)
+            roi_pool_batch(grid, boxes, w, b, out_hw)
+
+
+@pytest.mark.parametrize("w_shape, b_shape", [((13, 3), (3,)), ((11, 3), (3,)), ((12,), (3,)), ((12, 3, 1), (3,)),
+                                              ((3, 12), (3,)), ((12, 3), (4,)), ((12, 3), (3, 1)), ((12, 3), ())])
+def test_roi_rejects_a_projection_of_another_shape(w_shape, b_shape):
+    """At 2x2 bins of 3 channels ``w`` is ``(12, n_out)`` and ``b`` ``(n_out,)``."""
+    grid = Tensor(np.random.default_rng(24).normal(size=(4, 4, 3)))
+    boxes = [[0.5, 0.5, 0.4, 0.4]]
+    with pytest.raises(ShapeError, match=r"roi_pool_batch: w must be \(12, n_out\)"):
+        roi_pool_batch(grid, boxes, np.zeros(w_shape), np.zeros(b_shape), (2, 2))
+    assert roi_pool_batch(grid, boxes, np.zeros((12, 3)), np.zeros(3), (2, 2)).shape == (1, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -467,25 +546,27 @@ def test_roi_non_finite_input_raises_with_stage_name(bad):
     poisoned = data.copy()
     poisoned[3, 0, 1] = bad  # outside the box: the check covers the whole grid
     with pytest.raises(FloatingPointError, match="roi_pool_batch"):
-        roi_pool_batch(Tensor(poisoned), box)
+        pooled(Tensor(poisoned), box)
     with pytest.raises(FloatingPointError, match="roi_pool_batch"):
-        roi_pool_batch(Tensor(data), np.where(np.arange(4) == 2, bad, box))
+        pooled(Tensor(data), np.where(np.arange(4) == 2, bad, box))
 
 
 def test_neck_shapes_zero_and_grad():
+    """The neck after ``neck.1``: ReLU and ``neck.2``, ``(n, d_hidden)`` to ``(n, d_model)``."""
     rng = np.random.default_rng(15)
-    c, d_hidden, d_model = 4, 12, 8
+    d_hidden, d_model = 12, 8
     params = {}
-    init_linear(params, rng, "neck.1", 7 * 7 * c, d_hidden)
     init_linear(params, rng, "neck.2", d_hidden, d_model)
-    region = Tensor(rng.normal(size=(5, 7, 7, c)))
-    out = neck(region, params)
+    hidden = Tensor(rng.normal(size=(5, d_hidden)), requires_grad=True)
+    out = neck(hidden, params)
     assert out.shape == (5, d_model)
     assert np.all(np.isfinite(out.data))
+    np.testing.assert_array_equal(neck(Tensor(-np.abs(hidden.data)), params).data,
+                                  np.broadcast_to(params["neck.2.b"].data, (5, d_model)))
 
     zero_params = {k: Tensor(np.zeros_like(v.data)) for k, v in params.items()}
-    np.testing.assert_array_equal(neck(Tensor(np.zeros((2, 7, 7, c))), zero_params).data, 0.0)
+    np.testing.assert_array_equal(neck(Tensor(np.zeros((2, d_hidden))), zero_params).data, 0.0)
 
-    wrt = list(params.values())
-    err = T.grad_check(lambda: (neck(region, params) ** 2).sum(), wrt)
+    wrt = [hidden] + list(params.values())
+    err = T.grad_check(lambda: (neck(hidden, params) ** 2).sum(), wrt)
     assert err < 1e-5

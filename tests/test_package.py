@@ -132,6 +132,35 @@ def test_a_full_size_train_dense_step_peaks_under_30_mb(tmp_path):
     assert peak < 30e6
 
 
+def full_size_step_peak(workload: str, tmp_path) -> float:
+    """Traced peak bytes of step 0 of a full-size workload at the committed seed."""
+    st = import_standin()
+    model = st.setup(st.WORKLOADS[workload], st.REF_SEED, str(tmp_path))
+    tracemalloc.start()
+    try:
+        res = st.step(model, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.finite(model, res)
+    return peak
+
+
+def test_a_full_size_train_dense_step_peaks_under_23_mb(tmp_path):
+    """RoI pooling and ``neck.1`` are one node, which builds no ``(n, 7, 7,
+    64)`` regions and no region gradient. At seed 0 a train-dense step peaks
+    at 20.1 MB, inside the DN branch's ``roi_pool_batch`` backward; with the
+    regions it peaked at 28.8 MB."""
+    assert full_size_step_peak("train-dense", tmp_path) < 23e6
+
+
+def test_a_full_size_inference_pass_peaks_under_3_mb(tmp_path):
+    """An infer-fixture pass keeps no graph, so its peak is the largest
+    transient: 1.8 MB at seed 0 with the RoI node, and 5.9 MB when RoI
+    pooling built the regions for ``neck.1``."""
+    assert full_size_step_peak("infer-fixture", tmp_path) < 3e6
+
+
 def test_fresh_models_give_byte_equal_steps_matching_the_reference(tmp_path):
     """Two models built from the committed seed repeat each other bitwise and
     reproduce the committed digests."""

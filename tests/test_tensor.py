@@ -953,3 +953,53 @@ def test_unbroadcast_gradients():
     for op in (T.div, T.minimum, T.maximum):
         for a, c in ((x, row), (row, x), (x, col), (col, row), (x, s0), (s0, x)):
             assert T.grad_check(lambda: (op(a, c) * w).sum(), [a, c]) < 1e-6, (op.__name__, a.shape, c.shape)
+
+
+UNBROADCAST_CASES = {  # a backward's gradient shape, its parent's shape, and the gradient the parent must get
+    "(5,)->(1,5)": ((5,), (1, 5), lambda g: g[None]),
+    "(5,)->(3,1,5)": ((5,), (3, 1, 5), lambda g: np.broadcast_to(g, (3, 1, 5))),
+    "(3,5)->(1,5)": ((3, 5), (1, 5), lambda g: g.sum(axis=0, keepdims=True)),
+    "(2,3,5)->(3,5)": ((2, 3, 5), (3, 5), lambda g: g.sum(axis=0)),
+}
+
+
+@pytest.mark.parametrize("case", UNBROADCAST_CASES.values(), ids=UNBROADCAST_CASES.keys())
+def test_the_walk_brings_a_gradient_to_exactly_its_parents_shape(case):
+    """A backward may return a gradient at any shape that broadcasts with its
+    parent's. The walk sums it over the axes the parent was broadcast along
+    and reads one of lower rank with unit axes in front, as numpy does.
+    ``(5,)`` into ``(1, 5)`` used to give a ``(1,)`` gradient, and into ``(3,
+    1, 5)`` a ``(5,)`` one."""
+    g_shape, shape, expected = case
+    g = np.arange(1.0, 1.0 + math.prod(g_shape)).reshape(g_shape)
+    assert T._unbroadcast(g, shape).shape == shape
+    assert np.array_equal(T._unbroadcast(g, shape), expected(g))
+    leaf = Tensor(np.zeros(shape), requires_grad=True)
+    T.custom_op(np.array(0.0), (leaf,), lambda _: (g.copy(),)).backward()
+    assert leaf.grad.shape == shape and np.array_equal(leaf.grad, expected(g))
+
+
+TAKE_KEYS = {  # a key into a (276, 64) buffer, and whether it may name an element twice
+    "slice": (np.s_[80:160], False),
+    "int": (3, False),
+    "tuple": ((slice(2, 9), 5), False),
+    "mask": (np.arange(276) % 3 == 1, False),
+    "repeats": (np.array([4, 0, 4, 4, 275, 0]), True),
+}
+
+
+@pytest.mark.parametrize("case", TAKE_KEYS.values(), ids=TAKE_KEYS.keys())
+def test_take_backward_adds_in_place_unless_the_key_may_repeat(case):
+    """``take``'s backward uses ``np.add.at`` only for a key holding an integer
+    array, and ``buf[key] += g`` for the rest; either way its gradient is
+    byte for byte the ``np.add.at`` scatter."""
+    key, may_repeat = case
+    rng = np.random.default_rng(41)
+    a = Tensor(rng.normal(size=(276, 64)), requires_grad=True)
+    out = T.take(a, key)
+    g = rng.normal(size=out.shape)
+    (out * g).sum().backward()
+    want = np.zeros((276, 64))
+    np.add.at(want, key, g)
+    assert T._may_repeat(key) == may_repeat
+    assert a.grad.tobytes() == want.tobytes()
