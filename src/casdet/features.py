@@ -13,7 +13,16 @@ by that bin's block of the weight and summed into the output, so no region
 and no region gradient is ever built. The node keeps the index tables and
 each bin's table row, not the values; its backward reads the bin maxima back
 from the grid at their first-maximum cells, so the grid's ``.data`` must not
-change between the forward and the backward.
+change between the forward and the backward. The matching and DN branches
+share ``neck.1.w``: the second RoI backward adds its weight gradient into the
+array the first one left (``tensor.leaf_grad``), not into a second one.
+
+The patch embedding, the fusion and an FFN's hidden layer are one node
+each, holding only what its backward reads. The patch embedding keeps the
+image and rebuilds its tiles, and the fusion rebuilds the concatenation from
+its two parent grids; neither the image nor the grids' ``.data`` may change
+between the forward and the backward. The hidden layer (``T.linear_relu``)
+keeps its ReLU output and no pre-activation.
 """
 
 from __future__ import annotations
@@ -73,7 +82,9 @@ def init_ffn(params: dict, rng: np.random.Generator, name: str, d_model: int, hi
 
 
 def ffn(x: Tensor, params: dict, name: str) -> Tensor:
-    return linear(T.relu(linear(x, params, f"{name}.1")), params, f"{name}.2")
+    """``.2`` of the ReLU of ``.1``. The hidden layer is one ``T.linear_relu``
+    node, which keeps only the ReLU output, not the pre-activation beside it."""
+    return linear(T.linear_relu(x, params[f"{name}.1.w"], params[f"{name}.1.b"]), params, f"{name}.2")
 
 
 # backbone and encoder --------------------------------------------------------
@@ -82,19 +93,45 @@ def ffn(x: Tensor, params: dict, name: str) -> Tensor:
 def patch_embed(image: np.ndarray, patch: int, params: dict) -> Tensor:
     """Project non-overlapping pixel patches to feature cells with the ``patch`` linear.
 
-    The image (H, W, 3) is zero-padded on the bottom/right to a multiple of
-    ``patch``; output is (H/patch, W/patch, C).
+    The image (H, W, C) is zero-padded on the bottom/right to a multiple of
+    ``patch``; output is (H/patch, W/patch, n_out), one node with parents
+    ``(patch.w, patch.b)``. The forward builds the ``(cells, patch² C)``
+    tiles as a transient and the node keeps only the image, from which the
+    backward rebuilds them for ``patch.w``'s gradient, so the image must not
+    change between the forward and the backward. ``patch`` must be an
+    integer >= 1 (ValueError); an image that is not (H, W, C) with ``C
+    patch²`` equal to ``patch.w``'s rows, or parameters not ``(n_in,
+    n_out)`` and ``(n_out,)``, raise ShapeError; NaN or inf pixels raise
+    FloatingPointError.
     """
+    require_integer("patch_embed: patch", patch)
+    if patch < 1:
+        raise ValueError(f"patch_embed: patch must be >= 1, got {patch}")
     image = np.asarray(image, dtype=np.float64)
-    h, w, c = image.shape
-    ph = (patch - h % patch) % patch
-    pw = (patch - w % patch) % patch
-    if ph or pw:
-        image = np.pad(image, ((0, ph), (0, pw), (0, 0)))
-    gh, gw = image.shape[0] // patch, image.shape[1] // patch
-    tiles = image.reshape(gh, patch, gw, patch, c).transpose(0, 2, 1, 3, 4).reshape(gh * gw, patch * patch * c)
-    out = linear(Tensor(tiles), params, "patch")
-    return out.reshape(gh, gw, out.shape[-1])
+    w, b = params["patch.w"], params["patch.b"]
+    if image.ndim != 3 or w.ndim != 2 or image.shape[2] * patch * patch != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"patch_embed: needs an (H, W, C) image with C * {patch}**2 equal to patch.w's rows and "
+                         f"patch.b (n_out,); got {image.shape}, {w.shape} and {b.shape}")
+    if not np.isfinite(image).all():
+        raise FloatingPointError("patch_embed: the image holds NaN or inf")
+    h, wd, c = image.shape
+    gh, gw = -(-h // patch), -(-wd // patch)
+
+    def tiles() -> np.ndarray:
+        """The image's ``(gh * gw, patch² C)`` tiles, in a new array."""
+        padded = image
+        if (gh * patch, gw * patch) != (h, wd):
+            padded = np.pad(image, ((0, gh * patch - h), (0, gw * patch - wd), (0, 0)))
+        return padded.reshape(gh, patch, gw, patch, c).transpose(0, 2, 1, 3, 4).reshape(gh * gw, -1)
+
+    y = tiles() @ w.data
+    y += b.data
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = g.reshape(gh * gw, -1)
+        return np.swapaxes(tiles(), -1, -2) @ g, g
+
+    return custom_op(y.reshape(gh, gw, -1), (w, b), backward)
 
 
 def encode_features(grid: Tensor, n_layers: int, params: dict, pe: np.ndarray, n_heads: int) -> Tensor:
@@ -115,11 +152,36 @@ def encode_features(grid: Tensor, n_layers: int, params: dict, pe: np.ndarray, n
 
 
 def dense_fusion(enc: Tensor, backbone: Tensor, params: dict) -> Tensor:
-    """Channel-concatenate encoder and backbone grids, project back to d_model with ``fuse``."""
+    """Channel-concatenate encoder and backbone grids, project back to d_model with ``fuse``.
+
+    One node with parents ``(enc, backbone, fuse.w, fuse.b)``: the forward
+    builds the concatenation as a transient, and the backward rebuilds it
+    from the two grids' ``.data`` for ``fuse.w``'s gradient, so neither may
+    change between the forward and the backward. The grids' gradients are
+    the two channel halves of one ``g @ fuse.w^T``. Values and gradients are
+    bitwise those of ``concat`` and ``linear``. Grids whose spatial dims
+    differ, whose concatenated width is not ``fuse.w``'s rows, or a
+    ``fuse.b`` that is not ``(n_out,)`` raise ShapeError.
+    """
     if enc.shape[:2] != backbone.shape[:2]:
-        raise ShapeError(f"spatial dims differ: {enc.shape[:2]} vs {backbone.shape[:2]}")
-    cat = T.concat([enc, backbone], axis=-1)
-    return linear(cat, params, "fuse")
+        raise ShapeError(f"dense_fusion: spatial dims differ: {enc.shape[:2]} vs {backbone.shape[:2]}")
+    w, b = params["fuse.w"], params["fuse.b"]
+    d = enc.shape[-1]
+    if w.ndim != 2 or d + backbone.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"dense_fusion: the concatenated width {d} + {backbone.shape[-1]} must be fuse.w's rows, "
+                         f"and fuse.b (n_out,); got fuse.w {w.shape} and fuse.b {b.shape}")
+
+    def cat() -> np.ndarray:
+        return np.concatenate([enc.data, backbone.data], axis=-1)
+
+    y = cat() @ w.data
+    y += b.data
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        dx = g @ w.data.T
+        return dx[..., :d], dx[..., d:], np.swapaxes(cat(), -1, -2) @ g, g
+
+    return custom_op(y, (enc, backbone, w, b), backward)
 
 
 # RoI pooling ------------------------------------------------------------------
@@ -201,7 +263,10 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, w, b, out_hw: tuple[int, int
     The backward reads each bin's values back from the grid at their
     first-maximum cells, which hold them exactly, so the grid's ``.data``
     must not change between the forward and the backward. ``w``'s gradient
-    is built one bin's row block at a time. The grid's gradient,
+    is built one bin's row block at a time; when ``w`` is a leaf that already
+    holds a gradient (``T.leaf_grad``), each block is added into that array
+    in place and the node returns None for ``w``, bitwise what the walk's
+    ``+=`` would give. The grid's gradient,
     ``_ROI_CHUNK`` boxes at a time, is ``g @ w^T`` sent to the cell that
     supplied each bin maximum, the first in row-major order among equal
     maxima (as ``np.argmax``), and summed with ``np.add.at`` in (box, bin,
@@ -249,10 +314,15 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, w, b, out_hw: tuple[int, int
     def backward(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
         dw = None
         if w.requires_grad:
-            dw, flat = np.empty(w.shape), grid.data.reshape(-1)
-            for rows, dw_k in zip(per_bin, dw.reshape(hb * wb, c, n_out)):
+            acc = T.leaf_grad(w)  # added into in place, so no second dW is built beside it
+            dw = np.empty(w.shape) if acc is None else None
+            flat = grid.data.reshape(-1)
+            for rows, blk in zip(per_bin, (dw if acc is None else acc).reshape(hb * wb, c, n_out)):
                 maxima = np.take(flat, np.take(first, rows, axis=0))  # each sits at its first-maximum cell
-                np.matmul(maxima.T, g, out=dw_k)
+                if acc is None:
+                    np.matmul(maxima.T, g, out=blk)
+                else:
+                    blk += maxima.T @ g
         dgrid = None
         if grid.requires_grad:
             dgrid = np.zeros(grid.shape)

@@ -14,19 +14,24 @@ return None for an operand that needs no gradient, rather than compute one
 the walk would drop.
 
 The walk owns its gradient buffers, and a step holds each array once. A
-backward returns, per parent, None, ``out.grad``, a view of it, or an array
-it built and keeps no reference to; it never returns one built array for
-two parents, and never writes into ``out.grad`` or into an array it has
-returned. A tensor adopts its first gradient without a copy, except that a
-leaf (a tensor with no backward, such as a parameter) copies one that is
-``out.grad``, a view, or not a C-ordered float64 array, so a leaf's
-``.grad`` shares memory with no other array. A leaf adds later gradients
-into its ``.grad`` in place; an interior node sums them out of place, since
-its ``.grad`` may be another node's, and drops it as soon as its backward
-has run. Backwards read their parents' ``.data`` rather than keep copies,
-and ``attention`` and ``layer_norm`` rebuild what they need from it
-(recompute over store, as in gradient checkpointing), so a parent's
-``.data`` must not change between the forward and the backward.
+backward returns, per parent, None, ``out.grad``, a view of it, an array it
+built and keeps no reference to, or views of one such array; it never
+returns one built array whole for two parents, and never writes into
+``out.grad`` or into an array it has returned. A tensor adopts its first
+gradient without a copy, except that a leaf (a tensor with no backward,
+such as a parameter) copies one that is ``out.grad``, a view, or not a
+C-ordered float64 array, so a leaf's ``.grad`` shares memory with no other
+array. A leaf adds later gradients into its ``.grad`` in place; an interior
+node sums them out of place, since its ``.grad`` may be another node's, and
+drops it as soon as its backward has run. A backward may do a leaf's adding
+itself: when ``leaf_grad`` finds that a leaf parent already holds a
+gradient, the backward adds its contribution into that array and returns
+None for the parent, with the walk's own elementwise ``+=``, so no second
+parameter-sized array is built. Backwards read their parents' ``.data``
+rather than keep copies, and ``attention`` and ``layer_norm`` rebuild what
+they need from it (recompute over store, as in gradient checkpointing, Chen
+et al., 2016), so a parent's ``.data`` must not change between the forward
+and the backward. ``linear_relu`` takes its mask from its own output.
 
 ``attention`` takes 2-D operands with its heads side by side in the columns,
 as in FlashAttention's ``(tokens, heads, head_dim)``, and keeps no
@@ -57,6 +62,8 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .geom import require_integer
 
 
 class ShapeError(ValueError):
@@ -205,6 +212,17 @@ def _private(g, out_grad: np.ndarray) -> bool:
             and g.dtype == np.float64 and g.flags.c_contiguous)
 
 
+def leaf_grad(t: Tensor) -> np.ndarray | None:
+    """``t.grad`` if a backward may add ``t``'s gradient into it in place and
+    return None for ``t``: ``t`` is a leaf and its ``.grad`` a C-ordered
+    float64 array of ``t.shape``, as the walk leaves it. Otherwise None."""
+    g = t.grad
+    if (t._backward is None and isinstance(g, np.ndarray) and g.shape == t.shape
+            and g.dtype == np.float64 and g.flags.c_contiguous):
+        return g
+    return None
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """A gradient at exactly ``shape``: summed down over the axes ``shape``
     was broadcast along, and broadcast up (a read-only view) along the axes
@@ -232,12 +250,16 @@ def custom_op(y: np.ndarray, parents: tuple[Tensor, ...],
     it, or None for no gradient. The walk in ``Tensor.backward`` skips parents
     that need no gradient, sums or broadcasts each gradient to exactly its
     parent's shape and accumulates it. ``backward`` may return ``out.grad``,
-    a view of it or an array it built and keeps no reference to, but never
-    one built array for two parents, and it must never write into
-    ``out.grad`` or what it returned: a leaf may adopt a built array as its
-    ``.grad`` and add into it later. It is stored as is, not bound to the
-    output, so nodes only point at their parents: a graph holds no reference
-    cycle and is freed as soon as it is dropped.
+    a view of it, an array it built and keeps no reference to, or views of
+    one built array for different parents (the walk copies a view before a
+    leaf adopts it), but never one built array whole for two parents, and it
+    must never write into ``out.grad`` or what it returned: a leaf may adopt
+    a built array as its ``.grad`` and add into it later. For a leaf parent
+    for which ``leaf_grad`` returns an array, ``backward`` may instead add
+    the gradient into that array in place and return None for the parent.
+    It is stored as is, not bound to the output, so nodes only point at
+    their parents: a graph holds no reference cycle and is freed as soon as
+    it is dropped.
     """
     out = Tensor(y, any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -300,6 +322,24 @@ def linear(x, w, b) -> Tensor:
     """``x @ w + b`` as one node with parents ``(x, w, b)``: ``x (..., n_in)``,
     ``w (n_in, n_out)``, ``b (n_out,)``, gradients as in ``matmul`` and ``add``;
     other shapes raise ShapeError."""
+    x, w, b, y = _affine(x, w, b)
+    return custom_op(y, (x, w, b), lambda g: _linear_grads(x, w, g))
+
+
+def linear_relu(x, w, b) -> Tensor:
+    """``relu(linear(x, w, b))`` as one node with parents ``(x, w, b)``, shapes
+    as in ``linear``. The ReLU runs in place on the linear output, so the node
+    keeps only that output; the backward masks ``g`` with ``y > 0``, the same
+    mask as the pre-activation's (NaN and -0.0 included), and then takes
+    ``linear``'s gradients. Values and gradients are bitwise those of the two
+    nodes."""
+    x, w, b, y = _affine(x, w, b)
+    np.maximum(y, 0.0, out=y)
+    return custom_op(y, (x, w, b), lambda g: _linear_grads(x, w, g * (y > 0)))
+
+
+def _affine(x, w, b) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
+    """``linear``'s operands as tensors, checked, and ``x @ w + b`` as a new array."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
         raise ShapeError(f"linear needs x (..., n_in), w (n_in, n_out) and b (n_out,); "
@@ -308,8 +348,14 @@ def linear(x, w, b) -> Tensor:
         raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
     y = x.data @ w.data
     y += b.data
-    return custom_op(y, (x, w, b), lambda g: (g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None,
-                                              np.swapaxes(x.data, -1, -2) @ g, g))
+    return x, w, b, y
+
+
+def _linear_grads(x: Tensor, w: Tensor, g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The gradients of ``x @ w + b`` for ``x`` (None if it needs none), ``w``
+    (a stack the walk sums, for a stacked ``x``) and ``b`` (``g``)."""
+    return (g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None,
+            np.swapaxes(x.data, -1, -2) @ g, g)
 
 
 def relu(a) -> Tensor:
@@ -464,9 +510,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
     gradient however large their logits are. Operands that are not 2-D with
     matching widths and key counts, a ``heads`` that is not a positive divisor
     of both widths or that leaves a head no q column, or a mask that is not
-    ``(n, m)`` raise ShapeError; a query row with no allowed key (a malformed
-    isolation mask, or no k rows) raises MaskError; NaN or inf in q, k or v
-    raise FloatingPointError.
+    ``(n, m)`` raise ShapeError; a ``heads`` that is not an integer (a bool
+    or a float is refused) raises ValueError; a query row with no allowed key
+    (a malformed isolation mask, or no k rows) raises MaskError; NaN or inf
+    in q, k or v raise FloatingPointError.
 
     The call is one ``custom_op`` node with parents ``(q, k, v)``. It keeps the
     output, each row's softmax max and sum per head and the inverted mask,
@@ -482,7 +529,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
     layout it returns, and builds one head at a time in contiguous
     ``dq_h``, ``dk_h`` and ``dv_h``, each copied into its head's columns
     when the head is done; besides the three gradients it holds those, two
-    blocks, the head's operands and ``[gn | -r]`` for every head. It
+    blocks, the head's operands and the head's ``[gn | -r]``, one ``(n,
+    dv + 1)`` buffer that each head refills. It
     recomputes each block from the row max and the operands' ``.data``,
     which must not change in between: ``[q_h * scale | -row max] @ [k_h^T;
     1]`` is ``logit - row max``, then the ``-inf`` fill and ``exp`` give
@@ -495,6 +543,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention needs q (n, heads*d), k (m, heads*d), v (m, heads*dv); "
                          f"got {q.shape}, {k.shape}, {v.shape}")
+    require_integer("attention: heads", heads)
     if heads < 1 or q.shape[1] < heads or q.shape[1] % heads or v.shape[1] % heads:
         raise ShapeError(f"attention: {heads} heads do not divide the widths {q.shape[1]} and {v.shape[1]} "
                          f"with at least one q column per head")
@@ -527,7 +576,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
         return kt1, vt1
 
     row_sum, out = np.empty((heads, n, 1)), np.empty((n, heads * hv))
-    out_heads = _split_heads(out, heads)
     e_block, y_block = np.empty((min(rows, n), m)), np.empty((min(rows, n), hv + 1))
     for i in range(heads):
         kt1, vt1 = head_operands(i)
@@ -542,17 +590,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
             np.exp(e, out=e)
             np.matmul(e, vt1.T, out=y)  # [e v_h | row sum]
             row_sum[i, lo:hi] = y[:, hv:]
-            np.divide(y[:, :hv], row_sum[i, lo:hi], out=out_heads[i, lo:hi])
+            np.divide(y[:, :hv], row_sum[i, lo:hi], out=out[lo:hi, v_cols[i]])
 
     def backward(g):
-        gn = np.empty((heads, n, hv + 1))  # [g / row sum | -r], r = rowsum(g / row sum * out)
-        np.divide(_split_heads(g, heads), row_sum, out=gn[..., :hv])
-        np.negative((gn[..., :hv] * _split_heads(out, heads)).sum(axis=-1), out=gn[..., hv])
+        gn = np.empty((n, hv + 1))  # one head's [g / row sum | -r], r = rowsum(g / row sum * out)
         dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         dq_h, dk_h, dv_h = np.empty((n, hd)), np.empty((m, hd)), np.empty((m, hv))  # one head's, contiguous
         e_block, ds_block = np.empty((min(rows, n), m)), np.empty((min(rows, n), m))
         q1_block = np.empty((min(rows, n), hd + 1))
         for i in range(heads):
+            np.divide(g[:, v_cols[i]], row_sum[i], out=gn[:, :hv])
+            np.negative((gn[:, :hv] * out[:, v_cols[i]]).sum(axis=-1), out=gn[:, hv])
             kt1, vt1 = head_operands(i)
             dk_h.fill(0.0)
             dv_h.fill(0.0)
@@ -564,8 +612,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
                 if hidden is not None:
                     np.copyto(e, -np.inf, where=hidden[lo:hi])
                 np.exp(e, out=e)
-                dv_h += e.T @ gn[i, lo:hi, :hv]
-                np.matmul(gn[i, lo:hi], vt1, out=ds)  # [gn | -r] [v_h^T; 1] = gn v_h^T - r
+                dv_h += e.T @ gn[lo:hi, :hv]
+                np.matmul(gn[lo:hi], vt1, out=ds)  # [gn | -r] [v_h^T; 1] = gn v_h^T - r
                 ds *= e
                 np.matmul(ds, k.data[:, qk_cols[i]], out=dq_h[lo:hi])
                 dk_h += ds.T @ q.data[lo:hi, qk_cols[i]]
@@ -575,11 +623,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
         return dq, dk, dv
 
     return custom_op(out, (q, k, v), backward)
-
-
-def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """A ``(rows, heads*width)`` array as a ``(heads, rows, width)`` view."""
-    return a.reshape(a.shape[0], heads, a.shape[1] // heads).transpose(1, 0, 2)
 
 
 GRAD_CHECK_EPS = 1e-5  # the step of grad_check's central differences

@@ -70,6 +70,72 @@ def test_patch_embed_grad_check():
     assert err < 1e-6
 
 
+def tiles_linear_patch_embed(image, patch, params):
+    """``patch_embed`` as it was before it became one node: the tiles as a
+    constant, a ``linear`` node and a reshape node; the bitwise oracle."""
+    h, w, c = image.shape
+    image = np.pad(image, ((0, -h % patch), (0, -w % patch), (0, 0))) if h % patch or w % patch else image
+    gh, gw = image.shape[0] // patch, image.shape[1] // patch
+    tiles = image.reshape(gh, patch, gw, patch, c).transpose(0, 2, 1, 3, 4).reshape(gh * gw, patch * patch * c)
+    out = linear(Tensor(tiles), params, "patch")
+    return out.reshape(gh, gw, out.shape[-1])
+
+
+@pytest.mark.parametrize("hw, patch", [((32, 32), 8), ((33, 40), 8), ((7, 9), 4)])
+def test_patch_embed_is_one_node_bitwise_equal_to_tiles_linear_reshape(hw, patch):
+    """Parents ``(patch.w, patch.b)``, no tiles kept: the value and both
+    gradients are byte for byte those of the tiles through ``linear``,
+    padded images included."""
+    rng = np.random.default_rng(30)
+    params = make_patch_params(rng, patch=patch, c=16)
+    image = rng.random(hw + (3,))
+    proj = rng.normal(size=(-(-hw[0] // patch), -(-hw[1] // patch), 16))
+    results = []
+    for f in (patch_embed, tiles_linear_patch_embed):
+        for t in params.values():
+            t.grad = None
+        out = f(image, patch, params)
+        (out * proj).sum().backward()
+        results.append([out.data] + [t.grad for t in params.values()])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert patch_embed(image, patch, params)._parents == (params["patch.w"], params["patch.b"])
+
+
+def test_patch_embed_grad_check_on_a_padded_image():
+    rng = np.random.default_rng(31)
+    params = make_patch_params(rng, patch=4, c=5)
+    img = rng.random((7, 9, 3))
+    proj = rng.normal(size=(2, 3, 5))
+    err = T.grad_check(lambda: (patch_embed(img, 4, params) * proj).sum(), [params["patch.w"], params["patch.b"]])
+    assert err < 1e-6
+
+
+def nan_image(shape):
+    img = np.zeros(shape)
+    img[1, 2, 0] = np.nan
+    return img
+
+
+@pytest.mark.parametrize("image, patch, error, message", [
+    (np.zeros((16, 16)), 8, ShapeError, "patch_embed: needs an (H, W, C) image"),
+    (np.zeros((16, 16, 3)), 0, ValueError, "patch_embed: patch must be >= 1"),
+    (np.zeros((16, 16, 3)), -8, ValueError, "patch_embed: patch must be >= 1"),
+    (np.zeros((16, 16, 3)), 8.0, ValueError, "patch_embed: patch must be an integer"),
+    (np.zeros((16, 16, 3)), True, ValueError, "patch_embed: patch must be an integer"),
+    (np.zeros((16, 16, 4)), 8, ShapeError, "patch_embed: needs an (H, W, C) image"),
+    (nan_image((16, 16, 3)), 8, FloatingPointError, "patch_embed: the image holds NaN or inf"),
+    (np.full((16, 16, 3), np.inf), 8, FloatingPointError, "patch_embed: the image holds NaN or inf"),
+])
+def test_patch_embed_checks_its_inputs(image, patch, error, message):
+    """The patch is an integer >= 1 and the image an (H, W, C) array of finite
+    pixels whose ``C * patch**2`` is ``patch.w``'s row count; each failure
+    names ``patch_embed``."""
+    params = make_patch_params(np.random.default_rng(32), patch=8, c=4)
+    with pytest.raises(error, match=re.escape(message)):
+        patch_embed(image, patch, params)
+
+
 def test_encoder_zero_layers_identity():
     rng = np.random.default_rng(4)
     grid = Tensor(rng.normal(size=(3, 5, 8)))
@@ -199,6 +265,54 @@ def test_fusion_linearity_with_zero_bias():
     a = dense_fusion(enc, bb, params).data
     b = dense_fusion(Tensor(3.0 * enc.data), Tensor(3.0 * bb.data), params).data
     np.testing.assert_allclose(b, 3.0 * a, atol=1e-12)
+
+
+def test_fusion_is_one_node_bitwise_equal_to_concat_and_linear():
+    """Parents ``(enc, backbone, fuse.w, fuse.b)``, no concatenation kept:
+    the value and all four gradients are byte for byte those of ``concat``
+    and ``linear``."""
+    rng = np.random.default_rng(33)
+    params = {}
+    init_linear(params, rng, "fuse", 5 + 3, 4)
+    enc, bb = (Tensor(rng.normal(size=(3, 2, c)), requires_grad=True) for c in (5, 3))
+    leaves = [enc, bb, params["fuse.w"], params["fuse.b"]]
+    proj = rng.normal(size=(3, 2, 4))
+    results = []
+    for f in (dense_fusion, lambda e, b, p: linear(T.concat([e, b], axis=-1), p, "fuse")):
+        for t in leaves:
+            t.grad = None
+        out = f(enc, bb, params)
+        (out * proj).sum().backward()
+        results.append([out.data] + [t.grad for t in leaves])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert dense_fusion(enc, bb, params)._parents == tuple(leaves)
+
+
+def test_fusion_grad_check():
+    rng = np.random.default_rng(34)
+    params = {}
+    init_linear(params, rng, "fuse", 4 + 2, 3)
+    enc, bb = (Tensor(rng.normal(size=(2, 3, c)), requires_grad=True) for c in (4, 2))
+    proj = rng.normal(size=(2, 3, 3))
+    err = T.grad_check(lambda: (dense_fusion(enc, bb, params) * proj).sum(),
+                       [enc, bb, params["fuse.w"], params["fuse.b"]])
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("bb_shape, message", [
+    ((2, 2, 5), "dense_fusion: the concatenated width 4 + 5 must be fuse.w's rows"),
+    ((2, 3, 4), "dense_fusion: spatial dims differ"),
+])
+def test_fusion_rejects_grids_that_do_not_fit_fuse(bb_shape, message):
+    """Each failure names ``dense_fusion``; a width other than ``fuse.w``'s
+    rows used to fail inside ``linear``."""
+    rng = np.random.default_rng(35)
+    params = {}
+    init_linear(params, rng, "fuse", 8, 4)
+    enc, bb = Tensor(rng.normal(size=(2, 2, 4))), Tensor(rng.normal(size=bb_shape))
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        dense_fusion(enc, bb, params)
 
 
 def pooled(grid: Tensor, boxes, out_hw=(7, 7)) -> Tensor:
@@ -431,6 +545,60 @@ def test_roi_projection_grad_check():
     proj = rng.normal(size=(4, 3))
     err = T.grad_check(lambda: (roi_pool_batch(grid, boxes, w, b, (2, 3)) * proj).sum(), [grid, w, b])
     assert err < 1e-6
+
+
+def shared_w_roi_calls(w):
+    """Two ``roi_pool_batch`` calls on one grid sharing ``w``, as the matching
+    and DN branches share ``neck.1.w``: their outputs, output gradients and
+    the loss over both."""
+    rng = np.random.default_rng(36)
+    grid = Tensor(rng.normal(size=(6, 7, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    outs, gs = [], []
+    for n in (5, 4):
+        boxes = np.column_stack([rng.uniform(0.2, 0.8, (n, 2)), rng.uniform(0.1, 0.9, (n, 2))])
+        outs.append(roi_pool_batch(grid, boxes, w, b, (2, 3)))
+        gs.append(rng.normal(size=(n, 3)))
+    return outs, gs, (outs[0] * gs[0]).sum() + (outs[1] * gs[1]).sum()
+
+
+W0 = np.random.default_rng(37).normal(size=(2 * 3 * 2, 3))
+
+
+def built_weight_grads() -> list:
+    """Each call's ``w`` gradient, built with no gradient held in ``w``."""
+    outs, gs, _ = shared_w_roi_calls(Tensor(W0.copy(), requires_grad=True))
+    return [out._backward(g)[1] for out, g in zip(outs, gs)]
+
+
+def test_roi_adds_a_shared_leaf_weights_gradient_into_its_grad():
+    """A backward whose leaf ``w`` already holds a gradient adds its ``w``
+    gradient into that array bin by bin and returns None for ``w``, so no
+    second ``w``-sized array is built: the walk leaves the bytes of the
+    out-of-place sum of the two calls' gradients."""
+    dws = built_weight_grads()
+    w = Tensor(W0.copy(), requires_grad=True)
+    outs, gs, loss = shared_w_roi_calls(w)
+    loss.backward()
+    assert w.grad.tobytes() == (dws[0] + dws[1]).tobytes()
+    held, before = w.grad, w.grad.copy()
+    grads = outs[1]._backward(gs[1])
+    assert grads[1] is None and w.grad is held
+    assert held.tobytes() == (before + dws[1]).tobytes()
+
+
+def test_roi_returns_the_weights_gradient_of_a_non_leaf_w():
+    """A ``w`` that is not a leaf gets its gradient returned, even while it
+    holds one, and the walk sums the two calls' gradients as for any node."""
+    dws = built_weight_grads()
+    w0 = Tensor(W0.copy(), requires_grad=True)
+    w = w0 * 1.0
+    outs, gs, loss = shared_w_roi_calls(w)
+    loss.backward()
+    assert w0.grad.tobytes() == (dws[0] + dws[1]).tobytes()
+    w.grad = np.zeros(w.shape)
+    assert outs[1]._backward(gs[1])[1].tobytes() == dws[1].tobytes()
+    assert not w.grad.any()
 
 
 def test_roi_node_holds_and_peaks_far_below_the_regions():

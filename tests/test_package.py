@@ -154,6 +154,24 @@ def test_a_full_size_train_dense_step_peaks_under_23_mb(tmp_path):
     assert full_size_step_peak("train-dense", tmp_path) < 23e6
 
 
+def test_a_full_size_train_dense_step_peaks_under_18_5_mb(tmp_path):
+    """A training step holds no array its backward can rebuild or never
+    reads: the FFN's hidden layer keeps only its ReLU output, the patch
+    tiles and the fusion concatenation are rebuilt in their backwards, and
+    the second RoI backward adds ``neck.1``'s weight gradient into the one
+    the step already holds. At seed 0 a train-dense step peaks at 17.0 MB,
+    in the encoder's attention backward; it peaked at 20.1 MB inside the DN
+    branch's RoI backward, with both 1.6 MB ``neck.1`` gradients live."""
+    assert full_size_step_peak("train-dense", tmp_path) < 18.5e6
+
+
+def test_a_full_size_train_hires_step_peaks_under_19_mb(tmp_path):
+    """As above, on the 24x24 grid, where attention's backward also builds
+    ``[g / row sum | -r]`` one head at a time: 17.7 MB at seed 0, against
+    20.6 MB with the kept tiles, concatenation and pre-ReLU layers."""
+    assert full_size_step_peak("train-hires", tmp_path) < 19e6
+
+
 def test_a_full_size_inference_pass_peaks_under_3_mb(tmp_path):
     """An infer-fixture pass keeps no graph, so its peak is the largest
     transient: 1.8 MB at seed 0 with the RoI node, and 5.9 MB when RoI

@@ -128,6 +128,46 @@ def test_linear_takes_a_matrix_weight_and_a_vector_bias(w_shape, b_shape):
         T.linear(x, Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
 
 
+def linear_relu_operands(needs):
+    """``x``, ``w`` and ``b`` whose pre-activations include exact zeros, -0.0
+    (a product that underflows, plus a -0.0 bias) and NaN (a NaN bias)."""
+    rng = np.random.default_rng(27)
+    x, w = rng.normal(size=(6, 4)), rng.normal(size=(4, 5))
+    x[0], x[1], w[:, 0] = 0.0, -1e-200, 1e-200
+    b = np.array([-0.0, 0.0, np.nan, 0.3, -0.2])
+    return [Tensor(a, requires_grad=r) for a, r in zip((x, w, b), needs)]
+
+
+@pytest.mark.parametrize("needs", [(1, 1, 1), (0, 1, 1)])
+def test_linear_relu_is_bitwise_relu_of_linear(needs):
+    """One node with parents ``(x, w, b)`` that keeps only its output, with the
+    value and all three gradients of ``relu(linear(x, w, b))``, byte for
+    byte, at exact zeros, -0.0 and NaN pre-activations."""
+    x, w, b = linear_relu_operands(needs)
+    pre = T.linear(x, w, b).data
+    assert (pre == 0).any() and (np.signbit(pre) & (pre == 0)).any() and np.isnan(pre).any()
+    proj = np.random.default_rng(28).normal(size=pre.shape)
+    results = []
+    for f in (T.linear_relu, lambda *a: T.relu(T.linear(*a))):
+        for t in (x, w, b):
+            t.grad = None
+        out = f(x, w, b)
+        (out * proj).sum().backward()
+        results.append([out.data] + [t.grad for t in (x, w, b)])
+    got, want = results
+    for a, e in zip(got, want):
+        assert (a is None and e is None) or (a.shape == e.shape and a.tobytes() == e.tobytes())
+    out = T.linear_relu(x, w, b)
+    assert out._parents == (x, w, b)
+
+
+def test_linear_relu_grad_check():
+    rng = np.random.default_rng(29)
+    x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 5, 4), (4, 6), (6,)))
+    proj = rng.normal(size=(2, 5, 6))
+    assert T.grad_check(lambda: (T.linear_relu(x, w, b) * proj).sum(), [x, w, b]) < 1e-6
+
+
 def test_softmax_uniform_and_shift_invariance():
     y = softmax(Tensor([3.0, 3.0, 3.0, 3.0])).data
     np.testing.assert_allclose(y, 0.25)
@@ -806,6 +846,37 @@ def test_attention_backward_peaks_under_1_6_mb_beside_its_gradients():
         tracemalloc.stop()
     assert [a.shape for a in grads] == [(576, 64)] * 3
     assert peak - sum(a.nbytes for a in grads) < 1.6e6
+
+
+def test_attention_backward_peaks_under_1_3_mb_beside_its_gradients():
+    """The backward builds ``[g / row sum | -r]`` for one head at a time, an
+    ``(n, dv + 1)`` buffer it reuses: at q, k and v of (576, 64) with 4
+    heads it peaks at about 1.19 MB beyond the three gradients, and at 1.37
+    MB with the ``(heads, n, dv + 1)`` buffer of all heads at once."""
+    rng = np.random.default_rng(26)
+    q, k, v = (Tensor(rng.normal(size=(576, 64)), requires_grad=True) for _ in range(3))
+    out = T.attention(q, k, v, heads=4)
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [a.shape for a in grads] == [(576, 64)] * 3
+    assert peak - sum(a.nbytes for a in grads) < 1.3e6
+
+
+@pytest.mark.parametrize("heads", [True, 2.0])
+def test_attention_takes_an_integer_head_count(heads):
+    """``heads`` is refused with ValueError unless it is a Python or numpy
+    integer, as the configs' count fields are; a bool or a whole float used
+    to reach numpy and fail there with a TypeError."""
+    q = Tensor(np.ones((3, 4)))
+    with pytest.raises(ValueError, match="attention: heads must be an integer"):
+        T.attention(q, q, q, heads=heads)
+    assert np.array_equal(T.attention(q, q, q, heads=np.int64(2)).data, T.attention(q, q, q, heads=2).data)
 
 
 def kept_xn_layer_norm(a, gamma, beta):
