@@ -14,8 +14,8 @@ and no region gradient is ever built. The node keeps the index tables and
 each bin's table row, not the values; its backward reads the bin maxima back
 from the grid at their first-maximum cells, so the grid's ``.data`` must not
 change between the forward and the backward. The matching and DN branches
-share ``neck.1.w``: the second RoI backward adds its weight gradient into the
-array the first one left (``tensor.leaf_grad``), not into a second one.
+share ``neck.1.w``: each RoI backward adds its weight gradient into the
+leaf's one buffer (``tensor.leaf_grad``), so no second one is built.
 
 The patch embedding, the fusion and an FFN's hidden layer are one node
 each, holding only what its backward reads. The patch embedding keeps the
@@ -262,11 +262,11 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, w, b, out_hw: tuple[int, int
 
     The backward reads each bin's values back from the grid at their
     first-maximum cells, which hold them exactly, so the grid's ``.data``
-    must not change between the forward and the backward. ``w``'s gradient
-    is built one bin's row block at a time; when ``w`` is a leaf that already
-    holds a gradient (``T.leaf_grad``), each block is added into that array
-    in place and the node returns None for ``w``, bitwise what the walk's
-    ``+=`` would give. The grid's gradient,
+    must not change between the forward and the backward. Each bin adds its
+    ``maxima^T @ g`` into its row block of one ``w``-sized target: the leaf's
+    gradient buffer (``T.leaf_grad``) for a leaf ``w``, for which the node
+    returns None, bitwise what the walk's ``+=`` would give, or a new zeroed
+    array for a ``w`` that is not a leaf, which it returns. The grid's gradient,
     ``_ROI_CHUNK`` boxes at a time, is ``g @ w^T`` sent to the cell that
     supplied each bin maximum, the first in row-major order among equal
     maxima (as ``np.argmax``), and summed with ``np.add.at`` in (box, bin,
@@ -314,15 +314,12 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, w, b, out_hw: tuple[int, int
     def backward(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
         dw = None
         if w.requires_grad:
-            acc = T.leaf_grad(w)  # added into in place, so no second dW is built beside it
-            dw = np.empty(w.shape) if acc is None else None
+            dw = None if w._backward is None else np.zeros(w.shape)
+            acc = T.leaf_grad(w) if dw is None else dw  # a leaf's own buffer: no second dW beside it
             flat = grid.data.reshape(-1)
-            for rows, blk in zip(per_bin, (dw if acc is None else acc).reshape(hb * wb, c, n_out)):
+            for rows, blk in zip(per_bin, acc.reshape(hb * wb, c, n_out)):
                 maxima = np.take(flat, np.take(first, rows, axis=0))  # each sits at its first-maximum cell
-                if acc is None:
-                    np.matmul(maxima.T, g, out=blk)
-                else:
-                    blk += maxima.T @ g
+                blk += maxima.T @ g
         dgrid = None
         if grid.requires_grad:
             dgrid = np.zeros(grid.shape)

@@ -91,7 +91,10 @@ def emulate_proposals(gt_boxes: np.ndarray, cfg: EmulatorConfig, rng: np.random.
 def proposal_recall(props: list[Proposal], gts: np.ndarray, iou_thr: float) -> float:
     """Fraction of GT boxes covered by some proposal at IoU >= iou_thr; with no proposals each best IoU is 0.
     A scene with no GT boxes gives ``nan``, without a warning, so that a mean over scenes can skip it.
-    ``gts`` is (n, 4) or (0,), and each proposal's box (4,); any other shape raises ``ValueError``."""
+    ``gts`` is (n, 4) or (0,), and each proposal's box (4,); any other shape raises ``ValueError``, as does
+    an ``iou_thr`` that is NaN or outside (0, 1] (at 0 even no proposal would cover every GT box)."""
+    if not 0.0 < iou_thr <= 1.0:
+        raise ValueError(f"proposal_recall: iou_thr must be in (0, 1], got {iou_thr!r}")
     gts = as_boxes(gts, "proposal_recall")
     if gts.shape[0] == 0:
         return math.nan
@@ -108,9 +111,13 @@ def save_proposals(path, by_scene: dict[int, list[Proposal]]) -> None:
     with every float written as its ``repr`` so that ``load_proposals``
     reads it back bitwise. The first line is a ``#`` comment naming the
     fields. A scene with zero proposals writes no line, so it is absent from
-    what ``load_proposals`` returns. A box that is not ``(4,)`` or that it would
-    reject raises ``ValueError`` naming its scene, before the file is opened.
+    what ``load_proposals`` returns. A scene id that is not an integer (a bool
+    or a float is refused), or a box that is not ``(4,)`` or that the reader
+    would reject, raises ``ValueError`` naming its scene, before the file is
+    opened.
     """
+    for scene_id in by_scene:
+        require_integer("save_proposals: scene id", scene_id)
     boxes = {}
     for scene_id in sorted(by_scene):
         b = as_boxes(np.array([p.box for p in by_scene[scene_id]], dtype=np.float64), f"save_proposals, scene {scene_id}")

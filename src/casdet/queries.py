@@ -39,8 +39,11 @@ def attention_mask(n_match: int, group_sizes: list[int]) -> np.ndarray:
 
     Group 0 is the matching queries and group k the k-th DN group; query i
     may attend to query j (True) exactly when both are in the same group. With
-    no DN groups this is all-visible.
+    no DN groups this is all-visible. Each count must be an integer (a bool or
+    a float is refused) and >= 0, else ValueError.
     """
+    for count in (n_match, *group_sizes):
+        require_integer("attention_mask: counts", count)
     if n_match < 0 or any(g < 0 for g in group_sizes):
         raise ValueError("counts must be >= 0")
     ids = np.arange(len(group_sizes) + 1, dtype=np.min_scalar_type(len(group_sizes)))  # narrow ids compare faster

@@ -13,25 +13,22 @@ parent's shape and accumulates it. ``linear`` (for x), ``mul`` and ``div``
 return None for an operand that needs no gradient, rather than compute one
 the walk would drop.
 
-The walk owns its gradient buffers, and a step holds each array once. A
-backward returns, per parent, None, ``out.grad``, a view of it, an array it
-built and keeps no reference to, or views of one such array; it never
-returns one built array whole for two parents, and never writes into
-``out.grad`` or into an array it has returned. A tensor adopts its first
-gradient without a copy, except that a leaf (a tensor with no backward,
-such as a parameter) copies one that is ``out.grad``, a view, or not a
-C-ordered float64 array, so a leaf's ``.grad`` shares memory with no other
-array. A leaf adds later gradients into its ``.grad`` in place; an interior
-node sums them out of place, since its ``.grad`` may be another node's, and
-drops it as soon as its backward has run. A backward may do a leaf's adding
-itself: when ``leaf_grad`` finds that a leaf parent already holds a
-gradient, the backward adds its contribution into that array and returns
-None for the parent, with the walk's own elementwise ``+=``, so no second
-parameter-sized array is built. Backwards read their parents' ``.data``
-rather than keep copies, and ``attention`` and ``layer_norm`` rebuild what
-they need from it (recompute over store, as in gradient checkpointing, Chen
-et al., 2016), so a parent's ``.data`` must not change between the forward
-and the backward. ``linear_relu`` takes its mask from its own output.
+A backward returns, per parent, None or a gradient at a shape that
+broadcasts to the parent's, and never writes into the gradient it received;
+it may return that gradient itself, views of it, or one built array for
+several parents. A leaf (a tensor with no backward, such as a parameter)
+owns its ``.grad``: it takes a C-ordered float64 copy of its first gradient
+and adds later ones into it in place, so a leaf's ``.grad`` shares memory
+with no other array. An interior node adopts its first gradient without a
+copy, sums later ones out of place, since its ``.grad`` may be another
+node's, and drops it as soon as its backward has run. A backward may add a
+leaf's gradient into the leaf's buffer itself (``leaf_grad``) and return
+None for it, so no second parameter-sized array is built. Backwards read
+their parents' ``.data`` rather than keep copies, and ``attention`` and
+``layer_norm`` rebuild what they need from it (recompute over store, as in
+gradient checkpointing, Chen et al., 2016), so a parent's ``.data`` must
+not change between the forward and the backward. ``linear_relu`` takes its
+mask from its own output.
 
 ``attention`` takes 2-D operands with its heads side by side in the columns,
 as in FlashAttention's ``(tokens, heads, head_dim)``, and keeps no
@@ -98,8 +95,10 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph.
 
-        Leaves accumulate into their ``.grad`` in place, so two calls give
-        twice the gradient of one in the same array. Every interior node
+        A leaf copies its first gradient into a C-ordered float64 ``.grad`` of
+        its own and adds later ones into it in place, so two calls give twice
+        the gradient of one in the same array. An interior node adopts its
+        first gradient and sums later ones out of place. Every interior node
         except ``self`` has ``.grad`` set to None once its backward has run;
         ``_parents`` and the backwards stay, so the graph can be walked and
         differentiated again. A node that received no gradient passes none
@@ -112,11 +111,15 @@ class Tensor:
             if node._backward is None or node.grad is None:
                 continue
             for p, g in zip(node._parents, node._backward(node.grad)):
-                if g is not None and p.requires_grad:
-                    g = _unbroadcast(g, p.shape)
-                    if p._backward is None and p.grad is None and not _private(g, node.grad):
-                        g = np.array(g, dtype=np.float64, order="C")
-                    _accum(p, g)
+                if g is None or not p.requires_grad:
+                    continue
+                g = _unbroadcast(g, p.shape)
+                if p._backward is not None:
+                    p.grad = g if p.grad is None else p.grad + g
+                elif p.grad is None:
+                    p.grad = np.array(g, dtype=np.float64, order="C")
+                else:
+                    p.grad += g
             if node is not self:
                 node.grad = None
 
@@ -187,40 +190,14 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad`` without writing into ``g``.
-
-    A first ``g`` is adopted as is: an interior node's may be the caller's
-    ``out.grad`` or a view of it, and the walk hands a leaf only an array
-    that nothing else holds (see ``_private``). Later contributions are added
-    into a leaf's ``.grad`` in place, and summed out of place for an interior
-    node, whose ``.grad`` may be another node's array.
-    """
+def leaf_grad(t: Tensor) -> np.ndarray:
+    """The gradient buffer of a leaf ``t``: its ``.grad``, created zero-filled
+    when None. A backward may add ``t``'s gradient into it in place and
+    return None for ``t``; the walk adds later gradients into the same
+    array."""
     if t.grad is None:
-        t.grad = g
-    elif t._backward is None:
-        t.grad += g
-    else:
-        t.grad = t.grad + g
-
-
-def _private(g, out_grad: np.ndarray) -> bool:
-    """Whether a leaf may adopt ``g``, a gradient a backward returned for
-    ``out_grad``, as its ``.grad``: a C-ordered float64 array that is neither
-    ``out_grad`` nor a view, so by the walk's contract nothing else holds it."""
-    return (g is not out_grad and isinstance(g, np.ndarray) and g.base is None
-            and g.dtype == np.float64 and g.flags.c_contiguous)
-
-
-def leaf_grad(t: Tensor) -> np.ndarray | None:
-    """``t.grad`` if a backward may add ``t``'s gradient into it in place and
-    return None for ``t``: ``t`` is a leaf and its ``.grad`` a C-ordered
-    float64 array of ``t.shape``, as the walk leaves it. Otherwise None."""
-    g = t.grad
-    if (t._backward is None and isinstance(g, np.ndarray) and g.shape == t.shape
-            and g.dtype == np.float64 and g.flags.c_contiguous):
-        return g
-    return None
+        t.grad = np.zeros(t.shape)
+    return t.grad
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -247,19 +224,16 @@ def custom_op(y: np.ndarray, parents: tuple[Tensor, ...],
 
     ``backward`` maps ``out.grad`` to a tuple with one gradient per parent, in
     parent order, each at its parent's shape or at a shape that broadcasts to
-    it, or None for no gradient. The walk in ``Tensor.backward`` skips parents
-    that need no gradient, sums or broadcasts each gradient to exactly its
-    parent's shape and accumulates it. ``backward`` may return ``out.grad``,
-    a view of it, an array it built and keeps no reference to, or views of
-    one built array for different parents (the walk copies a view before a
-    leaf adopts it), but never one built array whole for two parents, and it
-    must never write into ``out.grad`` or what it returned: a leaf may adopt
-    a built array as its ``.grad`` and add into it later. For a leaf parent
-    for which ``leaf_grad`` returns an array, ``backward`` may instead add
-    the gradient into that array in place and return None for the parent.
-    It is stored as is, not bound to the output, so nodes only point at
-    their parents: a graph holds no reference cycle and is freed as soon as
-    it is dropped.
+    it, or None for no gradient, and never writes into ``out.grad``. It may
+    return ``out.grad`` itself, views of it, or one built array for several
+    parents: the walk in ``Tensor.backward`` skips parents that need no
+    gradient, sums or broadcasts each gradient to exactly its parent's shape,
+    and copies a leaf's first gradient before accumulating into it. For a
+    leaf parent ``backward`` may instead add the gradient into
+    ``leaf_grad(parent)`` in place and return None for it. ``backward`` is
+    stored as is, not bound to the output, so nodes only point at their
+    parents: a graph holds no reference cycle and is freed as soon as it is
+    dropped.
     """
     out = Tensor(y, any(p.requires_grad for p in parents))
     if out.requires_grad:

@@ -566,16 +566,23 @@ W0 = np.random.default_rng(37).normal(size=(2 * 3 * 2, 3))
 
 
 def built_weight_grads() -> list:
-    """Each call's ``w`` gradient, built with no gradient held in ``w``."""
-    outs, gs, _ = shared_w_roi_calls(Tensor(W0.copy(), requires_grad=True))
-    return [out._backward(g)[1] for out, g in zip(outs, gs)]
+    """Each call's ``w`` gradient, added into the buffer of a leaf ``w`` that
+    held no gradient; the node returns None for a leaf ``w``."""
+    w = Tensor(W0.copy(), requires_grad=True)
+    outs, gs, _ = shared_w_roi_calls(w)
+    dws = []
+    for out, g in zip(outs, gs):
+        w.grad = None
+        assert out._backward(g)[1] is None
+        dws.append(w.grad)
+    return dws
 
 
 def test_roi_adds_a_shared_leaf_weights_gradient_into_its_grad():
-    """A backward whose leaf ``w`` already holds a gradient adds its ``w``
-    gradient into that array bin by bin and returns None for ``w``, so no
-    second ``w``-sized array is built: the walk leaves the bytes of the
-    out-of-place sum of the two calls' gradients."""
+    """Each backward adds its ``w`` gradient into the leaf ``w``'s one buffer
+    bin by bin and returns None for ``w``, so no second ``w``-sized array is
+    built: the walk leaves the bytes of the out-of-place sum of the two
+    calls' gradients."""
     dws = built_weight_grads()
     w = Tensor(W0.copy(), requires_grad=True)
     outs, gs, loss = shared_w_roi_calls(w)
@@ -626,7 +633,8 @@ def test_roi_node_holds_and_peaks_far_below_the_regions():
         backward_peak = tracemalloc.get_traced_memory()[1] - start - held
     finally:
         tracemalloc.stop()
-    assert [a.shape for a in grads] == [grid.shape, w.shape, g.shape] and grads[0].any()
+    assert grads[1] is None and [grads[0].shape, w.grad.shape, grads[2].shape] == [grid.shape, w.shape, g.shape]
+    assert grads[0].any() and w.grad.any()
     assert held < region_bytes / 10
     assert forward_peak < region_bytes / 3
     assert backward_peak < region_bytes / 2

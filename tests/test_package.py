@@ -116,10 +116,11 @@ def test_a_full_size_training_step_peaks_under_24_mb(tmp_path):
 def test_a_full_size_train_dense_step_peaks_under_30_mb(tmp_path):
     """A full-size train-dense step holds each array once: layer norm keeps
     its row mean and ``1/s``, not the normalized input; attention's backward
-    builds one head's gradients at a time; and a parameter adopts the
-    gradient its node's backward built rather than copying it. At seed 0 the
-    step peaked at 31.4 MB with those copies, inside the backward of the
-    matching branch's ``neck.1`` linear, and peaks at 28.8 MB without them."""
+    builds one head's gradients at a time; and a parameter holds one
+    gradient buffer, which RoI pooling adds ``neck.1.w``'s gradient into in
+    place. At seed 0 the step peaked at 31.4 MB when each parameter's
+    gradient was copied back, inside the backward of the matching branch's
+    ``neck.1`` linear, and at 28.8 MB without those copies."""
     st = import_standin()
     model = st.setup(st.WORKLOADS["train-dense"], st.REF_SEED, str(tmp_path))
     tracemalloc.start()
@@ -148,9 +149,9 @@ def full_size_step_peak(workload: str, tmp_path) -> float:
 
 def test_a_full_size_train_dense_step_peaks_under_23_mb(tmp_path):
     """RoI pooling and ``neck.1`` are one node, which builds no ``(n, 7, 7,
-    64)`` regions and no region gradient. At seed 0 a train-dense step peaks
-    at 20.1 MB, inside the DN branch's ``roi_pool_batch`` backward; with the
-    regions it peaked at 28.8 MB."""
+    64)`` regions and no region gradient. At seed 0 a train-dense step peaked
+    at 20.1 MB with it, inside the DN branch's ``roi_pool_batch`` backward;
+    with the regions it peaked at 28.8 MB."""
     assert full_size_step_peak("train-dense", tmp_path) < 23e6
 
 

@@ -131,6 +131,17 @@ def test_recall_monotone_in_threshold():
     assert all(a >= b for a, b in zip(rec, rec[1:]))
 
 
+@pytest.mark.parametrize("iou_thr", [0.0, -1.0, 1.5, math.nan])
+def test_recall_takes_a_threshold_in_0_1(iou_thr):
+    """A threshold of 0 or below used to count every GT box as covered, even
+    with no proposal, and NaN or one above 1 counted none; each now raises.
+    1 itself is a valid threshold."""
+    gts = np.array([[0.4, 0.4, 0.2, 0.2]])
+    with pytest.raises(ValueError, match="proposal_recall: iou_thr must be in"):
+        proposal_recall([], gts, iou_thr)
+    assert proposal_recall([Proposal(gts[0].copy())], gts, 1.0) == 1.0
+
+
 def test_fixture_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     by_scene = {
@@ -282,6 +293,19 @@ def test_save_proposals_rejects_what_load_proposals_cannot_read(tmp_path, boxes)
     assert not path.exists()
     save_proposals(path, {2: [Proposal(np.full(4, 0.25), 0.5)], 7: [Proposal(np.array([0.5, 0.5, 5e-324, 1.0]))]})
     assert path.read_text() == "# scene_id cx cy w h [score]\n2 0.25 0.25 0.25 0.25 0.5\n7 0.5 0.5 5e-324 1.0\n"
+
+
+@pytest.mark.parametrize("scene_id", [True, 1.5, np.float64(2.0)])
+def test_save_proposals_takes_integer_scene_ids(tmp_path, scene_id):
+    """A bool or float scene id used to be written as a line that
+    ``load_proposals`` rejects; now it raises, naming the id, and no file is
+    written. Python and numpy integer ids are written as before."""
+    path = tmp_path / "props.txt"
+    with pytest.raises(ValueError, match=re.escape(f"save_proposals: scene id must be an integer, got {scene_id!r}")):
+        save_proposals(path, {0: [Proposal(np.full(4, 0.25))], scene_id: [Proposal(np.full(4, 0.5))]})
+    assert not path.exists()
+    save_proposals(path, {np.int64(3): [Proposal(np.full(4, 0.5))], 0: [Proposal(np.full(4, 0.25), 0.5)]})
+    assert path.read_text() == "# scene_id cx cy w h [score]\n0 0.25 0.25 0.25 0.25 0.5\n3 0.5 0.5 0.5 0.5\n"
 
 
 def test_emulated_boxes_do_not_share_memory():

@@ -83,6 +83,15 @@ def test_attention_mask_rejects_negative_counts():
             attention_mask(n_match, groups)
 
 
+@pytest.mark.parametrize("n_match, groups", [(True, [2]), (2.0, [1]), (2, [1.5]), (2, [1, True])])
+def test_attention_mask_takes_integer_counts(n_match, groups):
+    """A bool or float count, even a whole one, used to give a mask with no
+    error; counts follow the configs' integer rule, numpy integers included."""
+    with pytest.raises(ValueError, match="attention_mask: counts must be an integer"):
+        attention_mask(n_match, groups)
+    assert np.array_equal(attention_mask(np.int64(2), [np.int64(1)]), attention_mask(2, [1]))
+
+
 def test_init_matching_queries_counts_and_determinism():
     rng = np.random.default_rng(0)
     params = neck_params(rng)

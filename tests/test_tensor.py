@@ -306,8 +306,9 @@ def test_backward_keeps_leaf_grads_and_releases_interior_ones():
 
 
 def test_a_leaf_adds_later_gradients_into_its_own_array():
-    """A leaf adopts the weight gradient ``linear``'s backward built, and a
-    second pass adds into that same array rather than summing out of place."""
+    """A leaf copies the weight gradient ``linear``'s backward built into a
+    buffer of its own once, and a second pass adds into that same array
+    rather than summing out of place."""
     rng = np.random.default_rng(25)
     x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((5, 4), (4, 3), (3,)))
     loss = (T.linear(x, w, b) * rng.normal(size=(5, 3))).sum()
@@ -318,11 +319,34 @@ def test_a_leaf_adds_later_gradients_into_its_own_array():
     np.testing.assert_array_equal(w.grad, 2.0 * once)
 
 
-def zero_fill_accum(t, g):
-    """``_accum`` as it was before the walk owned its buffers."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+def zero_fill_grads(root, leaves) -> list:
+    """Each leaf's gradient from a walk written here: reverse topological
+    order over ``_parents``, an interior node summing its gradients out of
+    place and a leaf starting from ``np.zeros`` and adding each in place."""
+    order, seen = [], set()
+
+    def visit(t):
+        if id(t) not in seen:
+            seen.add(id(t))
+            for p in t._parents:
+                visit(p)
+            order.append(t)
+
+    visit(root)
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(order):
+        if node._backward is None or id(node) not in grads:
+            continue
+        for p, g in zip(node._parents, node._backward(grads[id(node)])):
+            if g is None or not p.requires_grad:
+                continue
+            g = T._unbroadcast(g, p.shape)
+            if p._backward is None:
+                grads.setdefault(id(p), np.zeros_like(p.data))
+                grads[id(p)] += g
+            else:
+                grads[id(p)] = grads[id(p)] + g if id(p) in grads else g
+    return [grads[id(t)] for t in leaves]
 
 
 OWNERSHIP_CASES = {
@@ -330,7 +354,7 @@ OWNERSHIP_CASES = {
     "add(a,a)": lambda a, s: (T.add(a, a) * s).sum(),
     "reshape(a)+s": lambda a, s: ((a.reshape(4, 3) + s.reshape(4, 3)) * 2.0).sum(),
     "interior reuse": lambda a, s: interior_reuse(a * s),
-    "linear": lambda a, s: (T.linear(a.reshape(4, 3), s, np.ones(4)) ** 2).sum(),  # s adopts its gradient
+    "linear": lambda a, s: (T.linear(a.reshape(4, 3), s, np.ones(4)) ** 2).sum(),  # s copies a built gradient
 }
 
 
@@ -340,7 +364,7 @@ def interior_reuse(y):
 
 
 @pytest.mark.parametrize("kind", sorted(OWNERSHIP_CASES))
-def test_leaf_grads_are_private_and_match_zero_fill_oracle(kind, monkeypatch):
+def test_leaf_grads_are_private_and_match_zero_fill_oracle(kind):
     rng = np.random.default_rng(5)
     a, s = rand_t(rng, (3, 4)), rand_t(rng, (3, 4))
     f = OWNERSHIP_CASES[kind]
@@ -355,12 +379,24 @@ def test_leaf_grads_are_private_and_match_zero_fill_oracle(kind, monkeypatch):
             if u is not t:
                 np.testing.assert_array_equal(u.grad, g)
         t.grad /= 2.0
-    monkeypatch.setattr(T, "_accum", zero_fill_accum)
-    for t in leaves:
-        t.grad = None
-    f(a, s).backward()
-    for t, g in zip(leaves, grads):
-        np.testing.assert_array_equal(t.grad, g)
+    for want, g in zip(zero_fill_grads(f(a, s), leaves), grads):
+        np.testing.assert_array_equal(want, g)
+
+
+def test_one_array_returned_for_two_leaf_parents_gives_each_its_own_gradient():
+    """A backward may return one built array for two leaf parents: each leaf
+    copies it into a buffer of its own, so a later gradient added into one
+    leaf leaves the other's as it was."""
+    a, b = (Tensor(np.zeros(3), requires_grad=True) for _ in range(2))
+
+    def backward(g):
+        h = g * np.array([1.0, 2.0, 3.0])
+        return h, h
+
+    T.custom_op(a.data + b.data, (a, b), backward).sum().backward()
+    (a * 10.0).sum().backward()
+    np.testing.assert_array_equal(a.grad, [11.0, 12.0, 13.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
 
 
 CONSTANT_OPERAND_CASES = {  # op: operand shapes, and the positions whose gradient its backward skips
