@@ -62,9 +62,14 @@ def box_pe_vector(boxes: np.ndarray, cfg: PeConfig) -> np.ndarray:
 
 
 def grid_pe(height: int, width: int, d_model: int) -> np.ndarray:
-    """2D encodings of cell centers, x then y halves: (height*width, d_model)."""
-    if d_model % 4 != 0:
-        raise ValueError("d_model must be divisible by 4 for 2D encodings")
+    """2D encodings of cell centers, x then y halves: (height*width, d_model).
+    The sizes must be integers, the grid at least 1x1 and ``d_model`` a
+    positive multiple of 4 (ValueError naming ``grid_pe``)."""
+    for name, size in (("height", height), ("width", width), ("d_model", d_model)):
+        require_integer(f"grid_pe: {name}", size)
+    if min(height, width) < 1 or d_model < 4 or d_model % 4:
+        raise ValueError(f"grid_pe: needs a grid of at least 1x1 and a positive multiple of 4 for d_model, "
+                         f"got {height}x{width} and {d_model}")
     ys, xs = np.meshgrid((np.arange(height) + 0.5) / height, (np.arange(width) + 0.5) / width, indexing="ij")
     pe = sinusoidal_pe(np.stack([xs, ys], axis=-1), PeConfig(dim_per_coord=d_model // 2))
     return pe.reshape(height * width, d_model)

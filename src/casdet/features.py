@@ -13,9 +13,7 @@ by that bin's block of the weight and summed into the output, so no region
 and no region gradient is ever built. The node keeps the index tables and
 each bin's table row, not the values; its backward reads the bin maxima back
 from the grid at their first-maximum cells, so the grid's ``.data`` must not
-change between the forward and the backward. The matching and DN branches
-share ``neck.1.w``: each RoI backward adds its weight gradient into the
-leaf's one buffer (``tensor.leaf_grad``), so no second one is built.
+change between the forward and the backward.
 
 The patch embedding, the fusion and an FFN's hidden layer are one node
 each, holding only what its backward reads. The patch embedding keeps the
@@ -263,19 +261,19 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, w, b, out_hw: tuple[int, int
     The backward reads each bin's values back from the grid at their
     first-maximum cells, which hold them exactly, so the grid's ``.data``
     must not change between the forward and the backward. Each bin adds its
-    ``maxima^T @ g`` into its row block of one ``w``-sized target: the leaf's
-    gradient buffer (``T.leaf_grad``) for a leaf ``w``, for which the node
-    returns None, bitwise what the walk's ``+=`` would give, or a new zeroed
-    array for a ``w`` that is not a leaf, which it returns. The grid's gradient,
-    ``_ROI_CHUNK`` boxes at a time, is ``g @ w^T`` sent to the cell that
-    supplied each bin maximum, the first in row-major order among equal
-    maxima (as ``np.argmax``), and summed with ``np.add.at`` in (box, bin,
-    channel) order, which bounds the scatter's index to ``_ROI_CHUNK * H_roi *
-    W_roi * C`` values; box coordinates are constants of the op. Values and
-    gradients are within 1e-12 relative of pooling, flattening and a
-    ``linear`` node; at an identity ``w`` and a zero ``b`` the values and the
-    grid's gradient are bitwise those of the pooling alone. NaN or inf in the
-    grid or the boxes raise ``FloatingPointError``.
+    ``maxima^T @ g`` into its row block of ``T.leaf_grad(w)`` and the node
+    returns None for ``w``, so the matching and DN branches, which share
+    ``neck.1.w``, build no second ``w``-sized array; a ``w`` that needs a
+    gradient must be a leaf. The grid's gradient, ``_ROI_CHUNK`` boxes at a
+    time, is ``g @ w^T`` sent to the cell that supplied each bin maximum, the
+    first in row-major order among equal maxima (as ``np.argmax``), and
+    summed with ``np.add.at`` in (box, bin, channel) order, which bounds the
+    scatter's index to ``_ROI_CHUNK * H_roi * W_roi * C`` values; box
+    coordinates are constants of the op. Values and gradients are within
+    1e-12 relative of pooling, flattening and a ``linear`` node; at an
+    identity ``w`` and a zero ``b`` the values and the grid's gradient are
+    bitwise those of the pooling alone. NaN or inf in the grid or the boxes
+    raise ``FloatingPointError``.
     """
     bad_hw = f"roi_pool_batch: out_hw must be two positive integers, got {out_hw!r}"
     if not isinstance(out_hw, (tuple, list)) or len(out_hw) != 2:
@@ -311,13 +309,10 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, w, b, out_hw: tuple[int, int
         out += np.take(val, rows, axis=0) @ w_k
     out += b.data
 
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
-        dw = None
+    def backward(g: np.ndarray) -> tuple[np.ndarray | None, None, np.ndarray]:
         if w.requires_grad:
-            dw = None if w._backward is None else np.zeros(w.shape)
-            acc = T.leaf_grad(w) if dw is None else dw  # a leaf's own buffer: no second dW beside it
             flat = grid.data.reshape(-1)
-            for rows, blk in zip(per_bin, acc.reshape(hb * wb, c, n_out)):
+            for rows, blk in zip(per_bin, T.leaf_grad(w).reshape(hb * wb, c, n_out)):
                 maxima = np.take(flat, np.take(first, rows, axis=0))  # each sits at its first-maximum cell
                 blk += maxima.T @ g
         dgrid = None
@@ -326,7 +321,7 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, w, b, out_hw: tuple[int, int
             for i in range(0, n, _ROI_CHUNK):
                 s = slice(i, i + _ROI_CHUNK)
                 np.add.at(dgrid.reshape(-1), np.take(first, at[s], axis=0).ravel(), (g[s] @ w.data.T).ravel())
-        return dgrid, dw, g
+        return dgrid, None, g
 
     return custom_op(out, (grid, w, b), backward)
 

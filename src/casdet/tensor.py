@@ -6,29 +6,27 @@ reverse topological order. There is no global tape or session state, which
 makes independent graphs safe to build and differentiate concurrently.
 
 A node's ``backward`` maps its output's gradient to a tuple with one gradient
-per parent, in parent order: an array at the parent's shape or at a shape
-that broadcasts to it, or None for no gradient. The walk alone skips parents
-that need no gradient, sums or broadcasts each gradient to exactly its
-parent's shape and accumulates it. ``linear`` (for x), ``mul`` and ``div``
-return None for an operand that needs no gradient, rather than compute one
-the walk would drop.
+per parent, in parent order: None for no gradient, or an array at the
+parent's shape or at a shape that broadcasts to it. It never writes into the
+gradient it received, and may return that gradient itself, views of it
+(read-only broadcasts included) or one array for several parents. The walk
+alone skips parents that need no gradient and sums or broadcasts each
+gradient to exactly its parent's shape. A leaf (a tensor with no backward,
+such as a parameter) owns its ``.grad``: it copies its first gradient into a
+C-ordered float64 array and adds later ones into it in place, so a leaf's
+``.grad`` shares memory with no other array. An interior node adopts its
+first gradient, sums later ones out of place, since its ``.grad`` may be
+another node's array, and drops it once its backward has run. A backward may
+instead add a leaf parent's gradient into ``leaf_grad(parent)`` in place and
+return None for it, so no second parameter-sized array is built.
+``linear`` (for x), ``mul`` and ``div`` return None for an operand that
+needs no gradient, rather than compute one the walk would drop.
 
-A backward returns, per parent, None or a gradient at a shape that
-broadcasts to the parent's, and never writes into the gradient it received;
-it may return that gradient itself, views of it, or one built array for
-several parents. A leaf (a tensor with no backward, such as a parameter)
-owns its ``.grad``: it takes a C-ordered float64 copy of its first gradient
-and adds later ones into it in place, so a leaf's ``.grad`` shares memory
-with no other array. An interior node adopts its first gradient without a
-copy, sums later ones out of place, since its ``.grad`` may be another
-node's, and drops it as soon as its backward has run. A backward may add a
-leaf's gradient into the leaf's buffer itself (``leaf_grad``) and return
-None for it, so no second parameter-sized array is built. Backwards read
-their parents' ``.data`` rather than keep copies, and ``attention`` and
-``layer_norm`` rebuild what they need from it (recompute over store, as in
-gradient checkpointing, Chen et al., 2016), so a parent's ``.data`` must
-not change between the forward and the backward. ``linear_relu`` takes its
-mask from its own output.
+Backwards read their parents' ``.data`` rather than keep copies, and
+``attention`` and ``layer_norm`` rebuild what they need from it (recompute
+over store, as in gradient checkpointing, Chen et al., 2016), so a parent's
+``.data`` must not change between the forward and the backward.
+``linear_relu`` takes its mask from its own output.
 
 ``attention`` takes 2-D operands with its heads side by side in the columns,
 as in FlashAttention's ``(tokens, heads, head_dim)``, and keeps no
@@ -95,14 +93,12 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph.
 
-        A leaf copies its first gradient into a C-ordered float64 ``.grad`` of
-        its own and adds later ones into it in place, so two calls give twice
-        the gradient of one in the same array. An interior node adopts its
-        first gradient and sums later ones out of place. Every interior node
-        except ``self`` has ``.grad`` set to None once its backward has run;
-        ``_parents`` and the backwards stay, so the graph can be walked and
-        differentiated again. A node that received no gradient passes none
-        on.
+        Gradients are held as the module docstring states, so two calls give
+        a leaf twice the gradient of one in the same array. Every interior
+        node except ``self`` has ``.grad`` set to None once its backward has
+        run; ``_parents`` and the backwards stay, so the graph can be walked
+        and differentiated again. A node that received no gradient passes
+        none on.
         """
         if self.data.ndim != 0:
             raise ShapeError(f"backward() requires a 0-d scalar, got shape {self.shape}")
@@ -192,9 +188,10 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 def leaf_grad(t: Tensor) -> np.ndarray:
     """The gradient buffer of a leaf ``t``: its ``.grad``, created zero-filled
-    when None. A backward may add ``t``'s gradient into it in place and
-    return None for ``t``; the walk adds later gradients into the same
-    array."""
+    when None. A tensor with a backward raises ValueError: its ``.grad`` may
+    be another node's array, which adding into in place would corrupt."""
+    if t._backward is not None:
+        raise ValueError(f"leaf_grad: a tensor of shape {t.shape} has a backward, so it owns no gradient buffer")
     if t.grad is None:
         t.grad = np.zeros(t.shape)
     return t.grad
@@ -222,18 +219,9 @@ def custom_op(y: np.ndarray, parents: tuple[Tensor, ...],
     """The output tensor of an op: ``y``, holding ``parents`` and ``backward``
     if any parent requires gradients.
 
-    ``backward`` maps ``out.grad`` to a tuple with one gradient per parent, in
-    parent order, each at its parent's shape or at a shape that broadcasts to
-    it, or None for no gradient, and never writes into ``out.grad``. It may
-    return ``out.grad`` itself, views of it, or one built array for several
-    parents: the walk in ``Tensor.backward`` skips parents that need no
-    gradient, sums or broadcasts each gradient to exactly its parent's shape,
-    and copies a leaf's first gradient before accumulating into it. For a
-    leaf parent ``backward`` may instead add the gradient into
-    ``leaf_grad(parent)`` in place and return None for it. ``backward`` is
-    stored as is, not bound to the output, so nodes only point at their
-    parents: a graph holds no reference cycle and is freed as soon as it is
-    dropped.
+    ``backward`` follows the module docstring's rule. It is stored as is, not
+    bound to the output, so nodes only point at their parents: a graph holds
+    no reference cycle and is freed as soon as it is dropped.
     """
     out = Tensor(y, any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -270,13 +258,15 @@ def div(a, b) -> Tensor:
 
 
 def power(a, p: float) -> Tensor:
-    """Elementwise a**p for a scalar exponent; grad is 0 at a == 0."""
+    """Elementwise a**p for a scalar exponent. The gradient is ``p a**(p-1)``;
+    for ``p < 1`` it is not finite at a == 0, and is 0 there."""
     a = as_tensor(a)
     p = float(p)
 
     def backward(g):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (g * np.where(a.data != 0.0, p * a.data ** (p - 1.0), 0.0),)
+            d = p * a.data ** (p - 1.0)
+        return (g * (d if p >= 1.0 else np.where(a.data != 0.0, d, 0.0)),)
 
     return custom_op(a.data**p, (a,), backward)
 
@@ -384,7 +374,7 @@ def tsum(a, axis=None) -> Tensor:
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape),)
 
     return custom_op(a.data.sum(axis=axis), (a,), backward)
 

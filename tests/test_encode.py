@@ -93,6 +93,18 @@ def test_grid_pe_shape_and_distinct_cells():
     assert np.unique(np.round(pe, 9), axis=0).shape[0] == 24
 
 
+@pytest.mark.parametrize("sizes", [(True, 2, 8), (2, 2, 8.0), (2.0, 2, 8), (2, 2.0, 8),
+                                   (-1, 2, 8), (0, 2, 8), (2, 2, 0), (2, 2, 6)])
+def test_grid_pe_takes_positive_integer_sizes(sizes):
+    """``True`` rows used to encode a 1-row grid, a float ``d_model`` raised
+    naming ``dim_per_coord``, a float height a bare TypeError, a -1 or 0 row
+    grid gave an empty encoding, and a ``d_model`` of 0 raised naming
+    ``dim_per_coord``."""
+    with pytest.raises(ValueError, match="grid_pe"):
+        grid_pe(*sizes)
+    assert grid_pe(np.int64(2), np.int64(3), np.int64(8)).tobytes() == grid_pe(2, 3, 8).tobytes()
+
+
 def test_positional_query_deterministic_and_width():
     rng = np.random.default_rng(0)
     d = 16

@@ -594,18 +594,14 @@ def test_roi_adds_a_shared_leaf_weights_gradient_into_its_grad():
     assert held.tobytes() == (before + dws[1]).tobytes()
 
 
-def test_roi_returns_the_weights_gradient_of_a_non_leaf_w():
-    """A ``w`` that is not a leaf gets its gradient returned, even while it
-    holds one, and the walk sums the two calls' gradients as for any node."""
-    dws = built_weight_grads()
+def test_roi_refuses_a_non_leaf_w_that_needs_a_gradient():
+    """The node adds ``w``'s gradient into ``T.leaf_grad(w)``, so a ``w`` that
+    is not a leaf raises naming ``leaf_grad`` once its gradient is needed,
+    rather than add into a ``.grad`` that may be another node's array."""
     w0 = Tensor(W0.copy(), requires_grad=True)
-    w = w0 * 1.0
-    outs, gs, loss = shared_w_roi_calls(w)
-    loss.backward()
-    assert w0.grad.tobytes() == (dws[0] + dws[1]).tobytes()
-    w.grad = np.zeros(w.shape)
-    assert outs[1]._backward(gs[1])[1].tobytes() == dws[1].tobytes()
-    assert not w.grad.any()
+    _, _, loss = shared_w_roi_calls(w0 * 1.0)
+    with pytest.raises(ValueError, match="leaf_grad"):
+        loss.backward()
 
 
 def test_roi_node_holds_and_peaks_far_below_the_regions():

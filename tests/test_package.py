@@ -95,20 +95,28 @@ def test_a_training_step_graph_holds_few_objects_per_node(tmp_path):
     assert len(objs) <= 5.5 * nodes
 
 
-def test_a_full_size_training_step_peaks_under_24_mb(tmp_path):
-    """A full-size train-hires step (a 24x24 grid, so 576x576 encoder heads)
-    holds no attention probabilities beside its graph: attention keeps each
-    row's softmax max and sum, walks each head in row blocks of about 256 KiB
-    and recomputes them in the backward. Keeping the probabilities would peak
-    at about 45 MB, and whole-head blocks at about 26 MB."""
+def full_size_step_peak(workload: str, tmp_path) -> tuple:
+    """Traced peak bytes of step 0 of a full-size workload at the committed
+    seed, whose outputs must be finite, and the step's result."""
     st = import_standin()
-    model = st.setup(st.WORKLOADS["train-hires"], st.REF_SEED, str(tmp_path))
+    model = st.setup(st.WORKLOADS[workload], st.REF_SEED, str(tmp_path))
     tracemalloc.start()
     try:
         res = st.step(model, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert st.finite(model, res)
+    return peak, res
+
+
+def test_a_full_size_training_step_peaks_under_24_mb(tmp_path):
+    """A full-size train-hires step (a 24x24 grid, so 576x576 encoder heads)
+    holds no attention probabilities beside its graph: attention keeps each
+    row's softmax max and sum, walks each head in row blocks of about 256 KiB
+    and recomputes them in the backward. Keeping the probabilities would peak
+    at about 45 MB, and whole-head blocks at about 26 MB."""
+    peak, res = full_size_step_peak("train-hires", tmp_path)
     assert res.loss is not None and np.isfinite(res.loss.item())
     assert peak < 24e6
 
@@ -121,30 +129,9 @@ def test_a_full_size_train_dense_step_peaks_under_30_mb(tmp_path):
     place. At seed 0 the step peaked at 31.4 MB when each parameter's
     gradient was copied back, inside the backward of the matching branch's
     ``neck.1`` linear, and at 28.8 MB without those copies."""
-    st = import_standin()
-    model = st.setup(st.WORKLOADS["train-dense"], st.REF_SEED, str(tmp_path))
-    tracemalloc.start()
-    try:
-        res = st.step(model, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, res = full_size_step_peak("train-dense", tmp_path)
     assert res.loss is not None and np.isfinite(res.loss.item())
     assert peak < 30e6
-
-
-def full_size_step_peak(workload: str, tmp_path) -> float:
-    """Traced peak bytes of step 0 of a full-size workload at the committed seed."""
-    st = import_standin()
-    model = st.setup(st.WORKLOADS[workload], st.REF_SEED, str(tmp_path))
-    tracemalloc.start()
-    try:
-        res = st.step(model, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert st.finite(model, res)
-    return peak
 
 
 def test_a_full_size_train_dense_step_peaks_under_23_mb(tmp_path):
@@ -152,7 +139,7 @@ def test_a_full_size_train_dense_step_peaks_under_23_mb(tmp_path):
     64)`` regions and no region gradient. At seed 0 a train-dense step peaked
     at 20.1 MB with it, inside the DN branch's ``roi_pool_batch`` backward;
     with the regions it peaked at 28.8 MB."""
-    assert full_size_step_peak("train-dense", tmp_path) < 23e6
+    assert full_size_step_peak("train-dense", tmp_path)[0] < 23e6
 
 
 def test_a_full_size_train_dense_step_peaks_under_18_5_mb(tmp_path):
@@ -163,21 +150,21 @@ def test_a_full_size_train_dense_step_peaks_under_18_5_mb(tmp_path):
     the step already holds. At seed 0 a train-dense step peaks at 17.0 MB,
     in the encoder's attention backward; it peaked at 20.1 MB inside the DN
     branch's RoI backward, with both 1.6 MB ``neck.1`` gradients live."""
-    assert full_size_step_peak("train-dense", tmp_path) < 18.5e6
+    assert full_size_step_peak("train-dense", tmp_path)[0] < 18.5e6
 
 
 def test_a_full_size_train_hires_step_peaks_under_19_mb(tmp_path):
     """As above, on the 24x24 grid, where attention's backward also builds
     ``[g / row sum | -r]`` one head at a time: 17.7 MB at seed 0, against
     20.6 MB with the kept tiles, concatenation and pre-ReLU layers."""
-    assert full_size_step_peak("train-hires", tmp_path) < 19e6
+    assert full_size_step_peak("train-hires", tmp_path)[0] < 19e6
 
 
 def test_a_full_size_inference_pass_peaks_under_3_mb(tmp_path):
     """An infer-fixture pass keeps no graph, so its peak is the largest
     transient: 1.8 MB at seed 0 with the RoI node, and 5.9 MB when RoI
     pooling built the regions for ``neck.1``."""
-    assert full_size_step_peak("infer-fixture", tmp_path) < 3e6
+    assert full_size_step_peak("infer-fixture", tmp_path)[0] < 3e6
 
 
 def test_fresh_models_give_byte_equal_steps_matching_the_reference(tmp_path):

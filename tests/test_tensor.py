@@ -399,6 +399,49 @@ def test_one_array_returned_for_two_leaf_parents_gives_each_its_own_gradient():
     np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("walked", [False, True])
+def test_leaf_grad_refuses_a_tensor_with_a_backward(walked):
+    """An interior node adopts its first gradient, which may be another
+    node's array, so ``leaf_grad`` refuses any tensor with a backward, one
+    that holds a gradient (the root after ``backward()``) or not; a leaf gets
+    its own buffer, zero-filled when it held none, and the same one again."""
+    x = Tensor(np.arange(6.0), requires_grad=True)
+    h = x * 2.0
+    loss = h.sum()
+    if walked:
+        loss.backward()
+    for t in (h, loss):
+        with pytest.raises(ValueError, match="leaf_grad"):
+            T.leaf_grad(t)
+    buf = T.leaf_grad(x)
+    assert buf is x.grad and buf is T.leaf_grad(x)
+    np.testing.assert_array_equal(buf, np.full(6, 2.0 if walked else 0.0))
+
+
+@pytest.mark.parametrize("p, at_zero", [(1.0, 1.0), (2.0, 0.0), (0.5, 0.0)])
+def test_power_gradient_at_zero(p, at_zero):
+    """``p a**(p-1)`` is finite at 0 for ``p >= 1`` and is the gradient there
+    (1 for ``p = 1``, where it read 0); for ``p < 1`` it is not, and the
+    gradient at 0 is 0. Elsewhere it is bitwise ``g p a**(p-1)``."""
+    x = Tensor(np.array([0.0, 0.5, 2.0]), requires_grad=True)
+    g = np.array([3.0, 1.5, -2.0])
+    (T.power(x, p) * g).sum().backward()
+    assert x.grad.tobytes() == (g * np.array([at_zero, p * 0.5 ** (p - 1.0), p * 2.0 ** (p - 1.0)])).tobytes()
+
+
+def test_sum_backward_returns_a_view_of_its_gradient():
+    """``tsum``'s backward broadcasts its gradient without a copy; the walk
+    gives the leaf a private copy of that view."""
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    for axis in (None, 0):
+        out = x.sum(axis=axis)
+        g = np.ones(out.shape)
+        assert np.shares_memory(out._backward(g)[0], g)
+    x.sum().backward()
+    x.grad += 1.0
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
 CONSTANT_OPERAND_CASES = {  # op: operand shapes, and the positions whose gradient its backward skips
     "linear": (T.linear, [(2, 5, 4), (4, 3), (3,)], {0}),
     "mul": (T.mul, [(5, 3), (3,)], {0, 1}),
