@@ -79,9 +79,14 @@ def layer_dn_weights(dn_pred_boxes: np.ndarray, gt_boxes: np.ndarray, theta_l: f
 def modulate(feature: Tensor, omega) -> Tensor:
     """Scale features by omega, one weight per query (shape ``feature.shape[:-1]``)
     or a scalar; omega is detached from the graph. An omega of any other
-    shape, even one that would broadcast, raises ShapeError.
+    shape, even one that would broadcast, raises ShapeError. Omega is a
+    sigmoid weight, so a value outside [0, 1], NaN included, raises
+    ValueError.
     """
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape not in ((), feature.shape[:-1]):
         raise ShapeError(f"modulate: omega must be () or {feature.shape[:-1]}; got shape {omega.shape}")
+    outside = ~((omega >= 0.0) & (omega <= 1.0))  # NaN fails both comparisons
+    if outside.any():
+        raise ValueError(f"modulate: omega must lie in [0, 1]; got {omega[outside][:3].tolist()}")
     return feature * Tensor(omega[..., None])

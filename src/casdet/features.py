@@ -7,20 +7,25 @@ non-overlapping partition of the covered cell range. Each RoI bin is one
 gather from window-max tables, one table per bin extent up to the call's
 largest, each built from a smaller one with one ``np.maximum``. The same pass
 builds each window's first-maximum index, where the earlier half of a window
-wins a tie (``np.argmax``'s row-major rule). RoI pooling and the neck's first
-projection ``neck.1`` are one node: each bin's gathered rows are multiplied
-by that bin's block of the weight and summed into the output, so no region
-and no region gradient is ever built. The node keeps the index tables and
-each bin's table row, not the values; its backward reads the bin maxima back
-from the grid at their first-maximum cells, so the grid's ``.data`` must not
-change between the forward and the backward.
+wins a tie (``np.argmax``'s row-major rule). The index tables take the
+narrowest unsigned dtype that holds the grid's largest flat index (uint16
+up to 2**16 values, as on the 24x24x64 train-hires grid). RoI pooling and
+the neck's first projection ``neck.1`` are one node: each bin's gathered
+rows are multiplied by that bin's block of the weight and summed into the
+output, so no region and no region gradient is ever built. The node keeps
+the index tables and each bin's table row, not the values; its backward
+reads the bin maxima back from the grid at their first-maximum cells, so
+the grid's ``.data`` must not change between the forward and the backward.
 
-The patch embedding, the fusion and an FFN's hidden layer are one node
-each, holding only what its backward reads. The patch embedding keeps the
-image and rebuilds its tiles, and the fusion rebuilds the concatenation from
-its two parent grids; neither the image nor the grids' ``.data`` may change
-between the forward and the backward. The hidden layer (``T.linear_relu``)
-keeps its ReLU output and no pre-activation.
+The patch embedding, the fusion and an FFN are one node each, holding only
+what its backward reads. The patch embedding keeps the image and rebuilds
+its tiles, the fusion rebuilds the concatenation from its two parent grids
+and returns their gradients as two arrays, and an FFN rebuilds its ReLU
+hidden layer from its input; none of these inputs may change between the
+forward and the backward. The encoder adds its position encodings inside
+the q and k projections and each residual inside the node that makes the
+sublayer's output, the ``o`` projection or the FFN, so a layer holds no
+``x + pe`` and no sublayer output beside its sum.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ def init_linear(params: dict, rng: np.random.Generator, name: str, n_in: int, n_
     params[f"{name}.b"] = Tensor(np.full(n_out, bias, dtype=np.float64), requires_grad=True)
 
 
-def linear(x: Tensor, params: dict, name: str) -> Tensor:
-    return T.linear(x, params[f"{name}.w"], params[f"{name}.b"])
+def linear(x: Tensor, params: dict, name: str, residual: Tensor | None = None, *, shift=None) -> Tensor:
+    return T.linear(x, params[f"{name}.w"], params[f"{name}.b"], residual, shift=shift)
 
 
 def init_layer_norm(params: dict, name: str, dim: int) -> None:
@@ -63,15 +68,19 @@ def init_mha(params: dict, rng: np.random.Generator, name: str, d_model: int) ->
 
 
 def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, params: dict, name: str,
-                         n_heads: int) -> Tensor:
+                         n_heads: int, *, qk_pe: np.ndarray | None = None, residual: Tensor | None = None) -> Tensor:
     """Projected multi-head attention of ``(n, d_model)`` queries on ``(m, d_model)``
     keys and values. Head i attends with, and writes, columns ``i*dh:(i+1)*dh``
     of the projections, ``dh = d_model // n_heads`` (``T.attention``'s column
-    layout); an ``n_heads`` that does not divide ``d_model`` raises ShapeError."""
-    q = linear(q_in, params, f"{name}.q")
-    k = linear(k_in, params, f"{name}.k")
+    layout); an ``n_heads`` that does not divide ``d_model`` raises ShapeError.
+    A constant ``qk_pe`` is added to the query and key inputs inside their
+    projections, and a ``residual`` to the output inside the ``o``
+    projection (``T.linear``'s ``shift`` and ``residual``), so neither sum is
+    held as an array of its own."""
+    q = linear(q_in, params, f"{name}.q", shift=qk_pe)
+    k = linear(k_in, params, f"{name}.k", shift=qk_pe)
     v = linear(v_in, params, f"{name}.v")
-    return linear(T.attention(q, k, v, heads=n_heads), params, f"{name}.o")
+    return linear(T.attention(q, k, v, heads=n_heads), params, f"{name}.o", residual)
 
 
 def init_ffn(params: dict, rng: np.random.Generator, name: str, d_model: int, hidden: int) -> None:
@@ -79,10 +88,52 @@ def init_ffn(params: dict, rng: np.random.Generator, name: str, d_model: int, hi
     init_linear(params, rng, f"{name}.2", hidden, d_model)
 
 
-def ffn(x: Tensor, params: dict, name: str) -> Tensor:
-    """``.2`` of the ReLU of ``.1``. The hidden layer is one ``T.linear_relu``
-    node, which keeps only the ReLU output, not the pre-activation beside it."""
-    return linear(T.linear_relu(x, params[f"{name}.1.w"], params[f"{name}.1.b"]), params, f"{name}.2")
+def ffn(x: Tensor, params: dict, name: str, residual: bool = False) -> Tensor:
+    """``.2`` of the ReLU of ``.1``, plus ``x`` itself with ``residual``, as one
+    node with parents ``(x, .1.w, .1.b, .2.w, .2.b)``.
+
+    The forward builds the ReLU hidden layer as a transient, and the backward
+    rebuilds it from ``x.data`` with the forward's own ops, so ``x``'s
+    ``.data`` must not change in between; the node keeps no ``(n, hidden)``
+    array. Values and gradients are bitwise those of ``linear(relu(linear(x)))``
+    nodes, and of an ``add`` of ``x`` with ``residual``. An ``x`` that is not
+    ``(..., n_in)``, weights that are not ``(n_in, hidden)`` and ``(hidden,
+    n_out)`` with ``(hidden,)`` and ``(n_out,)`` biases, or a residual with
+    ``n_out != n_in`` raise ShapeError.
+    """
+    x = T.as_tensor(x)
+    w1, b1, w2, b2 = (params[f"{name}.{k}"] for k in ("1.w", "1.b", "2.w", "2.b"))
+    d = x.shape[-1] if x.ndim >= 2 else -1
+    hid, d_out = w2.shape if w2.ndim == 2 else (-1, -1)
+    if d < 0 or [w1.shape, b1.shape, w2.shape, b2.shape] != [(d, hid), (hid,), (hid, d_out), (d_out,)] \
+            or (residual and d_out != d):
+        raise ShapeError(f"ffn: needs x (..., n_in), {name}.1 (n_in, hidden) and {name}.2 (hidden, n_out), with "
+                         f"n_out = n_in for a residual; got {x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+
+    def hidden() -> np.ndarray:
+        h = x.data @ w1.data
+        h += b1.data
+        return np.maximum(h, 0.0, out=h)
+
+    y = hidden() @ w2.data
+    y += b2.data
+    if residual:
+        y += x.data
+
+    def backward(g: np.ndarray) -> tuple:
+        h = hidden()
+        dw2 = np.swapaxes(h, -1, -2) @ g
+        gh = g @ np.swapaxes(w2.data, -1, -2)
+        gh *= h > 0  # the ReLU's mask: NaN and -0.0 pre-activations give 0
+        del h
+        dx = None
+        if x.requires_grad:
+            dx = gh @ np.swapaxes(w1.data, -1, -2)
+            if residual:
+                dx += g
+        return dx, np.swapaxes(x.data, -1, -2) @ gh, gh, dw2, g
+
+    return custom_op(y, (x, w1, b1, w2, b2), backward)
 
 
 # backbone and encoder --------------------------------------------------------
@@ -136,16 +187,17 @@ def encode_features(grid: Tensor, n_layers: int, params: dict, pe: np.ndarray, n
     """Self-attention encoder over flattened cells with 2D position bias; layer i uses ``enc{i}.*``.
 
     Zero layers return the grid's values. Position encodings are added to
-    queries and keys only; spatial dims are preserved.
+    queries and keys only, inside their projections, and each residual
+    inside the node that makes the sublayer's output (``multi_head_attention``'s
+    ``qk_pe`` and ``residual``, ``ffn``'s ``residual``); spatial dims are
+    preserved.
     """
     h, w, d = grid.shape
     x = grid.reshape(h * w, d)
-    pe_t = Tensor(pe)
     for i in range(n_layers):
-        qk = x + pe_t
-        x = apply_layer_norm(x + multi_head_attention(qk, qk, x, params, f"enc{i}.attn", n_heads),
+        x = apply_layer_norm(multi_head_attention(x, x, x, params, f"enc{i}.attn", n_heads, qk_pe=pe, residual=x),
                              params, f"enc{i}.ln1")
-        x = apply_layer_norm(x + ffn(x, params, f"enc{i}.ffn"), params, f"enc{i}.ln2")
+        x = apply_layer_norm(ffn(x, params, f"enc{i}.ffn", residual=True), params, f"enc{i}.ln2")
     return x.reshape(h, w, d)
 
 
@@ -156,8 +208,9 @@ def dense_fusion(enc: Tensor, backbone: Tensor, params: dict) -> Tensor:
     builds the concatenation as a transient, and the backward rebuilds it
     from the two grids' ``.data`` for ``fuse.w``'s gradient, so neither may
     change between the forward and the backward. The grids' gradients are
-    the two channel halves of one ``g @ fuse.w^T``. Values and gradients are
-    bitwise those of ``concat`` and ``linear``. Grids whose spatial dims
+    two arrays, ``g @ fuse.w[:d]^T`` and ``g @ fuse.w[d:]^T``, so neither
+    keeps the other alive. Values and gradients are bitwise those of
+    ``concat`` and ``linear``. Grids whose spatial dims
     differ, whose concatenated width is not ``fuse.w``'s rows, or a
     ``fuse.b`` that is not ``(n_out,)`` raise ShapeError.
     """
@@ -176,8 +229,7 @@ def dense_fusion(enc: Tensor, backbone: Tensor, params: dict) -> Tensor:
     y += b.data
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        dx = g @ w.data.T
-        return dx[..., :d], dx[..., d:], np.swapaxes(cat(), -1, -2) @ g, g
+        return g @ w.data[:d].T, g @ w.data[d:].T, np.swapaxes(cat(), -1, -2) @ g, g
 
     return custom_op(y, (enc, backbone, w, b), backward)
 
@@ -212,7 +264,8 @@ def _window_max(cells: np.ndarray, kr: int, kc: int) -> tuple[np.ndarray, np.nda
     h, w, c = cells.shape
     val = np.empty((kr, kc, h, w, c), dtype=cells.dtype)
     val[0, 0] = cells
-    idx = np.empty(val.shape, dtype=np.min_scalar_type(-h * w * c))  # signed: idx[late] - idx[early] cannot wrap
+    # unsigned: idx[late] - idx[early] wraps modulo 2**bits, and adding it back to idx[early] gives idx[late]
+    idx = np.empty(val.shape, dtype=np.min_scalar_type(max(h * w * c - 1, 0)))
     idx[0, 0] = np.arange(h * w * c).reshape(h, w, c)
 
     def merge(dst, early, late):

@@ -23,10 +23,11 @@ return None for it, so no second parameter-sized array is built.
 needs no gradient, rather than compute one the walk would drop.
 
 Backwards read their parents' ``.data`` rather than keep copies, and
-``attention`` and ``layer_norm`` rebuild what they need from it (recompute
-over store, as in gradient checkpointing, Chen et al., 2016), so a parent's
-``.data`` must not change between the forward and the backward.
-``linear_relu`` takes its mask from its own output.
+``attention``, ``layer_norm`` and a ``linear`` with a ``shift`` rebuild what
+they need from it (recompute over store, as in gradient checkpointing, Chen
+et al., 2016), so a parent's ``.data`` must not change between the forward
+and the backward. A ``linear`` with a ``residual`` adds it into its own
+output, so a residual sum holds no array beside the sublayer's output.
 
 ``attention`` takes 2-D operands with its heads side by side in the columns,
 as in FlashAttention's ``(tokens, heads, head_dim)``, and keeps no
@@ -282,44 +283,42 @@ def matmul(a, b) -> Tensor:
                                                          np.swapaxes(a.data, -1, -2) @ g))
 
 
-def linear(x, w, b) -> Tensor:
+def linear(x, w, b, residual=None, *, shift=None) -> Tensor:
     """``x @ w + b`` as one node with parents ``(x, w, b)``: ``x (..., n_in)``,
     ``w (n_in, n_out)``, ``b (n_out,)``, gradients as in ``matmul`` and ``add``;
-    other shapes raise ShapeError."""
-    x, w, b, y = _affine(x, w, b)
-    return custom_op(y, (x, w, b), lambda g: _linear_grads(x, w, g))
+    other shapes raise ShapeError.
 
-
-def linear_relu(x, w, b) -> Tensor:
-    """``relu(linear(x, w, b))`` as one node with parents ``(x, w, b)``, shapes
-    as in ``linear``. The ReLU runs in place on the linear output, so the node
-    keeps only that output; the backward masks ``g`` with ``y > 0``, the same
-    mask as the pre-activation's (NaN and -0.0 included), and then takes
-    ``linear``'s gradients. Values and gradients are bitwise those of the two
-    nodes."""
-    x, w, b, y = _affine(x, w, b)
-    np.maximum(y, 0.0, out=y)
-    return custom_op(y, (x, w, b), lambda g: _linear_grads(x, w, g * (y > 0)))
-
-
-def _affine(x, w, b) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
-    """``linear``'s operands as tensors, checked, and ``x @ w + b`` as a new array."""
+    A ``residual`` tensor at the output's shape is added into the output's
+    own buffer, with parents ``(x, w, b, residual)``, so no second output and
+    no ``add`` node is held. A constant ``shift`` at ``x``'s shape makes the
+    product ``(x + shift) @ w``; the sum is a transient, and the backward
+    rebuilds it with the forward's op for ``w``'s gradient, so ``x``'s
+    ``.data`` must not change in between. Values and gradients are bitwise
+    those of ``add`` and ``linear`` nodes."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
         raise ShapeError(f"linear needs x (..., n_in), w (n_in, n_out) and b (n_out,); "
                          f"got {x.shape}, {w.shape}, {b.shape}")
     if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
-    y = x.data @ w.data
+    if shift is not None and np.shape(shift) != x.shape:
+        raise ShapeError(f"linear: shift must be x's shape {x.shape}, got {np.shape(shift)}")
+    parents = (x, w, b)
+    y = (x.data if shift is None else x.data + shift) @ w.data
     y += b.data
-    return x, w, b, y
+    if residual is not None:
+        residual = as_tensor(residual)
+        if residual.shape != y.shape:
+            raise ShapeError(f"linear: residual must be the output's shape {y.shape}, got {residual.shape}")
+        y += residual.data
+        parents += (residual,)
 
+    def backward(g):
+        xs = x.data if shift is None else x.data + shift
+        return (g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None,
+                np.swapaxes(xs, -1, -2) @ g, g, g)[:len(parents)]
 
-def _linear_grads(x: Tensor, w: Tensor, g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """The gradients of ``x @ w + b`` for ``x`` (None if it needs none), ``w``
-    (a stack the walk sums, for a stacked ``x``) and ``b`` (``g``)."""
-    return (g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None,
-            np.swapaxes(x.data, -1, -2) @ g, g)
+    return custom_op(y, parents, backward)
 
 
 def relu(a) -> Tensor:

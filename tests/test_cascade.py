@@ -200,6 +200,17 @@ def test_modulate_rejects_omega_of_another_shape(omega_shape):
     assert modulate(f, 0.5).shape == (5, 3, 8)
 
 
+@pytest.mark.parametrize("omega", [[np.nan, 1.0], [np.inf, -2.0], [0.5, 1.0 + 1e-12], [-1e-300, 0.5], np.nan, 2.0])
+def test_modulate_takes_omega_in_0_1(omega):
+    """Omega is a sigmoid weight. NaN, infinite and out-of-range weights used
+    to scale the features silently; each now raises naming ``modulate``,
+    while 0, -0.0 and 1 still scale."""
+    f = Tensor(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"modulate: omega must lie in \[0, 1\]"):
+        modulate(f, omega)
+    assert np.array_equal(modulate(f, [-0.0, 1.0]).data, [[0.0] * 3, [1.0] * 3])
+
+
 def test_modulate_gradient_scales_linearly():
     # downstream grad measured at the same post-modulation point: half omega,
     # double input, so d(loss)/d(feature) must halve exactly

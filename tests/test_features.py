@@ -13,7 +13,9 @@ from casdet.features import (
     init_linear,
     init_mha,
     init_ffn,
+    ffn,
     linear,
+    _window_max,
     multi_head_attention,
     neck,
     patch_embed,
@@ -242,6 +244,144 @@ def test_mha_grad_check_keys_longer_than_queries():
     assert err < 1e-6
 
 
+def ffn_operands(x_needs_grad: bool) -> tuple[Tensor, dict]:
+    """``x`` and FFN parameters whose hidden pre-activations include exact
+    zeros, -0.0 (a product that underflows, plus a -0.0 bias) and NaN (a NaN
+    bias); ``.2`` maps back to ``x``'s width, so a residual fits."""
+    rng = np.random.default_rng(27)
+    x, w1 = rng.normal(size=(6, 4)), rng.normal(size=(4, 5))
+    x[0], x[1], w1[:, 0] = 0.0, -1e-200, 1e-200
+    params = {"ffn.1.w": w1, "ffn.1.b": np.array([-0.0, 0.0, np.nan, 0.3, -0.2]),
+              "ffn.2.w": rng.normal(size=(5, 4)), "ffn.2.b": rng.normal(size=4)}
+    return Tensor(x, requires_grad=x_needs_grad), {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+
+
+@pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+@pytest.mark.parametrize("x_needs_grad", [True, False], ids=["x-grad", "x-const"])
+def test_ffn_is_one_node_bitwise_equal_to_linear_relu_linear(x_needs_grad, residual):
+    """One node with parents ``(x, .1.w, .1.b, .2.w, .2.b)``, whose value and
+    five gradients are byte for byte those of ``linear(relu(linear(x)))``
+    (plus ``x`` through an ``add``, with the residual) at exact zeros, -0.0
+    and NaN pre-activations: the backward rebuilds the hidden layer with the
+    forward's own ops and masks with it."""
+    x, params = ffn_operands(x_needs_grad)
+    pre = T.linear(x, params["ffn.1.w"], params["ffn.1.b"]).data
+    assert (pre == 0).any() and (np.signbit(pre) & (pre == 0)).any() and np.isnan(pre).any()
+    leaves = [x] + list(params.values())
+
+    def composed(x, params, name, residual):
+        out = linear(T.relu(linear(x, params, f"{name}.1")), params, f"{name}.2")
+        return T.add(x, out) if residual else out
+
+    proj = np.random.default_rng(28).normal(size=x.shape)
+    results = []
+    for f in (ffn, composed):
+        for t in leaves:
+            t.grad = None
+        out = f(x, params, "ffn", residual)
+        (out * proj).sum().backward()
+        results.append([out.data] + [t.grad for t in leaves])
+    for got, want in zip(*results):
+        assert (got is None and want is None) or (got.shape == want.shape and got.tobytes() == want.tobytes())
+    assert ffn(x, params, "ffn", residual)._parents == tuple(leaves)
+
+
+def test_ffn_grad_check():
+    rng = np.random.default_rng(29)
+    params = {}
+    init_ffn(params, rng, "ffn", 4, 6)
+    x = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    proj = rng.normal(size=(2, 5, 4))
+    for residual in (False, True):
+        err = T.grad_check(lambda: (ffn(x, params, "ffn", residual) * proj).sum(), [x] + list(params.values()))
+        assert err < 1e-6
+
+
+def test_ffn_node_keeps_no_hidden_layer():
+    """300 rows of width 8 through a 64-wide hidden layer: after the forward
+    the node holds its 19 KB output and no 154 KB ``(300, 64)`` array, since
+    the backward rebuilds the hidden layer from ``x``."""
+    rng = np.random.default_rng(32)
+    params = {}
+    init_ffn(params, rng, "ffn", 8, 64)
+    x = Tensor(rng.normal(size=(300, 8)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = ffn(x, params, "ffn", residual=True)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes <= held < out.data.nbytes + 300 * 64 * 8 // 4
+    out.sum().backward()
+    assert x.grad.shape == x.shape and params["ffn.1.w"].grad.any()
+
+
+@pytest.mark.parametrize("x_shape, w2_shape, residual", [((3,), (6, 4), False), ((3, 5), (6, 4), False),
+                                                          ((3, 4), (5, 4), False), ((3, 4), (6, 3), True)],
+                         ids=["1-d", "width", "chain", "residual-width"])
+def test_ffn_rejects_shapes_that_do_not_chain(x_shape, w2_shape, residual):
+    """A 1-D input, an input width other than ``.1``'s rows, a ``.2`` whose
+    rows are not ``.1``'s columns, and a residual when ``.2`` changes the
+    width each raise ShapeError naming ``ffn``."""
+    params = {"ffn.1.w": Tensor(np.ones((4, 6))), "ffn.1.b": Tensor(np.ones(6)),
+              "ffn.2.w": Tensor(np.ones(w2_shape)), "ffn.2.b": Tensor(np.ones(w2_shape[1]))}
+    with pytest.raises(ShapeError, match="ffn: needs x"):
+        ffn(Tensor(np.ones(x_shape)), params, "ffn", residual)
+
+
+def test_mha_adds_qk_pe_and_residual_inside_its_projections():
+    """Self-attention with ``qk_pe`` and ``residual`` gives the value of ``x
+    + mha(x + pe, x + pe, x)`` byte for byte, as one fewer ``add`` per
+    operand: the q and k projections read ``x`` itself and the ``o``
+    projection takes ``x`` as its residual. Gradients differ only in the
+    order ``x``'s four contributions are summed."""
+    rng = np.random.default_rng(36)
+    d = 8
+    params = {}
+    init_mha(params, rng, "attn", d)
+    x = Tensor(rng.normal(size=(7, d)), requires_grad=True)
+    pe = rng.normal(size=(7, d))
+    proj = rng.normal(size=(7, d))
+    leaves = [x] + list(params.values())
+    runs = []
+    for f in (lambda: multi_head_attention(x, x, x, params, "attn", 2, qk_pe=pe, residual=x),
+              lambda: x + multi_head_attention(x + Tensor(pe), x + Tensor(pe), x, params, "attn", 2)):
+        for t in leaves:
+            t.grad = None
+        out = f()
+        (out * proj).sum().backward()
+        runs.append((out, [t.grad for t in leaves]))
+    (out, got), (ref, want) = runs
+    assert out.data.tobytes() == ref.data.tobytes()
+    for a, e in zip(got, want):
+        np.testing.assert_allclose(a, e, rtol=0, atol=1e-12 * np.abs(e).max())
+    o_parents = out._parents
+    assert o_parents[3] is x and all(p._parents[0] is x for p in o_parents[0]._parents)
+    err = T.grad_check(lambda: (multi_head_attention(x, x, x, params, "attn", 2, qk_pe=pe, residual=x)
+                                * proj).sum(), [x, params["attn.q.w"], params["attn.k.b"]])
+    assert err < 1e-6
+
+
+def test_an_encoder_layer_is_eight_nodes():
+    """q, k and v, attention, the ``o`` projection with its residual, the
+    first layer norm, the FFN with its residual and the second layer norm,
+    between the grid's two reshapes: a layer adds no ``x + pe``, no residual
+    ``add`` and no separate hidden-layer node (it was 12 nodes)."""
+    rng = np.random.default_rng(37)
+    d = 8
+    params = make_encoder_params(rng, d, layers=1)
+    grid = Tensor(rng.normal(size=(2, 3, d)), requires_grad=True)
+    out = encode_features(grid, 1, params, grid_pe(2, 3, d), n_heads=2)
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            stack += node._parents
+    assert len(seen) == 2 + 8
+
+
 def test_fusion_output_channels_and_shape_error():
     rng = np.random.default_rng(8)
     d = 8
@@ -300,6 +440,21 @@ def test_fusion_grad_check():
     assert err < 1e-6
 
 
+def test_fusion_grid_gradients_are_two_arrays():
+    """The backward returns ``g @ fuse.w[:d]^T`` and ``g @ fuse.w[d:]^T`` as
+    two arrays, so the backbone's gradient does not keep the encoder's half
+    alive; each is byte for byte its half of ``g @ fuse.w^T``."""
+    rng = np.random.default_rng(38)
+    params = {}
+    init_linear(params, rng, "fuse", 5 + 3, 4)
+    enc, bb = (Tensor(rng.normal(size=(3, 2, c)), requires_grad=True) for c in (5, 3))
+    g = rng.normal(size=(3, 2, 4))
+    d_enc, d_bb, _, _ = dense_fusion(enc, bb, params)._backward(g)
+    assert not np.shares_memory(d_enc, d_bb)
+    full = g @ params["fuse.w"].data.T
+    assert d_enc.tobytes() == full[..., :5].tobytes() and d_bb.tobytes() == full[..., 5:].tobytes()
+
+
 @pytest.mark.parametrize("bb_shape, message", [
     ((2, 2, 5), "dense_fusion: the concatenated width 4 + 5 must be fuse.w's rows"),
     ((2, 3, 4), "dense_fusion: spatial dims differ"),
@@ -323,6 +478,33 @@ def pooled(grid: Tensor, boxes, out_hw=(7, 7)) -> Tensor:
     n_in = out_hw[0] * out_hw[1] * grid.shape[-1]
     out = roi_pool_batch(grid, boxes, np.eye(n_in), np.zeros(n_in), out_hw)
     return out.reshape((out.shape[0],) + tuple(out_hw) + (grid.shape[-1],))
+
+
+@pytest.mark.parametrize("shape, dtype", [((24, 24, 64), np.uint16), ((16, 16, 160), np.uint16),
+                                          ((16, 16, 256), np.uint16), ((16, 16, 257), np.uint32)],
+                         ids=["train-hires", "uint16", "uint16-top", "uint32"])
+def test_window_max_indices_are_unsigned_first_maxima(shape, dtype):
+    """The index tables take the narrowest unsigned dtype that holds ``h*w*c
+    - 1``: uint16 for the 24x24x64 train-hires grid (it was int32) and up to
+    2**16 values, uint32 above. The merge's ``late - early`` wraps modulo
+    2**bits, and adding it back gives exactly the later index, so every
+    entry is ``np.argmax``'s first maximum over its window, with ties planted
+    by rounding."""
+    rng = np.random.default_rng(39)
+    h, w, c = shape
+    cells = np.round(rng.normal(size=shape))
+    kr = kc = 3
+    val, idx = _window_max(cells, kr, kc)
+    assert idx.dtype == dtype
+    for a in range(1, kr + 1):
+        for b in range(1, kc + 1):
+            windows = np.lib.stride_tricks.sliding_window_view(cells, (a, b), axis=(0, 1))
+            first = windows.reshape(h - a + 1, w - b + 1, c, a * b).argmax(axis=-1)  # row-major in the window
+            r, q = np.meshgrid(np.arange(h - a + 1), np.arange(w - b + 1), indexing="ij")
+            cell = (r[..., None] + first // b) * w + q[..., None] + first % b
+            want = cell * c + np.arange(c)
+            assert np.array_equal(idx[a - 1, b - 1, :h - a + 1, :w - b + 1], want), (a, b)
+            assert np.array_equal(val[a - 1, b - 1, :h - a + 1, :w - b + 1], windows.max(axis=(-2, -1)))
 
 
 def test_roi_constant_grid():
@@ -471,7 +653,7 @@ def mixed_extents_case(rng):
 def random_roi_case(rng, kind, case):
     if kind == "mixed_extents":
         return mixed_extents_case(rng)
-    if kind == "index_width":  # 2**15 values, the most whose first-maximum indices fit int16, then one channel more
+    if kind == "index_width":  # 2**15 values, the most whose indices fit int16, then one channel more: uint16 both
         boxes = np.column_stack([rng.uniform(0.1, 0.9, (6, 2)), rng.uniform(0.02, 1.2, (6, 2))])
         return np.round(rng.normal(size=(8, 8, 512 + case % 2))), boxes, (3, 3)
     h, w, c = rng.integers(1, 13), rng.integers(1, 13), rng.integers(1, 5)

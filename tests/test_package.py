@@ -160,6 +160,27 @@ def test_a_full_size_train_hires_step_peaks_under_19_mb(tmp_path):
     assert full_size_step_peak("train-hires", tmp_path)[0] < 19e6
 
 
+def test_a_full_size_train_hires_step_peaks_under_15_mb(tmp_path):
+    """The encoder and every FFN keep only what their backward cannot
+    rebuild: no ``x + pe`` (the q and k projections rebuild it), no ``o``
+    projection output and no ``ffn.2`` output beside their residual sums
+    (each sum is made in its node's own buffer), no ReLU hidden layer (the
+    FFN node rebuilds it from its input), and uint16 RoI index tables, not
+    int32; the fusion's backward returns two grid gradients, so the
+    backbone's does not keep the encoder's alive through the encoder's
+    backward. At seed 0 a train-hires step peaks at 14.1 MB, against 17.7
+    MB with those arrays."""
+    assert full_size_step_peak("train-hires", tmp_path)[0] < 15e6
+
+
+def test_a_full_size_train_dense_step_peaks_under_15_5_mb(tmp_path):
+    """As above, on the 16x16 grid, whose RoI index tables were already
+    int16: 14.8 MB at seed 0, against 17.0 MB with the encoder's ``x + pe``,
+    ``o`` and ``ffn.2`` outputs, the FFNs' hidden layers and the fusion's
+    shared gradient."""
+    assert full_size_step_peak("train-dense", tmp_path)[0] < 15.5e6
+
+
 def test_a_full_size_inference_pass_peaks_under_3_mb(tmp_path):
     """An infer-fixture pass keeps no graph, so its peak is the largest
     transient: 1.8 MB at seed 0 with the RoI node, and 5.9 MB when RoI

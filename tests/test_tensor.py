@@ -128,44 +128,53 @@ def test_linear_takes_a_matrix_weight_and_a_vector_bias(w_shape, b_shape):
         T.linear(x, Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
 
 
-def linear_relu_operands(needs):
-    """``x``, ``w`` and ``b`` whose pre-activations include exact zeros, -0.0
-    (a product that underflows, plus a -0.0 bias) and NaN (a NaN bias)."""
-    rng = np.random.default_rng(27)
-    x, w = rng.normal(size=(6, 4)), rng.normal(size=(4, 5))
-    x[0], x[1], w[:, 0] = 0.0, -1e-200, 1e-200
-    b = np.array([-0.0, 0.0, np.nan, 0.3, -0.2])
-    return [Tensor(a, requires_grad=r) for a, r in zip((x, w, b), needs)]
-
-
-@pytest.mark.parametrize("needs", [(1, 1, 1), (0, 1, 1)])
-def test_linear_relu_is_bitwise_relu_of_linear(needs):
-    """One node with parents ``(x, w, b)`` that keeps only its output, with the
-    value and all three gradients of ``relu(linear(x, w, b))``, byte for
-    byte, at exact zeros, -0.0 and NaN pre-activations."""
-    x, w, b = linear_relu_operands(needs)
-    pre = T.linear(x, w, b).data
-    assert (pre == 0).any() and (np.signbit(pre) & (pre == 0)).any() and np.isnan(pre).any()
-    proj = np.random.default_rng(28).normal(size=pre.shape)
+@pytest.mark.parametrize("stack", [(), (2,)], ids=["2d", "stacked"])
+@pytest.mark.parametrize("x_needs_grad", [True, False], ids=["x-grad", "x-const"])
+def test_linear_residual_and_shift_are_bitwise_add_and_linear(stack, x_needs_grad):
+    """``linear(x, w, b, r, shift=s)`` is one node with parents ``(x, w, b,
+    r)`` whose value and gradients are byte for byte those of ``add(linear(x
+    + s, w, b), r)``: the shift's sum is rebuilt for ``w``'s gradient, and the
+    residual is added into the output's own buffer."""
+    rng = np.random.default_rng(30)
+    x = Tensor(rng.normal(size=stack + (5, 4)), requires_grad=x_needs_grad)
+    w, b, r = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((4, 3), (3,), stack + (5, 3)))
+    shift = rng.normal(size=x.shape)
+    proj = rng.normal(size=stack + (5, 3))
     results = []
-    for f in (T.linear_relu, lambda *a: T.relu(T.linear(*a))):
-        for t in (x, w, b):
+    for f in (lambda: T.linear(x, w, b, r, shift=shift),
+              lambda: T.add(T.linear(T.add(x, Tensor(shift)), w, b), r)):
+        for t in (x, w, b, r):
             t.grad = None
-        out = f(x, w, b)
+        out = f()
         (out * proj).sum().backward()
-        results.append([out.data] + [t.grad for t in (x, w, b)])
-    got, want = results
-    for a, e in zip(got, want):
-        assert (a is None and e is None) or (a.shape == e.shape and a.tobytes() == e.tobytes())
-    out = T.linear_relu(x, w, b)
-    assert out._parents == (x, w, b)
+        results.append([out.data] + [t.grad for t in (x, w, b, r)])
+    for got, want in zip(*results):
+        assert (got is None and want is None) or (got.shape == want.shape and got.tobytes() == want.tobytes())
+    assert T.linear(x, w, b, r, shift=shift)._parents == (x, w, b, r)
+    assert T.linear(x, w, b, shift=shift)._parents == (x, w, b)
 
 
-def test_linear_relu_grad_check():
-    rng = np.random.default_rng(29)
-    x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 5, 4), (4, 6), (6,)))
-    proj = rng.normal(size=(2, 5, 6))
-    assert T.grad_check(lambda: (T.linear_relu(x, w, b) * proj).sum(), [x, w, b]) < 1e-6
+def test_linear_residual_and_shift_grad_check():
+    rng = np.random.default_rng(31)
+    x, w, b, r = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 5, 4), (4, 3), (3,), (2, 5, 3)))
+    shift = rng.normal(size=(2, 5, 4))
+    proj = rng.normal(size=(2, 5, 3))
+    assert T.grad_check(lambda: (T.linear(x, w, b, r, shift=shift) ** 2 * proj).sum(), [x, w, b, r]) < 1e-6
+
+
+@pytest.mark.parametrize("r_shape, shift_shape, message", [
+    ((5, 4), None, "linear: residual must be the output's shape (5, 3), got (5, 4)"),
+    ((3,), None, "linear: residual must be the output's shape (5, 3), got (3,)"),
+    (None, (4,), "linear: shift must be x's shape (5, 4), got (4,)"),
+])
+def test_linear_takes_a_residual_and_a_shift_at_exact_shapes(r_shape, shift_shape, message):
+    """Neither operand broadcasts: the residual is added into the output in
+    place, and the shift's sum must have ``x``'s shape for ``x``'s gradient."""
+    x, w, b = Tensor(np.ones((5, 4))), Tensor(np.ones((4, 3))), Tensor(np.ones(3))
+    r = None if r_shape is None else Tensor(np.ones(r_shape))
+    shift = None if shift_shape is None else np.ones(shift_shape)
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        T.linear(x, w, b, r, shift=shift)
 
 
 def test_softmax_uniform_and_shift_invariance():
