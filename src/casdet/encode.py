@@ -8,6 +8,7 @@ only the MLP on top participates in differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,15 +65,24 @@ def box_pe_vector(boxes: np.ndarray, cfg: PeConfig) -> np.ndarray:
 def grid_pe(height: int, width: int, d_model: int) -> np.ndarray:
     """2D encodings of cell centers, x then y halves: (height*width, d_model).
     The sizes must be integers, the grid at least 1x1 and ``d_model`` a
-    positive multiple of 4 (ValueError naming ``grid_pe``)."""
+    positive multiple of 4 (ValueError naming ``grid_pe``). The checked
+    sizes, as ints, key a small bounded cache of read-only arrays, since a
+    detector encodes the same grid every step."""
     for name, size in (("height", height), ("width", width), ("d_model", d_model)):
         require_integer(f"grid_pe: {name}", size)
     if min(height, width) < 1 or d_model < 4 or d_model % 4:
         raise ValueError(f"grid_pe: needs a grid of at least 1x1 and a positive multiple of 4 for d_model, "
                          f"got {height}x{width} and {d_model}")
+    return _grid_pe(int(height), int(width), int(d_model))
+
+
+@lru_cache(maxsize=8)
+def _grid_pe(height: int, width: int, d_model: int) -> np.ndarray:
     ys, xs = np.meshgrid((np.arange(height) + 0.5) / height, (np.arange(width) + 0.5) / width, indexing="ij")
     pe = sinusoidal_pe(np.stack([xs, ys], axis=-1), PeConfig(dim_per_coord=d_model // 2))
-    return pe.reshape(height * width, d_model)
+    pe = pe.reshape(height * width, d_model)
+    pe.flags.writeable = False
+    return pe
 
 
 def init_positional_query(params: dict, rng: np.random.Generator, prefix: str, d_model: int) -> None:

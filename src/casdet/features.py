@@ -22,10 +22,12 @@ what its backward reads. The patch embedding keeps the image and rebuilds
 its tiles, the fusion rebuilds the concatenation from its two parent grids
 and returns their gradients as two arrays, and an FFN rebuilds its ReLU
 hidden layer from its input; none of these inputs may change between the
-forward and the backward. The encoder adds its position encodings inside
-the q and k projections and each residual inside the node that makes the
-sublayer's output, the ``o`` projection or the FFN, so a layer holds no
-``x + pe`` and no sublayer output beside its sum.
+forward and the backward. Attention and its q, k and v projections are
+one node too, which keeps no projection: its backward rebuilds them from
+its inputs. The encoder adds its position encodings inside the q and k
+projections and each residual inside the node that makes the sublayer's
+output, the ``o`` projection or the FFN, so a layer is five nodes and
+holds no q, k, v, ``x + pe`` or sublayer output beside its sum.
 """
 
 from __future__ import annotations
@@ -72,15 +74,65 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, params: dict,
     """Projected multi-head attention of ``(n, d_model)`` queries on ``(m, d_model)``
     keys and values. Head i attends with, and writes, columns ``i*dh:(i+1)*dh``
     of the projections, ``dh = d_model // n_heads`` (``T.attention``'s column
-    layout); an ``n_heads`` that does not divide ``d_model`` raises ShapeError.
-    A constant ``qk_pe`` is added to the query and key inputs inside their
-    projections, and a ``residual`` to the output inside the ``o``
-    projection (``T.linear``'s ``shift`` and ``residual``), so neither sum is
-    held as an array of its own."""
-    q = linear(q_in, params, f"{name}.q", shift=qk_pe)
-    k = linear(k_in, params, f"{name}.k", shift=qk_pe)
-    v = linear(v_in, params, f"{name}.v")
-    return linear(T.attention(q, k, v, heads=n_heads), params, f"{name}.o", residual)
+    layout). A constant ``qk_pe`` at the q and k inputs' shape is added to them
+    inside their projections, and a ``residual`` to the output inside the ``o``
+    projection (``T.linear``'s ``residual``), so neither sum is held.
+
+    The q, k and v projections and attention are one node with parents
+    ``(q_in, k_in, v_in, q.w, q.b, k.w, k.b, v.w, v.b)``, which keeps what
+    ``T.attention`` keeps and no q, k or v: each is ``(x [+ qk_pe]) @ w``
+    then ``+= b``, as in ``T.linear``, dropped after the forward and rebuilt
+    bitwise by the backward, so the inputs' ``.data`` must not change in
+    between. q and k share one ``x + qk_pe`` when they read one input, and
+    an input read twice or three times gets one gradient array, summed in
+    place. Values and gradients are bitwise those of ``linear`` and
+    ``T.attention`` nodes, up to the order in which an input's gradients are
+    summed. Inputs that are not 2-D at their projection's width or a
+    ``qk_pe`` of another shape raise ShapeError naming
+    ``multi_head_attention``; projections ``T.attention`` would refuse, such
+    as an ``n_heads`` that does not divide ``d_model`` or NaN, raise as there.
+    """
+    ins = tuple(T.as_tensor(x) for x in (q_in, k_in, v_in))
+    wb = [(params[f"{name}.{p}.w"], params[f"{name}.{p}.b"]) for p in "qkv"]
+    if any(x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]
+           for x, (w, b) in zip(ins, wb)):
+        raise ShapeError(f"multi_head_attention: needs 2-D inputs at each projection's input width, (d_in, d_out) "
+                         f"weights and (d_out,) biases; got inputs {[x.shape for x in ins]} and projections "
+                         f"{[(w.shape, b.shape) for w, b in wb]}")
+    if qk_pe is not None and not np.shape(qk_pe) == ins[0].shape == ins[1].shape:
+        raise ShapeError(f"multi_head_attention: qk_pe must be the q and k inputs' shape, {ins[0].shape} and "
+                         f"{ins[1].shape}; got {np.shape(qk_pe)}")
+
+    def projections() -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The projections' inputs, with ``qk_pe`` added for q and k, and q, k and v."""
+        xs = [x.data for x in ins]
+        if qk_pe is not None:
+            xs[0] = xs[0] + qk_pe
+            xs[1] = xs[0] if ins[1] is ins[0] else xs[1] + qk_pe
+        ys = [x @ w.data for x, (w, _) in zip(xs, wb)]
+        for y, (_, b) in zip(ys, wb):
+            y += b.data
+        return xs, ys
+
+    qkv = projections()[1]
+    T.check_attention(*qkv, n_heads)
+    out, row_max, row_sum = T.attention_forward(*qkv, None, n_heads)
+    del qkv
+
+    def backward(g: np.ndarray) -> tuple:
+        xs, qkv = projections()
+        grads = T.attention_backward(g, *qkv, None, n_heads, out, row_max, row_sum)
+        del qkv
+        dxs = [None] * 3
+        for x, (w, _), d in zip(ins, wb, grads):
+            if x.requires_grad:
+                i = ins.index(x)  # an input read more than once sums its gradients in its first slot
+                dx = d @ w.data.T
+                dxs[i] = dx if dxs[i] is None else np.add(dxs[i], dx, out=dxs[i])
+        return (*dxs, *(t for x, d in zip(xs, grads) for t in (x.T @ d, d)))
+
+    node = custom_op(out, ins + tuple(t for pair in wb for t in pair), backward)
+    return linear(node, params, f"{name}.o", residual)
 
 
 def init_ffn(params: dict, rng: np.random.Generator, name: str, d_model: int, hidden: int) -> None:

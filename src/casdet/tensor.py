@@ -33,7 +33,10 @@ output, so a residual sum holds no array beside the sublayer's output.
 as in FlashAttention's ``(tokens, heads, head_dim)``, and keeps no
 probabilities: it walks each head in blocks of query rows small enough to
 stay in a core's L2 cache, works in contiguous per-head buffers, and its
-backward recomputes each block from the operands' unchanged ``.data``.
+backward recomputes each block from the operands' unchanged ``.data``. Its
+kernel is two functions on arrays, ``attention_forward`` and
+``attention_backward``, which ``features.multi_head_attention`` also calls,
+from one node that rebuilds its q, k and v projections in its backward.
 
 ``attention`` and ``layer_norm`` take their row statistics from the matmuls
 beside them, not from separate passes over a block: attention's row sums
@@ -462,6 +465,126 @@ def layer_norm(a, gamma, beta) -> Tensor:
 _ATTN_BLOCK = 32768  # float64 logits per block of query rows in attention (256 KiB, within a core's L2)
 
 
+def check_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> None:
+    """Raise unless ``q (n, heads*d)``, ``k (m, heads*d)`` and ``v (m,
+    heads*dv)`` are arrays ``attention_forward`` takes, as ``attention``
+    states: ShapeError, ValueError, FloatingPointError or MaskError, each
+    naming ``attention``."""
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+        raise ShapeError(f"attention needs q (n, heads*d), k (m, heads*d), v (m, heads*dv); "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    require_integer("attention: heads", heads)
+    if heads < 1 or q.shape[1] < heads or q.shape[1] % heads or v.shape[1] % heads:
+        raise ShapeError(f"attention: {heads} heads do not divide the widths {q.shape[1]} and {v.shape[1]} "
+                         f"with at least one q column per head")
+    if not (np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()):
+        raise FloatingPointError("attention: q, k or v hold NaN or inf")
+    if k.shape[0] == 0 < q.shape[0]:
+        raise MaskError(f"attention: {q.shape[0]} query rows and no key to attend to")
+
+
+def _row_blocks(n: int, m: int) -> tuple[list[tuple[int, int]], int]:
+    """Spans of ``max(1, _ATTN_BLOCK // m)`` of ``n`` query rows, and the longest span's length."""
+    rows = max(1, _ATTN_BLOCK // max(m, 1))
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)], min(rows, n)
+
+
+def _head_operands(k: np.ndarray, v: np.ndarray, qc: slice, vc: slice) -> tuple[np.ndarray, np.ndarray]:
+    """``[k_h^T; 1]`` and ``[v_h^T; 1]`` of the head in columns ``qc`` of k and ``vc`` of v, contiguous."""
+    kt, vt = k[:, qc].T, v[:, vc].T
+    kt1, vt1 = np.empty((kt.shape[0] + 1, kt.shape[1])), np.empty((vt.shape[0] + 1, vt.shape[1]))
+    kt1[:-1], kt1[-1] = kt, 1.0
+    vt1[:-1], vt1[-1] = vt, 1.0
+    return kt1, vt1
+
+
+def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, hidden: np.ndarray | None,
+                      heads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Attention's output, and each head's ``(heads, n, 1)`` row max and row
+    sum, for arrays ``check_attention`` passes and ``hidden``, the inverted
+    ``(n, m)`` mask (True where a logit is masked out) or None.
+
+    Each head walks its query rows in blocks (``_row_blocks``), each
+    block's ``e = exp(logit - row max)`` built in one ``(rows, m)`` buffer
+    from q's rows scaled before the matmul. Its product with ``[v_h | 1]``
+    is ``[e v_h | row sum]``, whose last column divides the others straight
+    into the output's columns: the output is normalised after the value
+    matmul, as in FlashAttention (Dao et al., 2022)."""
+    n, m = q.shape[0], k.shape[0]
+    hd, hv = q.shape[1] // heads, v.shape[1] // heads
+    scale = 1.0 / math.sqrt(hd)
+    spans, rows = _row_blocks(n, m)
+    row_max, row_sum, out = np.empty((heads, n, 1)), np.empty((heads, n, 1)), np.empty((n, v.shape[1]))
+    e_block, y_block = np.empty((rows, m)), np.empty((rows, hv + 1))
+    for i in range(heads):
+        qc, vc = slice(i * hd, (i + 1) * hd), slice(i * hv, (i + 1) * hv)  # head i's columns
+        kt1, vt1 = _head_operands(k, v, qc, vc)
+        for lo, hi in spans:
+            e, y = e_block[:hi - lo], y_block[:hi - lo]
+            np.matmul(q[lo:hi, qc] * scale, kt1[:-1], out=e)
+            if hidden is not None:
+                np.copyto(e, -np.inf, where=hidden[lo:hi])
+            # initial: a (rows, 0) block (no key) reduces too
+            np.max(e, axis=-1, keepdims=True, initial=-np.inf, out=row_max[i, lo:hi])
+            e -= row_max[i, lo:hi]
+            np.exp(e, out=e)
+            np.matmul(e, vt1.T, out=y)  # [e v_h | row sum]
+            row_sum[i, lo:hi] = y[:, hv:]
+            np.divide(y[:, :hv], row_sum[i, lo:hi], out=out[lo:hi, vc])
+    return out, row_max, row_sum
+
+
+def attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray, hidden: np.ndarray | None,
+                       heads: int, out: np.ndarray, row_max: np.ndarray,
+                       row_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``dq``, ``dk`` and ``dv`` for the output gradient ``g``, from the
+    arrays ``attention_forward`` took and returned.
+
+    The gradients are allocated once, in the ``(rows, heads*width)`` layout
+    returned, and each head builds its own in contiguous ``dq_h``, ``dk_h``
+    and ``dv_h``, copied into its columns when the head is done; besides the
+    three gradients it holds those, two blocks, the head's operands and its
+    ``[gn | -r]``, one ``(n, dv + 1)`` buffer that each head refills. Each
+    block is recomputed from the row max: ``[q_h * scale | -row max] @
+    [k_h^T; 1]`` is ``logit - row max``, then the ``-inf`` fill and ``exp``
+    give ``e``. With ``gn = g / row sum`` and ``r = rowsum(gn * out)``,
+    ``[gn | -r] @ [v_h^T; 1]`` is ``gn @ v_h^T - r``, and ``e`` times it is
+    the block's logit gradient, which needs no mask since ``e`` is 0 where
+    masked."""
+    n, m = q.shape[0], k.shape[0]
+    hd, hv = q.shape[1] // heads, v.shape[1] // heads
+    scale = 1.0 / math.sqrt(hd)
+    spans, rows = _row_blocks(n, m)
+    gn = np.empty((n, hv + 1))  # one head's [g / row sum | -r], r = rowsum(g / row sum * out)
+    dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+    dq_h, dk_h, dv_h = np.empty((n, hd)), np.empty((m, hd)), np.empty((m, hv))  # one head's, contiguous
+    e_block, ds_block, q1_block = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, hd + 1))
+    for i in range(heads):
+        qc, vc = slice(i * hd, (i + 1) * hd), slice(i * hv, (i + 1) * hv)
+        np.divide(g[:, vc], row_sum[i], out=gn[:, :hv])
+        np.negative((gn[:, :hv] * out[:, vc]).sum(axis=-1), out=gn[:, hv])
+        kt1, vt1 = _head_operands(k, v, qc, vc)
+        dk_h.fill(0.0)
+        dv_h.fill(0.0)
+        for lo, hi in spans:
+            e, ds, q1 = e_block[:hi - lo], ds_block[:hi - lo], q1_block[:hi - lo]
+            np.multiply(q[lo:hi, qc], scale, out=q1[:, :hd])
+            np.negative(row_max[i, lo:hi], out=q1[:, hd:])
+            np.matmul(q1, kt1, out=e)  # [q_h * scale | -row max] [k_h^T; 1] = logit - row max
+            if hidden is not None:
+                np.copyto(e, -np.inf, where=hidden[lo:hi])
+            np.exp(e, out=e)
+            dv_h += e.T @ gn[lo:hi, :hv]
+            np.matmul(gn[lo:hi], vt1, out=ds)  # [gn | -r] [v_h^T; 1] = gn v_h^T - r
+            ds *= e
+            np.matmul(ds, k[:, qc], out=dq_h[lo:hi])
+            dk_h += ds.T @ q[lo:hi, qc]
+        np.multiply(dq_h, scale, out=dq[:, qc])
+        np.multiply(dk_h, scale, out=dk[:, qc])
+        dv[:, vc] = dv_h
+    return dq, dk, dv
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *, heads: int = 1) -> Tensor:
     """Scaled dot-product attention, ``heads`` heads side by side in the columns.
 
@@ -478,45 +601,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
     (a malformed isolation mask, or no k rows) raises MaskError; NaN or inf
     in q, k or v raise FloatingPointError.
 
-    The call is one ``custom_op`` node with parents ``(q, k, v)``. It keeps the
-    output, each row's softmax max and sum per head and the inverted mask,
-    and no probabilities. Forward and backward walk each head in blocks of
-    ``max(1, _ATTN_BLOCK // m)`` query rows, so each pass over a block's
-    logits stays in L2. Each head builds contiguous ``[k_h^T; 1]`` and
-    ``[v_h^T; 1]``, dropped after that head. A block holds ``e = exp(logit -
-    row max)``, q's rows scaled before the matmul; its product with ``[v_h |
-    1]`` is ``[e v_h | row sum]``, whose last column divides the others
-    straight into the output's columns: the output is normalised after the
-    value matmul, as in FlashAttention (Dao et al., 2022). The backward
-    allocates ``dq``, ``dk`` and ``dv`` once, in the ``(rows, heads*width)``
-    layout it returns, and builds one head at a time in contiguous
-    ``dq_h``, ``dk_h`` and ``dv_h``, each copied into its head's columns
-    when the head is done; besides the three gradients it holds those, two
-    blocks, the head's operands and the head's ``[gn | -r]``, one ``(n,
-    dv + 1)`` buffer that each head refills. It
-    recomputes each block from the row max and the operands' ``.data``,
-    which must not change in between: ``[q_h * scale | -row max] @ [k_h^T;
-    1]`` is ``logit - row max``, then the ``-inf`` fill and ``exp`` give
-    ``e``. With ``gn = dout / row sum`` and ``r = rowsum(gn * out)``, ``[gn |
-    -r] @ [v_h^T; 1]`` is ``gn @ v_h^T - r``, and ``e`` times it is the
-    block's logit gradient, which needs no mask since ``e`` is 0 where
-    masked. Values and gradients are within 1e-12 relative (about 1e-15
-    in practice) of the form that keeps whole ``(n, m)`` probabilities.
+    The call is one ``custom_op`` node with parents ``(q, k, v)``. It keeps
+    the output, each row's softmax max and sum per head and the inverted
+    mask, and no probabilities: ``attention_forward`` walks each head in
+    blocks of ``max(1, _ATTN_BLOCK // m)`` query rows, so each pass over a
+    block's logits stays in L2, and ``attention_backward`` recomputes each
+    block from the row max and the operands' ``.data``, which must not
+    change in between. Values and gradients are within 1e-12 relative (about
+    1e-15 in practice) of the form that keeps whole ``(n, m)``
+    probabilities.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
-        raise ShapeError(f"attention needs q (n, heads*d), k (m, heads*d), v (m, heads*dv); "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
-    require_integer("attention: heads", heads)
-    if heads < 1 or q.shape[1] < heads or q.shape[1] % heads or v.shape[1] % heads:
-        raise ShapeError(f"attention: {heads} heads do not divide the widths {q.shape[1]} and {v.shape[1]} "
-                         f"with at least one q column per head")
-    if not (np.isfinite(q.data).all() and np.isfinite(k.data).all() and np.isfinite(v.data).all()):
-        raise FloatingPointError("attention: q, k or v hold NaN or inf")
+    check_attention(q.data, k.data, v.data, heads)
     n, m = q.shape[0], k.shape[0]
-    hd, hv = q.shape[1] // heads, v.shape[1] // heads  # each head's columns of q and k, and of v
-    if m == 0 < n:
-        raise MaskError(f"attention: {n} query rows and no key to attend to")
-    scale = 1.0 / math.sqrt(hd)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n, m):
@@ -525,67 +621,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
         if empty.any():
             raise MaskError(f"query rows {np.flatnonzero(empty).tolist()} have no unmasked key")
     hidden = None if mask is None else ~mask  # True where a logit is masked out
-    rows = max(1, _ATTN_BLOCK // max(m, 1))
-    spans = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-    qk_cols = [slice(i * hd, (i + 1) * hd) for i in range(heads)]
-    v_cols = [slice(i * hv, (i + 1) * hv) for i in range(heads)]
-    row_max = np.empty((heads, n, 1))
-
-    def head_operands(i):
-        """Head i's ``[k_h^T; 1]`` and ``[v_h^T; 1]``, contiguous."""
-        kt1, vt1 = np.empty((hd + 1, m)), np.empty((hv + 1, m))
-        kt1[:hd], kt1[hd] = k.data[:, qk_cols[i]].T, 1.0
-        vt1[:hv], vt1[hv] = v.data[:, v_cols[i]].T, 1.0
-        return kt1, vt1
-
-    row_sum, out = np.empty((heads, n, 1)), np.empty((n, heads * hv))
-    e_block, y_block = np.empty((min(rows, n), m)), np.empty((min(rows, n), hv + 1))
-    for i in range(heads):
-        kt1, vt1 = head_operands(i)
-        for lo, hi in spans:
-            e, y = e_block[:hi - lo], y_block[:hi - lo]
-            np.matmul(q.data[lo:hi, qk_cols[i]] * scale, kt1[:hd], out=e)
-            if hidden is not None:
-                np.copyto(e, -np.inf, where=hidden[lo:hi])
-            # initial: a (rows, 0) block (no key) reduces too
-            np.max(e, axis=-1, keepdims=True, initial=-np.inf, out=row_max[i, lo:hi])
-            e -= row_max[i, lo:hi]
-            np.exp(e, out=e)
-            np.matmul(e, vt1.T, out=y)  # [e v_h | row sum]
-            row_sum[i, lo:hi] = y[:, hv:]
-            np.divide(y[:, :hv], row_sum[i, lo:hi], out=out[lo:hi, v_cols[i]])
-
-    def backward(g):
-        gn = np.empty((n, hv + 1))  # one head's [g / row sum | -r], r = rowsum(g / row sum * out)
-        dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-        dq_h, dk_h, dv_h = np.empty((n, hd)), np.empty((m, hd)), np.empty((m, hv))  # one head's, contiguous
-        e_block, ds_block = np.empty((min(rows, n), m)), np.empty((min(rows, n), m))
-        q1_block = np.empty((min(rows, n), hd + 1))
-        for i in range(heads):
-            np.divide(g[:, v_cols[i]], row_sum[i], out=gn[:, :hv])
-            np.negative((gn[:, :hv] * out[:, v_cols[i]]).sum(axis=-1), out=gn[:, hv])
-            kt1, vt1 = head_operands(i)
-            dk_h.fill(0.0)
-            dv_h.fill(0.0)
-            for lo, hi in spans:
-                e, ds, q1 = e_block[:hi - lo], ds_block[:hi - lo], q1_block[:hi - lo]
-                np.multiply(q.data[lo:hi, qk_cols[i]], scale, out=q1[:, :hd])
-                np.negative(row_max[i, lo:hi], out=q1[:, hd:])
-                np.matmul(q1, kt1, out=e)  # [q_h * scale | -row max] [k_h^T; 1] = logit - row max
-                if hidden is not None:
-                    np.copyto(e, -np.inf, where=hidden[lo:hi])
-                np.exp(e, out=e)
-                dv_h += e.T @ gn[lo:hi, :hv]
-                np.matmul(gn[lo:hi], vt1, out=ds)  # [gn | -r] [v_h^T; 1] = gn v_h^T - r
-                ds *= e
-                np.matmul(ds, k.data[:, qk_cols[i]], out=dq_h[lo:hi])
-                dk_h += ds.T @ q.data[lo:hi, qk_cols[i]]
-            np.multiply(dq_h, scale, out=dq[:, qk_cols[i]])
-            np.multiply(dk_h, scale, out=dk[:, qk_cols[i]])
-            dv[:, v_cols[i]] = dv_h
-        return dq, dk, dv
-
-    return custom_op(out, (q, k, v), backward)
+    out, row_max, row_sum = attention_forward(q.data, k.data, v.data, hidden, heads)
+    return custom_op(out, (q, k, v), lambda g: attention_backward(g, q.data, k.data, v.data, hidden, heads,
+                                                                  out, row_max, row_sum))
 
 
 GRAD_CHECK_EPS = 1e-5  # the step of grad_check's central differences

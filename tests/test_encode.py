@@ -5,6 +5,7 @@ from casdet import tensor as T
 from casdet.encode import (
     PE_TEMPERATURE,
     PeConfig,
+    _grid_pe,
     box_pe_vector,
     grid_pe,
     init_positional_query,
@@ -103,6 +104,20 @@ def test_grid_pe_takes_positive_integer_sizes(sizes):
     with pytest.raises(ValueError, match="grid_pe"):
         grid_pe(*sizes)
     assert grid_pe(np.int64(2), np.int64(3), np.int64(8)).tobytes() == grid_pe(2, 3, 8).tobytes()
+
+
+def test_grid_pe_is_a_cached_read_only_array():
+    """A detector encodes the same grid every step, so a repeat call, with
+    int or numpy sizes, returns the cached array: read-only, so no caller
+    can change a later step's encodings, and byte-equal to one computed
+    afresh."""
+    pe = grid_pe(24, 24, 64)
+    assert grid_pe(np.int64(24), 24, np.int64(64)) is pe
+    assert not pe.flags.writeable
+    with pytest.raises(ValueError):
+        pe[0, 0] = 0.0
+    fresh = _grid_pe.__wrapped__(24, 24, 64)
+    assert fresh is not pe and fresh.shape == pe.shape and fresh.tobytes() == pe.tobytes()
 
 
 def test_positional_query_deterministic_and_width():

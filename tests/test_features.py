@@ -244,6 +244,95 @@ def test_mha_grad_check_keys_longer_than_queries():
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["keys-plus-position", "shared-keys"])
+def test_mha_cross_attention_grad_check_through_one_node(kind):
+    """Cross-attention as the decoder runs it, 5 queries on 9 keys, through
+    one node whose parents are the three inputs and the six q, k and v
+    parameters: the keys are the values plus a position term, or the values
+    themselves, whose two gradients the node sums into one array. Every
+    parameter and both inputs pass grad_check."""
+    rng = np.random.default_rng(39)
+    d = 8
+    params = {}
+    init_mha(params, rng, "attn", d)
+    q_in = Tensor(rng.normal(size=(5, d)), requires_grad=True)
+    mem = Tensor(rng.normal(size=(9, d)), requires_grad=True)
+    pos = Tensor(rng.normal(size=(9, d)))
+    w = rng.normal(size=(5, d))
+
+    def loss():
+        keys = mem + pos if kind == "keys-plus-position" else mem
+        return (multi_head_attention(q_in, keys, mem, params, "attn", 2) * w).sum()
+
+    qkv = [params[f"attn.{p}.{a}"] for p in "qkv" for a in "wb"]
+    node = loss()._parents[0]._parents[0]._parents[0]  # sum <- mul <- o projection <- attention
+    assert node._parents[0] is q_in and node._parents[2] is mem and list(node._parents[3:]) == qkv
+    assert T.grad_check(loss, [q_in, mem] + qkv) < 1e-6
+
+
+@pytest.mark.parametrize("n, m", [(576, 576), (100, 576)], ids=["self", "cross"])
+def test_mha_node_keeps_no_projection(n, m):
+    """With 4 heads of width 16, the attention node holds its output and
+    each row's softmax max and sum per head, and no ``(n, 64)`` or ``(m,
+    64)`` q, k or v: the backward rebuilds them from the inputs. Beside the
+    ``o`` projection's output it holds under half an output more than its
+    own, where the projections were three arrays more."""
+    rng = np.random.default_rng(38)
+    d = 64
+    params = {}
+    init_mha(params, rng, "attn", d)
+    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    mem = x if n == m else Tensor(rng.normal(size=(m, d)), requires_grad=True)
+    pe = rng.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        if n == m:
+            out = multi_head_attention(x, x, x, params, "attn", 4, qk_pe=pe, residual=x)
+        else:
+            out = multi_head_attention(x, mem, mem, params, "attn", 4)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert 2 * out.data.nbytes <= held < 2.5 * out.data.nbytes
+    out.sum().backward()
+    assert x.grad.shape == x.shape and mem.grad.shape == mem.shape and params["attn.k.w"].grad.any()
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("pe-rows", ShapeError, "multi_head_attention: qk_pe must be"),
+    ("pe-width", ShapeError, "multi_head_attention: qk_pe must be"),
+    ("1-d", ShapeError, "multi_head_attention: needs 2-D inputs"),
+    ("width", ShapeError, "multi_head_attention: needs 2-D inputs"),
+    ("heads", ShapeError, "attention: 3 heads do not divide"),
+    ("nan", FloatingPointError, "attention: q, k or v hold NaN or inf"),
+])
+def test_mha_checks_its_inputs(case, error, message):
+    """A ``qk_pe`` that is not the inputs' shape, an input that is not 2-D
+    at its projection's width, a head count that does not divide the width
+    and a NaN input each raise before any node is built."""
+    rng = np.random.default_rng(40)
+    d = 8
+    params = {}
+    init_mha(params, rng, "attn", d)
+    x, pe, heads = rng.normal(size=(5, d)), None, 2
+    if case == "pe-rows":
+        pe = np.zeros((4, d))
+    elif case == "pe-width":
+        pe = np.zeros((5, d + 1))
+    elif case == "1-d":
+        x = x[0]
+    elif case == "width":
+        x = x[:, :-1]
+    elif case == "heads":
+        heads = 3
+    else:
+        x[2, 3] = np.nan
+    x = Tensor(x, requires_grad=True)
+    with pytest.raises(error, match=re.escape(message)):
+        multi_head_attention(x, x, x, params, "attn", heads, qk_pe=pe)
+
+
 def ffn_operands(x_needs_grad: bool) -> tuple[Tensor, dict]:
     """``x`` and FFN parameters whose hidden pre-activations include exact
     zeros, -0.0 (a product that underflows, plus a -0.0 bias) and NaN (a NaN
@@ -357,17 +446,18 @@ def test_mha_adds_qk_pe_and_residual_inside_its_projections():
     for a, e in zip(got, want):
         np.testing.assert_allclose(a, e, rtol=0, atol=1e-12 * np.abs(e).max())
     o_parents = out._parents
-    assert o_parents[3] is x and all(p._parents[0] is x for p in o_parents[0]._parents)
+    assert o_parents[3] is x and all(p is x for p in o_parents[0]._parents[:3])
     err = T.grad_check(lambda: (multi_head_attention(x, x, x, params, "attn", 2, qk_pe=pe, residual=x)
                                 * proj).sum(), [x, params["attn.q.w"], params["attn.k.b"]])
     assert err < 1e-6
 
 
-def test_an_encoder_layer_is_eight_nodes():
-    """q, k and v, attention, the ``o`` projection with its residual, the
-    first layer norm, the FFN with its residual and the second layer norm,
-    between the grid's two reshapes: a layer adds no ``x + pe``, no residual
-    ``add`` and no separate hidden-layer node (it was 12 nodes)."""
+def test_an_encoder_layer_is_five_nodes():
+    """Attention with its q, k and v projections, the ``o`` projection with
+    its residual, the first layer norm, the FFN with its residual and the
+    second layer norm, between the grid's two reshapes: a layer adds no
+    projection, ``x + pe``, residual ``add`` or hidden-layer node of its own
+    (it was 8 nodes with the projections apart, and 12 before that)."""
     rng = np.random.default_rng(37)
     d = 8
     params = make_encoder_params(rng, d, layers=1)
@@ -379,7 +469,7 @@ def test_an_encoder_layer_is_eight_nodes():
         if id(node) not in seen and node._backward is not None:
             seen.add(id(node))
             stack += node._parents
-    assert len(seen) == 2 + 8
+    assert len(seen) == 2 + 5
 
 
 def test_fusion_output_channels_and_shape_error():
@@ -653,9 +743,10 @@ def mixed_extents_case(rng):
 def random_roi_case(rng, kind, case):
     if kind == "mixed_extents":
         return mixed_extents_case(rng)
-    if kind == "index_width":  # 2**15 values, the most whose indices fit int16, then one channel more: uint16 both
-        boxes = np.column_stack([rng.uniform(0.1, 0.9, (6, 2)), rng.uniform(0.02, 1.2, (6, 2))])
-        return np.round(rng.normal(size=(8, 8, 512 + case % 2))), boxes, (3, 3)
+    if kind == "index_width":  # 2**16 values, the most whose indices fit uint16, then one column more: uint32
+        boxes = np.column_stack([rng.uniform(0.05, 0.95, (6, 2)), rng.uniform(0.02, 0.12, (6, 2))])
+        boxes[0] = [0.97, 0.97, 0.06, 0.06]  # the bottom-right cells, whose flat indices are the largest
+        return np.round(rng.normal(size=(64, 64 + case % 2, 16))), boxes, (3, 3)
     h, w, c = rng.integers(1, 13), rng.integers(1, 13), rng.integers(1, 5)
     data = rng.normal(size=(h, w, c))
     n = 2 * _ROI_CHUNK + 5 if kind == "batch_over_chunk" else rng.integers(1, 10)

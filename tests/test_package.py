@@ -85,13 +85,14 @@ def test_a_training_step_graph_holds_few_objects_per_node(tmp_path):
     """Each node holds one backward function, not a builder closure, an
     operand tuple and one grad-map closure per parent: objects that every
     full collection walks while a step's graph is alive. A tiny train-dense
-    step holds about 3.4 per node, and held 6.3 with per-parent closures."""
+    step's 200 tensors hold about 3.5 objects each, and held 6.3 with
+    per-parent closures."""
     st = import_standin()
     model = st.setup(st.tiny(st.WORKLOADS["train-dense"]), st.REF_SEED, str(tmp_path))
     res = st.step(model, 0)
     objs = graph_objects(res.loss)
     nodes = sum(isinstance(x, Tensor) for x in objs)
-    assert nodes > 200
+    assert nodes >= 200
     assert len(objs) <= 5.5 * nodes
 
 
@@ -108,6 +109,46 @@ def full_size_step_peak(workload: str, tmp_path) -> tuple:
         tracemalloc.stop()
     assert st.finite(model, res)
     return peak, res
+
+
+def full_size_graph_at_backward(workload: str, tmp_path) -> tuple[int, int]:
+    """The tensors in step 0's graph at the committed seed, as ``bench/run.py``
+    counts ``tensor.graph_nodes``, and the bytes that the ``.data`` of its
+    interior nodes (those with a backward) hold when ``backward()`` starts,
+    each buffer counted once however many views of it the nodes hold."""
+    st = import_standin()
+    model = st.setup(st.WORKLOADS[workload], st.REF_SEED, str(tmp_path))
+    seen = []
+    backward = Tensor.backward
+
+    def measured(root):
+        graph = T._toposort(root)
+        buffers = {}
+        for t in graph:
+            if t._backward is not None:
+                a = t.data
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                buffers[id(a)] = a.nbytes
+        seen.append((len(graph), sum(buffers.values())))
+        backward(root)
+
+    Tensor.backward = measured
+    try:
+        st.step(model, 0)
+    finally:
+        Tensor.backward = backward
+    return seen[0]
+
+
+def test_a_full_size_train_hires_graph_holds_no_projection_when_backward_starts(tmp_path):
+    """Attention rebuilds its q, k and v projections in its backward, so a
+    train-hires step's graph holds 221 tensors and 4.1 MB of node outputs
+    when its backward starts: 233 and 7.0 MB with the encoder's six and the
+    decoder cross-attention's four ``(576, 64)`` projections kept."""
+    nodes, nbytes = full_size_graph_at_backward("train-hires", tmp_path)
+    assert nodes <= 221
+    assert nbytes < 5e6
 
 
 def test_a_full_size_training_step_peaks_under_24_mb(tmp_path):
@@ -179,6 +220,22 @@ def test_a_full_size_train_dense_step_peaks_under_15_5_mb(tmp_path):
     ``o`` and ``ffn.2`` outputs, the FFNs' hidden layers and the fusion's
     shared gradient."""
     assert full_size_step_peak("train-dense", tmp_path)[0] < 15.5e6
+
+
+def test_a_full_size_train_hires_step_peaks_under_13_mb(tmp_path):
+    """Attention keeps no q, k or v: one node projects, attends and drops the
+    projections, and its backward rebuilds them, so neither the encoder's
+    self-attention nor the decoder's cross-attention over the 576 memory
+    rows holds a projection between the forward and the backward. At seed 0
+    a train-hires step peaks at 12.3 MB, in the encoder attention's
+    backward, against 14.1 MB with the projections kept."""
+    assert full_size_step_peak("train-hires", tmp_path)[0] < 13e6
+
+
+def test_a_full_size_train_dense_step_peaks_under_14_3_mb(tmp_path):
+    """As above, on the 16x16 grid: 13.7 MB at seed 0, against 14.8 MB with
+    the projections kept."""
+    assert full_size_step_peak("train-dense", tmp_path)[0] < 14.3e6
 
 
 def test_a_full_size_inference_pass_peaks_under_3_mb(tmp_path):
