@@ -51,8 +51,8 @@ def init_linear(params: dict, rng: np.random.Generator, name: str, n_in: int, n_
     params[f"{name}.b"] = Tensor(np.full(n_out, bias, dtype=np.float64), requires_grad=True)
 
 
-def linear(x: Tensor, params: dict, name: str, residual: Tensor | None = None, *, shift=None) -> Tensor:
-    return T.linear(x, params[f"{name}.w"], params[f"{name}.b"], residual, shift=shift)
+def linear(x: Tensor, params: dict, name: str, residual: Tensor | None = None) -> Tensor:
+    return T.linear(x, params[f"{name}.w"], params[f"{name}.b"], residual)
 
 
 def init_layer_norm(params: dict, name: str, dim: int) -> None:

@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every op builds its output with ``custom_op(y, parents, backward)``, so a
-computation builds an implicit graph that ``Tensor.backward()`` walks in
-reverse topological order. There is no global tape or session state, which
+computation builds an implicit graph that ``Tensor.backward()`` walks once,
+in reverse topological order. There is no global tape or session state, which
 makes independent graphs safe to build and differentiate concurrently.
 
 A node's ``backward`` maps its output's gradient to a tuple with one gradient
@@ -15,19 +15,19 @@ gradient to exactly its parent's shape. A leaf (a tensor with no backward,
 such as a parameter) owns its ``.grad``: it copies its first gradient into a
 C-ordered float64 array and adds later ones into it in place, so a leaf's
 ``.grad`` shares memory with no other array. An interior node adopts its
-first gradient, sums later ones out of place, since its ``.grad`` may be
-another node's array, and drops it once its backward has run. A backward may
-instead add a leaf parent's gradient into ``leaf_grad(parent)`` in place and
-return None for it, so no second parameter-sized array is built.
+first gradient and sums later ones out of place, since its ``.grad`` may be
+another node's array; the walk releases it once its backward has run. A
+backward may instead add a leaf parent's gradient into ``leaf_grad(parent)``
+in place and return None for it, so no second parameter-sized array is built.
 ``linear`` (for x), ``mul`` and ``div`` return None for an operand that
 needs no gradient, rather than compute one the walk would drop.
 
 Backwards read their parents' ``.data`` rather than keep copies, and
-``attention``, ``layer_norm`` and a ``linear`` with a ``shift`` rebuild what
-they need from it (recompute over store, as in gradient checkpointing, Chen
-et al., 2016), so a parent's ``.data`` must not change between the forward
-and the backward. A ``linear`` with a ``residual`` adds it into its own
-output, so a residual sum holds no array beside the sublayer's output.
+``attention`` and ``layer_norm`` rebuild what they need from it (recompute
+over store, as in gradient checkpointing, Chen et al., 2016), so a parent's
+``.data`` must not change between the forward and the backward. A
+``linear`` with a ``residual`` adds it into its own output, so a residual sum
+holds no array beside the sublayer's output.
 
 ``attention`` takes 2-D operands with its heads side by side in the columns,
 as in FlashAttention's ``(tokens, heads, head_dim)``, and keeps no
@@ -95,22 +95,25 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output through the recorded graph.
+        """Backpropagate from a scalar output through the recorded graph, once.
 
-        Gradients are held as the module docstring states, so two calls give
-        a leaf twice the gradient of one in the same array. Every interior
-        node except ``self`` has ``.grad`` set to None once its backward has
-        run; ``_parents`` and the backwards stay, so the graph can be walked
-        and differentiated again. A node that received no gradient passes
-        none on.
+        Gradients are held as the module docstring states. Once a node's
+        backward has run, or it got no gradient, the walk drops its
+        ``_parents``, backward and (but on ``self``) ``.grad``, so reference
+        counting frees what the rest of the walk no longer needs, as
+        PyTorch's default ``retain_graph=False`` does. Leaves and constants
+        are not touched. Walking a released node again (a second call, or a
+        new graph that passes it a gradient) raises RuntimeError.
         """
         if self.data.ndim != 0:
             raise ShapeError(f"backward() requires a 0-d scalar, got shape {self.shape}")
         self.grad = np.ones_like(self.data)
-        for node in reversed(_toposort(self)):
-            if node._backward is None or node.grad is None:
+        order = _toposort(self)
+        while order:
+            node = order.pop()
+            if node._backward is None:
                 continue
-            for p, g in zip(node._parents, node._backward(node.grad)):
+            for p, g in zip(node._parents, () if node.grad is None else node._backward(node.grad)):
                 if g is None or not p.requires_grad:
                     continue
                 g = _unbroadcast(g, p.shape)
@@ -120,8 +123,10 @@ class Tensor:
                     p.grad = np.array(g, dtype=np.float64, order="C")
                 else:
                     p.grad += g
+            node._parents, node._backward = (), _released
             if node is not self:
                 node.grad = None
+            p = g = None  # hold no gradient while the next node's backward runs
 
     # arithmetic ------------------------------------------------------------
 
@@ -188,6 +193,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
             if id(p) not in visited:
                 stack.append((p, False))
     return order
+
+
+def _released(g: np.ndarray) -> tuple:
+    """The backward of a node that ``Tensor.backward`` has walked and released."""
+    raise RuntimeError("backward: the graph was already walked and released; build it again")
 
 
 def leaf_grad(t: Tensor) -> np.ndarray:
@@ -286,28 +296,23 @@ def matmul(a, b) -> Tensor:
                                                          np.swapaxes(a.data, -1, -2) @ g))
 
 
-def linear(x, w, b, residual=None, *, shift=None) -> Tensor:
+def linear(x, w, b, residual=None) -> Tensor:
     """``x @ w + b`` as one node with parents ``(x, w, b)``: ``x (..., n_in)``,
     ``w (n_in, n_out)``, ``b (n_out,)``, gradients as in ``matmul`` and ``add``;
     other shapes raise ShapeError.
 
     A ``residual`` tensor at the output's shape is added into the output's
     own buffer, with parents ``(x, w, b, residual)``, so no second output and
-    no ``add`` node is held. A constant ``shift`` at ``x``'s shape makes the
-    product ``(x + shift) @ w``; the sum is a transient, and the backward
-    rebuilds it with the forward's op for ``w``'s gradient, so ``x``'s
-    ``.data`` must not change in between. Values and gradients are bitwise
-    those of ``add`` and ``linear`` nodes."""
+    no ``add`` node is held. Values and gradients are bitwise those of
+    ``add`` and ``linear`` nodes."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
         raise ShapeError(f"linear needs x (..., n_in), w (n_in, n_out) and b (n_out,); "
                          f"got {x.shape}, {w.shape}, {b.shape}")
     if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
-    if shift is not None and np.shape(shift) != x.shape:
-        raise ShapeError(f"linear: shift must be x's shape {x.shape}, got {np.shape(shift)}")
     parents = (x, w, b)
-    y = (x.data if shift is None else x.data + shift) @ w.data
+    y = x.data @ w.data
     y += b.data
     if residual is not None:
         residual = as_tensor(residual)
@@ -317,9 +322,8 @@ def linear(x, w, b, residual=None, *, shift=None) -> Tensor:
         parents += (residual,)
 
     def backward(g):
-        xs = x.data if shift is None else x.data + shift
         return (g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None,
-                np.swapaxes(xs, -1, -2) @ g, g, g)[:len(parents)]
+                np.swapaxes(x.data, -1, -2) @ g, g, g)[:len(parents)]
 
     return custom_op(y, parents, backward)
 

@@ -439,14 +439,14 @@ def test_mha_adds_qk_pe_and_residual_inside_its_projections():
         for t in leaves:
             t.grad = None
         out = f()
+        parents = out._parents, out._parents[0]._parents  # the walk releases them
         (out * proj).sum().backward()
-        runs.append((out, [t.grad for t in leaves]))
-    (out, got), (ref, want) = runs
+        runs.append((out, parents, [t.grad for t in leaves]))
+    (out, (o_parents, mha_parents), got), (ref, _, want) = runs
     assert out.data.tobytes() == ref.data.tobytes()
     for a, e in zip(got, want):
         np.testing.assert_allclose(a, e, rtol=0, atol=1e-12 * np.abs(e).max())
-    o_parents = out._parents
-    assert o_parents[3] is x and all(p is x for p in o_parents[0]._parents[:3])
+    assert o_parents[3] is x and all(p is x for p in mha_parents[:3])
     err = T.grad_check(lambda: (multi_head_attention(x, x, x, params, "attn", 2, qk_pe=pe, residual=x)
                                 * proj).sum(), [x, params["attn.q.w"], params["attn.k.b"]])
     assert err < 1e-6
@@ -859,10 +859,11 @@ def test_roi_adds_a_shared_leaf_weights_gradient_into_its_grad():
     dws = built_weight_grads()
     w = Tensor(W0.copy(), requires_grad=True)
     outs, gs, loss = shared_w_roi_calls(w)
+    second = outs[1]._backward  # the walk releases it
     loss.backward()
     assert w.grad.tobytes() == (dws[0] + dws[1]).tobytes()
     held, before = w.grad, w.grad.copy()
-    grads = outs[1]._backward(gs[1])
+    grads = second(gs[1])
     assert grads[1] is None and w.grad is held
     assert held.tobytes() == (before + dws[1]).tobytes()
 

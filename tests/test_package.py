@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import types
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +65,33 @@ def test_a_dropped_training_step_leaves_no_garbage_cycles(tmp_path):
         gc.enable()
 
 
+def test_a_training_step_frees_its_encoder_during_the_walk(tmp_path, monkeypatch):
+    """``backward()`` releases each node as it walks it, so with the cyclic
+    collector off, the encoder's output is gone once the step returns, while
+    the step's result, which holds the loss and the heads, is still alive.
+    The test watches the encoder output's array, which only its node holds,
+    since a Tensor takes no weakref."""
+    st = import_standin()
+    model = st.setup(st.tiny(st.WORKLOADS["train-dense"]), st.REF_SEED, str(tmp_path))
+    refs = []
+    encode_features = st.encode_features
+
+    def watched(*args, **kwargs):
+        out = encode_features(*args, **kwargs)
+        refs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(st, "encode_features", watched)
+    gc.collect()
+    gc.disable()
+    try:
+        res = st.step(model, 0)
+        assert len(refs) == 1 and refs[0]() is None
+        assert res.loss.grad is not None and st.finite(model, res)
+    finally:
+        gc.enable()
+
+
 def graph_objects(root) -> list:
     """Every gc-tracked object that ``root``'s graph holds: its nodes and what
     they reach, following functions only through their closures and
@@ -81,16 +109,32 @@ def graph_objects(root) -> list:
     return list(seen.values())
 
 
+def at_backward(st, model, measure):
+    """``measure(root)`` of step 0's graph when its ``backward()`` starts."""
+    seen = []
+    backward = Tensor.backward
+
+    def measured(root):
+        seen.append(measure(root))
+        backward(root)
+
+    Tensor.backward = measured
+    try:
+        st.step(model, 0)
+    finally:
+        Tensor.backward = backward
+    return seen[0]
+
+
 def test_a_training_step_graph_holds_few_objects_per_node(tmp_path):
     """Each node holds one backward function, not a builder closure, an
     operand tuple and one grad-map closure per parent: objects that every
-    full collection walks while a step's graph is alive. A tiny train-dense
-    step's 200 tensors hold about 3.5 objects each, and held 6.3 with
-    per-parent closures."""
+    full collection walks while a step's graph is alive. When its
+    ``backward()`` starts, a tiny train-dense step's 200 tensors hold about
+    3.5 objects each, and held 6.3 with per-parent closures."""
     st = import_standin()
     model = st.setup(st.tiny(st.WORKLOADS["train-dense"]), st.REF_SEED, str(tmp_path))
-    res = st.step(model, 0)
-    objs = graph_objects(res.loss)
+    objs = at_backward(st, model, graph_objects)
     nodes = sum(isinstance(x, Tensor) for x in objs)
     assert nodes >= 200
     assert len(objs) <= 5.5 * nodes
@@ -118,10 +162,8 @@ def full_size_graph_at_backward(workload: str, tmp_path) -> tuple[int, int]:
     each buffer counted once however many views of it the nodes hold."""
     st = import_standin()
     model = st.setup(st.WORKLOADS[workload], st.REF_SEED, str(tmp_path))
-    seen = []
-    backward = Tensor.backward
 
-    def measured(root):
+    def measure(root):
         graph = T._toposort(root)
         buffers = {}
         for t in graph:
@@ -130,15 +172,9 @@ def full_size_graph_at_backward(workload: str, tmp_path) -> tuple[int, int]:
                 while isinstance(a.base, np.ndarray):
                     a = a.base
                 buffers[id(a)] = a.nbytes
-        seen.append((len(graph), sum(buffers.values())))
-        backward(root)
+        return len(graph), sum(buffers.values())
 
-    Tensor.backward = measured
-    try:
-        st.step(model, 0)
-    finally:
-        Tensor.backward = backward
-    return seen[0]
+    return at_backward(st, model, measure)
 
 
 def test_a_full_size_train_hires_graph_holds_no_projection_when_backward_starts(tmp_path):
@@ -238,6 +274,22 @@ def test_a_full_size_train_dense_step_peaks_under_14_3_mb(tmp_path):
     assert full_size_step_peak("train-dense", tmp_path)[0] < 14.3e6
 
 
+def test_a_full_size_train_dense_step_peaks_under_10_5_mb(tmp_path):
+    """``backward()`` releases each node as it walks it, so the encoder's
+    backward, where the step peaked, no longer runs beside every decoder and
+    later encoder activation whose gradient is already taken. At seed 0 a
+    train-dense step peaks at 9.8 MB, in a decoder cross-attention's
+    backward, against 13.7 MB with the whole graph held until the step
+    returns."""
+    assert full_size_step_peak("train-dense", tmp_path)[0] < 10.5e6
+
+
+def test_a_full_size_train_hires_step_peaks_under_10_8_mb(tmp_path):
+    """As above, on the 24x24 grid: 10.1 MB at seed 0, in encoder layer 1's
+    attention backward, against 12.3 MB with the whole graph held."""
+    assert full_size_step_peak("train-hires", tmp_path)[0] < 10.8e6
+
+
 def test_a_full_size_inference_pass_peaks_under_3_mb(tmp_path):
     """An infer-fixture pass keeps no graph, so its peak is the largest
     transient: 1.8 MB at seed 0 with the RoI node, and 5.9 MB when RoI
@@ -284,21 +336,21 @@ def test_a_decoder_layer_with_cascade_modulation_passes_grad_check(tmp_path):
     omega = rng.uniform(0.2, 1.0, size=(groups, n_gt))
     w_box, w_cls = rng.normal(size=(n, 4)), rng.normal(size=(n, st.N_CLASSES))
     x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
-    dn_nodes = []
+    dn_parents = []  # taken when built, since the walk releases them
 
     def loss():
         h = st.decoder_layer(model, 0, x, anchors, keys, keys_pe, mask)
         dn = st.modulate(h[n_match:].reshape(groups, n_gt, d), omega)
-        dn_nodes.append(dn)
+        dn_parents.append(dn._parents)
         boxes, probs = st.box_heads(model, 0, T.concat([h[:n_match], dn.reshape(-1, d)]), anchors)
         return (boxes * w_box).sum() + (probs * w_cls).sum()
 
     small = ["dec0.pq.1.b", "dec0.sa.k.b", "dec0.ln1.g", "dec0.ca.v.b", "dec0.ffn.1.b", "dec0.ln3.b",
              "dec0.box.w", "dec0.cls.b"]
     assert T.grad_check(loss, [x] + [model.params[k] for k in small]) < 1e-6
-    dn_nodes.clear()
+    dn_parents.clear()
     loss().backward()
-    feature, scale = dn_nodes[0]._parents
+    feature, scale = dn_parents[0]
     assert feature.requires_grad and not scale.requires_grad
     assert scale.grad is None and np.array_equal(scale.data, omega[..., None])
 

@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -130,19 +131,16 @@ def test_linear_takes_a_matrix_weight_and_a_vector_bias(w_shape, b_shape):
 
 @pytest.mark.parametrize("stack", [(), (2,)], ids=["2d", "stacked"])
 @pytest.mark.parametrize("x_needs_grad", [True, False], ids=["x-grad", "x-const"])
-def test_linear_residual_and_shift_are_bitwise_add_and_linear(stack, x_needs_grad):
-    """``linear(x, w, b, r, shift=s)`` is one node with parents ``(x, w, b,
-    r)`` whose value and gradients are byte for byte those of ``add(linear(x
-    + s, w, b), r)``: the shift's sum is rebuilt for ``w``'s gradient, and the
-    residual is added into the output's own buffer."""
+def test_linear_residual_is_bitwise_add_and_linear(stack, x_needs_grad):
+    """``linear(x, w, b, r)`` is one node with parents ``(x, w, b, r)`` whose
+    value and gradients are byte for byte those of ``add(linear(x, w, b),
+    r)``: the residual is added into the output's own buffer."""
     rng = np.random.default_rng(30)
     x = Tensor(rng.normal(size=stack + (5, 4)), requires_grad=x_needs_grad)
     w, b, r = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((4, 3), (3,), stack + (5, 3)))
-    shift = rng.normal(size=x.shape)
     proj = rng.normal(size=stack + (5, 3))
     results = []
-    for f in (lambda: T.linear(x, w, b, r, shift=shift),
-              lambda: T.add(T.linear(T.add(x, Tensor(shift)), w, b), r)):
+    for f in (lambda: T.linear(x, w, b, r), lambda: T.add(T.linear(x, w, b), r)):
         for t in (x, w, b, r):
             t.grad = None
         out = f()
@@ -150,31 +148,26 @@ def test_linear_residual_and_shift_are_bitwise_add_and_linear(stack, x_needs_gra
         results.append([out.data] + [t.grad for t in (x, w, b, r)])
     for got, want in zip(*results):
         assert (got is None and want is None) or (got.shape == want.shape and got.tobytes() == want.tobytes())
-    assert T.linear(x, w, b, r, shift=shift)._parents == (x, w, b, r)
-    assert T.linear(x, w, b, shift=shift)._parents == (x, w, b)
+    assert T.linear(x, w, b, r)._parents == (x, w, b, r)
+    assert T.linear(x, w, b)._parents == (x, w, b)
 
 
-def test_linear_residual_and_shift_grad_check():
+def test_linear_residual_grad_check():
     rng = np.random.default_rng(31)
     x, w, b, r = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 5, 4), (4, 3), (3,), (2, 5, 3)))
-    shift = rng.normal(size=(2, 5, 4))
     proj = rng.normal(size=(2, 5, 3))
-    assert T.grad_check(lambda: (T.linear(x, w, b, r, shift=shift) ** 2 * proj).sum(), [x, w, b, r]) < 1e-6
+    assert T.grad_check(lambda: (T.linear(x, w, b, r) ** 2 * proj).sum(), [x, w, b, r]) < 1e-6
 
 
-@pytest.mark.parametrize("r_shape, shift_shape, message", [
-    ((5, 4), None, "linear: residual must be the output's shape (5, 3), got (5, 4)"),
-    ((3,), None, "linear: residual must be the output's shape (5, 3), got (3,)"),
-    (None, (4,), "linear: shift must be x's shape (5, 4), got (4,)"),
-])
-def test_linear_takes_a_residual_and_a_shift_at_exact_shapes(r_shape, shift_shape, message):
-    """Neither operand broadcasts: the residual is added into the output in
-    place, and the shift's sum must have ``x``'s shape for ``x``'s gradient."""
+@pytest.mark.parametrize("r_shape, message", [
+    ((5, 4), "linear: residual must be the output's shape (5, 3), got (5, 4)"),
+    ((3,), "linear: residual must be the output's shape (5, 3), got (3,)"),
+], ids=["x-shape", "row"])
+def test_linear_takes_a_residual_at_exactly_the_output_shape(r_shape, message):
+    """The residual does not broadcast: it is added into the output in place."""
     x, w, b = Tensor(np.ones((5, 4))), Tensor(np.ones((4, 3))), Tensor(np.ones(3))
-    r = None if r_shape is None else Tensor(np.ones(r_shape))
-    shift = None if shift_shape is None else np.ones(shift_shape)
     with pytest.raises(ShapeError, match=re.escape(message)):
-        T.linear(x, w, b, r, shift=shift)
+        T.linear(x, w, b, Tensor(np.ones(r_shape)))
 
 
 def test_softmax_uniform_and_shift_invariance():
@@ -273,18 +266,19 @@ def test_grad_accumulates_over_reuse():
 
 
 def test_repeated_backward_accumulates_each_pass_once():
+    """A graph is walked once, so each pass builds a fresh graph from the
+    same leaves, which add its gradients into theirs."""
     x = Tensor(np.ones(3), requires_grad=True)
-    loss = ((x * 2.0) * 3.0).sum()
-    loss.backward()
-    loss.backward()
+    for _ in range(2):
+        ((x * 2.0) * 3.0).sum().backward()
     np.testing.assert_array_equal(x.grad, np.full(3, 12.0))
-    # attention's node keeps no probabilities, and a second walk recomputes them
+    # attention's node keeps no probabilities, and each pass recomputes them
     rng = np.random.default_rng(3)
     q, k, v = (Tensor(columns(rand_t(rng, s).data), requires_grad=True) for s in ((2, 4, 6), (2, 5, 6), (2, 5, 3)))
-    loss = (T.attention(q, k, v, random_mask(rng, 4, 5), heads=2) * columns(rng.normal(size=(2, 4, 3)))).sum()
-    loss.backward()
+    mask, w = random_mask(rng, 4, 5), columns(rng.normal(size=(2, 4, 3)))
+    (T.attention(q, k, v, mask, heads=2) * w).sum().backward()
     once = [t.grad.copy() for t in (q, k, v)]
-    loss.backward()
+    (T.attention(q, k, v, mask, heads=2) * w).sum().backward()
     for t, g in zip((q, k, v), once):
         np.testing.assert_array_equal(t.grad, 2.0 * g)
 
@@ -305,13 +299,54 @@ def test_backward_keeps_leaf_grads_and_releases_interior_ones():
     c = a * b
     d = T.relu(c) + a
     loss = d.sum()
-    parents = {id(t): t._parents for t in (c, d, loss)}
     loss.backward()
     assert c.grad is None and d.grad is None
-    assert loss.grad is not None
+    assert loss.grad is not None and loss.item() == d.data.sum()
     np.testing.assert_array_equal(a.grad, b.data * (c.data > 0) + 1.0)
     np.testing.assert_array_equal(b.grad, a.data * (c.data > 0))
-    assert {id(t): t._parents for t in (c, d, loss)} == parents
+    assert all(t._parents == () and t._backward is T._released for t in (c, d, loss))
+    assert all(t._parents == () and t._backward is None for t in (a, b))
+
+
+def test_backward_frees_each_node_during_the_walk():
+    """Once a node's backward has run, the walk drops the graph's references
+    to it, so a node that nothing else holds is gone before its parents'
+    backwards run. A Tensor has ``__slots__`` and takes no weakref; the test
+    watches the downstream node's output array, which only that node holds."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    seen = []
+
+    def backward(g):
+        seen.append(downstream())
+        return (2.0 * g,)
+
+    h = T.custom_op(2.0 * x.data, (x,), backward)
+    y = h * 3.0
+    downstream = weakref.ref(y.data)
+    loss = y.sum()
+    del y
+    loss.backward()
+    assert len(seen) == 1 and seen[0] is None
+    np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
+
+
+def test_a_walked_graph_refuses_a_second_walk():
+    """A second ``backward()`` on the root raises, and so does a new graph
+    that passes a gradient to a released node; neither adds to any leaf. The
+    nodes the failed walk reached before the released one stay released."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    h = x * 2.0
+    loss = h.sum()
+    loss.backward()
+    with pytest.raises(RuntimeError, match="backward"):
+        loss.backward()
+    again = h * 3.0
+    with pytest.raises(RuntimeError, match="backward"):
+        again.sum().backward()
+    assert again._parents == () and again._backward is T._released
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+    with pytest.raises(ValueError, match="leaf_grad"):
+        T.leaf_grad(h)
 
 
 def test_a_leaf_adds_later_gradients_into_its_own_array():
@@ -320,10 +355,10 @@ def test_a_leaf_adds_later_gradients_into_its_own_array():
     rather than summing out of place."""
     rng = np.random.default_rng(25)
     x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((5, 4), (4, 3), (3,)))
-    loss = (T.linear(x, w, b) * rng.normal(size=(5, 3))).sum()
-    loss.backward()
+    proj = rng.normal(size=(5, 3))
+    (T.linear(x, w, b) * proj).sum().backward()
     first, once = w.grad, w.grad.copy()
-    loss.backward()
+    (T.linear(x, w, b) * proj).sum().backward()
     assert w.grad is first
     np.testing.assert_array_equal(w.grad, 2.0 * once)
 
@@ -471,10 +506,11 @@ def test_a_constant_operand_gets_no_gradient(kind):
     for const in range(len(shapes)):
         leaves = [Tensor(a, requires_grad=i != const) for i, a in enumerate(arrays)]
         out = op(*leaves)
+        backward = out._backward  # the walk releases it
         (out * rng.normal(size=out.shape)).sum().backward()
         assert leaves[const].grad is None
         assert all(t.grad.shape == t.shape for t in leaves if t.requires_grad)
-        grads = out._backward(np.ones(out.shape))
+        grads = backward(np.ones(out.shape))
         assert len(grads) == len(leaves) and (grads[const] is None) == (const in skips)
 
 
@@ -822,7 +858,8 @@ def test_attention_matches_the_kept_probability_node(kind):
     probability node's values and gradients to 1e-12 of the oracle's largest
     magnitude, for every subset of operands needing grad. The node holds
     under half of one (n, m) float block besides its output, and a second
-    backward gives exactly twice the gradients.
+    pass, on a fresh graph from the same leaves, gives exactly twice the
+    gradients.
 
     With wide logits the backward's ``logit - row max``, one matmul of
     ``[q * scale | -row max]`` with ``[k^T; 1]``, is exactly 0 on each row's
@@ -843,6 +880,7 @@ def test_attention_matches_the_kept_probability_node(kind):
     for flags in GRAD_SUBSETS:
         leaves = [Tensor(columns(a), requires_grad=f) for a, f in zip((q, k, v), flags)]
         out = T.attention(*leaves, mask, heads=n_heads(q))
+        backward = out._backward  # the walk releases it
         (out * columns(w)).sum().backward()
         if kind == "wide-logits":
             np.testing.assert_array_equal(out.data, columns(v[:, :n]))
@@ -863,11 +901,11 @@ def test_attention_matches_the_kept_probability_node(kind):
                 assert np.abs(t.grad - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
             else:
                 assert t.grad is None and t_oracle.grad is None
-        held = sum(a.nbytes for a in held_arrays(out._backward) if a is not out.data)  # r needs the output
+        held = sum(a.nbytes for a in held_arrays(backward) if a is not out.data)  # r needs the output
         assert held < 0.5 * n * m * 8 or n == 0
         needs = [t for t, f in zip(leaves, flags) if f]
         once = [t.grad.copy() for t in needs]
-        (out * columns(w)).sum().backward()
+        (T.attention(*leaves, mask, heads=n_heads(q)) * columns(w)).sum().backward()  # a fresh graph
         for t, g in zip(needs, once):
             np.testing.assert_array_equal(t.grad, 2.0 * g)
 
