@@ -25,9 +25,9 @@ hidden layer from its input; none of these inputs may change between the
 forward and the backward. Attention and its q, k and v projections are
 one node too, which keeps no projection: its backward rebuilds them from
 its inputs. The encoder adds its position encodings inside the q and k
-projections and each residual inside the node that makes the sublayer's
-output, the ``o`` projection or the FFN, so a layer is five nodes and
-holds no q, k, v, ``x + pe`` or sublayer output beside its sum.
+projections, and each sublayer's Add & Norm forms its residual sum inside
+the layer norm, so a layer is five nodes (attention, ``o``, layer norm, FFN,
+layer norm) and holds no q, k, v, ``x + pe`` or residual sum.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def init_linear(params: dict, rng: np.random.Generator, name: str, n_in: int, n_
     params[f"{name}.b"] = Tensor(np.full(n_out, bias, dtype=np.float64), requires_grad=True)
 
 
-def linear(x: Tensor, params: dict, name: str, residual: Tensor | None = None) -> Tensor:
-    return T.linear(x, params[f"{name}.w"], params[f"{name}.b"], residual)
+def linear(x: Tensor, params: dict, name: str) -> Tensor:
+    return T.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def init_layer_norm(params: dict, name: str, dim: int) -> None:
@@ -60,8 +60,8 @@ def init_layer_norm(params: dict, name: str, dim: int) -> None:
     params[f"{name}.b"] = Tensor(np.zeros(dim), requires_grad=True)
 
 
-def apply_layer_norm(x: Tensor, params: dict, name: str) -> Tensor:
-    return T.layer_norm(x, params[f"{name}.g"], params[f"{name}.b"])
+def apply_layer_norm(x: Tensor, params: dict, name: str, residual: Tensor | None = None) -> Tensor:
+    return T.layer_norm(x, params[f"{name}.g"], params[f"{name}.b"], residual)
 
 
 def init_mha(params: dict, rng: np.random.Generator, name: str, d_model: int) -> None:
@@ -70,13 +70,12 @@ def init_mha(params: dict, rng: np.random.Generator, name: str, d_model: int) ->
 
 
 def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, params: dict, name: str,
-                         n_heads: int, *, qk_pe: np.ndarray | None = None, residual: Tensor | None = None) -> Tensor:
+                         n_heads: int, *, qk_pe: np.ndarray | None = None) -> Tensor:
     """Projected multi-head attention of ``(n, d_model)`` queries on ``(m, d_model)``
     keys and values. Head i attends with, and writes, columns ``i*dh:(i+1)*dh``
     of the projections, ``dh = d_model // n_heads`` (``T.attention``'s column
     layout). A constant ``qk_pe`` at the q and k inputs' shape is added to them
-    inside their projections, and a ``residual`` to the output inside the ``o``
-    projection (``T.linear``'s ``residual``), so neither sum is held.
+    inside their projections, so ``x + qk_pe`` is not held.
 
     The q, k and v projections and attention are one node with parents
     ``(q_in, k_in, v_in, q.w, q.b, k.w, k.b, v.w, v.b)``, which keeps what
@@ -132,7 +131,7 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, params: dict,
         return (*dxs, *(t for x, d in zip(xs, grads) for t in (x.T @ d, d)))
 
     node = custom_op(out, ins + tuple(t for pair in wb for t in pair), backward)
-    return linear(node, params, f"{name}.o", residual)
+    return linear(node, params, f"{name}.o")
 
 
 def init_ffn(params: dict, rng: np.random.Generator, name: str, d_model: int, hidden: int) -> None:
@@ -140,27 +139,25 @@ def init_ffn(params: dict, rng: np.random.Generator, name: str, d_model: int, hi
     init_linear(params, rng, f"{name}.2", hidden, d_model)
 
 
-def ffn(x: Tensor, params: dict, name: str, residual: bool = False) -> Tensor:
-    """``.2`` of the ReLU of ``.1``, plus ``x`` itself with ``residual``, as one
-    node with parents ``(x, .1.w, .1.b, .2.w, .2.b)``.
+def ffn(x: Tensor, params: dict, name: str) -> Tensor:
+    """``.2`` of the ReLU of ``.1``, as one node with parents ``(x, .1.w, .1.b,
+    .2.w, .2.b)``.
 
     The forward builds the ReLU hidden layer as a transient, and the backward
     rebuilds it from ``x.data`` with the forward's own ops, so ``x``'s
     ``.data`` must not change in between; the node keeps no ``(n, hidden)``
     array. Values and gradients are bitwise those of ``linear(relu(linear(x)))``
-    nodes, and of an ``add`` of ``x`` with ``residual``. An ``x`` that is not
-    ``(..., n_in)``, weights that are not ``(n_in, hidden)`` and ``(hidden,
-    n_out)`` with ``(hidden,)`` and ``(n_out,)`` biases, or a residual with
-    ``n_out != n_in`` raise ShapeError.
+    nodes. An ``x`` that is not ``(..., n_in)``, or weights that are not
+    ``(n_in, hidden)`` and ``(hidden, n_out)`` with ``(hidden,)`` and
+    ``(n_out,)`` biases, raise ShapeError.
     """
     x = T.as_tensor(x)
     w1, b1, w2, b2 = (params[f"{name}.{k}"] for k in ("1.w", "1.b", "2.w", "2.b"))
     d = x.shape[-1] if x.ndim >= 2 else -1
     hid, d_out = w2.shape if w2.ndim == 2 else (-1, -1)
-    if d < 0 or [w1.shape, b1.shape, w2.shape, b2.shape] != [(d, hid), (hid,), (hid, d_out), (d_out,)] \
-            or (residual and d_out != d):
-        raise ShapeError(f"ffn: needs x (..., n_in), {name}.1 (n_in, hidden) and {name}.2 (hidden, n_out), with "
-                         f"n_out = n_in for a residual; got {x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+    if d < 0 or [w1.shape, b1.shape, w2.shape, b2.shape] != [(d, hid), (hid,), (hid, d_out), (d_out,)]:
+        raise ShapeError(f"ffn: needs x (..., n_in), {name}.1 (n_in, hidden) and {name}.2 (hidden, n_out); "
+                         f"got {x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
 
     def hidden() -> np.ndarray:
         h = x.data @ w1.data
@@ -169,8 +166,6 @@ def ffn(x: Tensor, params: dict, name: str, residual: bool = False) -> Tensor:
 
     y = hidden() @ w2.data
     y += b2.data
-    if residual:
-        y += x.data
 
     def backward(g: np.ndarray) -> tuple:
         h = hidden()
@@ -178,11 +173,7 @@ def ffn(x: Tensor, params: dict, name: str, residual: bool = False) -> Tensor:
         gh = g @ np.swapaxes(w2.data, -1, -2)
         gh *= h > 0  # the ReLU's mask: NaN and -0.0 pre-activations give 0
         del h
-        dx = None
-        if x.requires_grad:
-            dx = gh @ np.swapaxes(w1.data, -1, -2)
-            if residual:
-                dx += g
+        dx = gh @ np.swapaxes(w1.data, -1, -2) if x.requires_grad else None
         return dx, np.swapaxes(x.data, -1, -2) @ gh, gh, dw2, g
 
     return custom_op(y, (x, w1, b1, w2, b2), backward)
@@ -239,17 +230,17 @@ def encode_features(grid: Tensor, n_layers: int, params: dict, pe: np.ndarray, n
     """Self-attention encoder over flattened cells with 2D position bias; layer i uses ``enc{i}.*``.
 
     Zero layers return the grid's values. Position encodings are added to
-    queries and keys only, inside their projections, and each residual
-    inside the node that makes the sublayer's output (``multi_head_attention``'s
-    ``qk_pe`` and ``residual``, ``ffn``'s ``residual``); spatial dims are
-    preserved.
+    queries and keys only, inside their projections (``multi_head_attention``'s
+    ``qk_pe``). Each sublayer is post-norm, ``LN(x + sublayer(x))``, its sum
+    formed inside the layer norm (``apply_layer_norm``'s ``residual``);
+    spatial dims are preserved.
     """
     h, w, d = grid.shape
     x = grid.reshape(h * w, d)
     for i in range(n_layers):
-        x = apply_layer_norm(multi_head_attention(x, x, x, params, f"enc{i}.attn", n_heads, qk_pe=pe, residual=x),
-                             params, f"enc{i}.ln1")
-        x = apply_layer_norm(ffn(x, params, f"enc{i}.ffn", residual=True), params, f"enc{i}.ln2")
+        x = apply_layer_norm(multi_head_attention(x, x, x, params, f"enc{i}.attn", n_heads, qk_pe=pe),
+                             params, f"enc{i}.ln1", residual=x)
+        x = apply_layer_norm(ffn(x, params, f"enc{i}.ffn"), params, f"enc{i}.ln2", residual=x)
     return x.reshape(h, w, d)
 
 

@@ -145,11 +145,12 @@ def load_proposals(path) -> tuple[dict[int, list[Proposal]], list[str]]:
     proposals has no line and so no key: look it up with ``.get(scene_id, [])``.
 
     Grammar, per line after stripping surrounding whitespace (the file is
-    read in text mode, so CRLF endings and a missing final newline are
-    accepted): an empty line or one starting with ``#`` is skipped; any other
-    line is 5 or 6 whitespace-separated fields ``scene_id cx cy w h [score]``,
-    where ``scene_id`` parses with ``int`` and the rest with ``float``. Lines
-    with and without a score may be mixed.
+    read in text mode as ``utf-8-sig``, so CRLF endings, a missing final
+    newline and a leading UTF-8 byte-order mark are accepted): an empty line
+    or one starting with ``#`` is skipped; any other line is 5 or 6
+    whitespace-separated fields ``scene_id cx cy w h [score]``, where
+    ``scene_id`` parses with ``int`` and the rest with ``float``. Lines with
+    and without a score may be mixed.
 
     Rejection policy: a bad line is skipped and reported as ``line N: ...``
     (N counts from 1 over every line, skipped ones included) instead of
@@ -161,7 +162,7 @@ def load_proposals(path) -> tuple[dict[int, list[Proposal]], list[str]]:
     """
     parsed: dict[int, tuple[array, list[float | None]]] = {}  # scene_id -> (flat cx cy w h, scores)
     rejected: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

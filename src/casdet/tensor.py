@@ -22,12 +22,12 @@ in place and return None for it, so no second parameter-sized array is built.
 ``linear`` (for x), ``mul`` and ``div`` return None for an operand that
 needs no gradient, rather than compute one the walk would drop.
 
-Backwards read their parents' ``.data`` rather than keep copies, and
-``attention`` and ``layer_norm`` rebuild what they need from it (recompute
-over store, as in gradient checkpointing, Chen et al., 2016), so a parent's
-``.data`` must not change between the forward and the backward. A
-``linear`` with a ``residual`` adds it into its own output, so a residual sum
-holds no array beside the sublayer's output.
+Backwards read their parents' ``.data`` rather than keep copies, and a node
+rebuilds from it any transient its backward needs (recompute over store, as
+in gradient checkpointing, Chen et al., 2016), as ``attention``,
+``layer_norm`` and every node in ``features`` do; so a parent's ``.data``
+must not change between the forward and the backward. A residual sum is
+formed inside the ``layer_norm`` that reads it, so it is never held.
 
 ``attention`` takes 2-D operands with its heads side by side in the columns,
 as in FlashAttention's ``(tokens, heads, head_dim)``, and keeps no
@@ -296,36 +296,24 @@ def matmul(a, b) -> Tensor:
                                                          np.swapaxes(a.data, -1, -2) @ g))
 
 
-def linear(x, w, b, residual=None) -> Tensor:
+def linear(x, w, b) -> Tensor:
     """``x @ w + b`` as one node with parents ``(x, w, b)``: ``x (..., n_in)``,
     ``w (n_in, n_out)``, ``b (n_out,)``, gradients as in ``matmul`` and ``add``;
-    other shapes raise ShapeError.
-
-    A ``residual`` tensor at the output's shape is added into the output's
-    own buffer, with parents ``(x, w, b, residual)``, so no second output and
-    no ``add`` node is held. Values and gradients are bitwise those of
-    ``add`` and ``linear`` nodes."""
+    other shapes raise ShapeError."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
         raise ShapeError(f"linear needs x (..., n_in), w (n_in, n_out) and b (n_out,); "
                          f"got {x.shape}, {w.shape}, {b.shape}")
     if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
-    parents = (x, w, b)
     y = x.data @ w.data
     y += b.data
-    if residual is not None:
-        residual = as_tensor(residual)
-        if residual.shape != y.shape:
-            raise ShapeError(f"linear: residual must be the output's shape {y.shape}, got {residual.shape}")
-        y += residual.data
-        parents += (residual,)
 
     def backward(g):
         return (g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None,
-                np.swapaxes(x.data, -1, -2) @ g, g, g)[:len(parents)]
+                np.swapaxes(x.data, -1, -2) @ g, g)
 
-    return custom_op(y, parents, backward)
+    return custom_op(y, (x, w, b), backward)
 
 
 def relu(a) -> Tensor:
@@ -427,8 +415,12 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 LN_EPS = 1e-5  # added to the variance in layer_norm
 
 
-def layer_norm(a, gamma, beta) -> Tensor:
-    """Layer normalization over the last axis with affine parameters.
+def layer_norm(a, gamma, beta, residual=None) -> Tensor:
+    """Layer normalization over the last axis with affine parameters, of
+    ``a`` or of ``a + residual`` (Add & Norm), parents ``(a, gamma, beta[,
+    residual])``. The sum is a transient of each pass, and ``a`` and
+    ``residual`` get one gradient array: values and gradients are bitwise
+    those of ``layer_norm(add(a, residual), gamma, beta)``.
 
     Each row statistic is a matmul with a ``(d, 1)`` column of ``1/d``: the
     row mean of the input, then the mean square of the centred rows (two
@@ -437,33 +429,46 @@ def layer_norm(a, gamma, beta) -> Tensor:
     * xn``. The node keeps two columns, the row mean and ``1/s``, ``s`` being
     each row's standard deviation with ``LN_EPS`` added to the variance; the
     backward rebuilds the normalized input ``xn`` from them with the
-    forward's own two ops, so the input's ``.data`` must not change between
+    forward's own ops, so the operands' ``.data`` must not change between
     the forward and the backward. The backward holds the rebuilt ``xn``,
     ``g * gamma`` and the input gradient at once. An input whose last axis is
-    empty, or a gamma or beta that is not ``(d,)``, raises ShapeError.
+    empty, a gamma or beta that is not ``(d,)``, or a residual that is not
+    exactly ``a``'s shape (it does not broadcast) raise ShapeError.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     d = a.shape[-1] if a.ndim else 0
     if d == 0 or gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm needs a (..., d) input with d >= 1 and (d,) gamma and beta; "
                          f"got {a.shape}, {gamma.shape}, {beta.shape}")
+    parents = (a, gamma, beta)
+    if residual is not None:
+        residual = as_tensor(residual)
+        if residual.shape != a.shape:
+            raise ShapeError(f"layer_norm: residual must be the input's shape {a.shape}, got {residual.shape}")
+        parents += (residual,)
     mean_col = np.full((d, 1), 1.0 / d)
-    mean = a.data @ mean_col
-    xn = a.data - mean
+
+    def centred(mean: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``a`` (or ``a + residual``, centred in place) minus its row mean, and the mean, taken if not given."""
+        x = a.data if residual is None else a.data + residual.data
+        mean = x @ mean_col if mean is None else mean
+        return (x - mean if residual is None else np.subtract(x, mean, out=x)), mean
+
+    xn, mean = centred()
     inv_s = 1.0 / np.sqrt((xn * xn) @ mean_col + LN_EPS)
     xn *= inv_s
     y = xn * gamma.data + beta.data
 
     def backward(g):
-        xn = a.data - mean  # the forward's own two ops, so bitwise its xn
+        xn = centred(mean)[0]  # the forward's own ops, so bitwise its xn
         xn *= inv_s
         gxn = g * gamma.data
         dx = gxn - gxn @ mean_col
         dx -= xn * ((gxn * xn) @ mean_col)
         dx *= inv_s
-        return dx, g * xn, g
+        return (dx, g * xn, g, dx)[:len(parents)]
 
-    return custom_op(y, (a, gamma, beta), backward)
+    return custom_op(y, parents, backward)
 
 
 _ATTN_BLOCK = 32768  # float64 logits per block of query rows in attention (256 KiB, within a core's L2)

@@ -73,6 +73,18 @@ def test_fixture_command_on_a_file_of_scenes_with_no_proposals(tmp_path):
     assert proc.stdout.splitlines() == ["scenes: 0", "proposals: 0"]
 
 
+def test_fixture_command_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark is valid UTF-8, not part of the first line;
+    it used to make a header line 7 fields and a first record's scene id
+    ``'\\ufeff0'``, each rejected with exit code 1."""
+    for first in ("# scene_id cx cy w h [score]\n", ""):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(("\ufeff" + first + "0 0.5 0.5 0.2 0.2 0.9\n3 0.25 0.75 0.1 0.3\n").encode("utf-8"))
+        proc = run_cli("fixture", str(path))
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stdout.splitlines() == ["scenes: 2", "proposals: 2"]
+
+
 def test_fixture_command_lists_rejections_and_exits_1(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 0.5 0.5 0.2 0.2\nnot a record\n1 0.4 0.4 -0.1 0.2\n")

@@ -7,6 +7,7 @@ import pytest
 from casdet import tensor as T
 from casdet.encode import grid_pe
 from casdet.features import (
+    apply_layer_norm,
     dense_fusion,
     encode_features,
     init_layer_norm,
@@ -157,13 +158,47 @@ def test_encoder_preserves_shape_and_changes_values():
 
 
 def test_encoder_grad_flows():
+    """The grid's gradient and a parameter's of each of a layer's five nodes
+    pass ``grad_check``."""
     rng = np.random.default_rng(6)
     d = 8
     params = make_encoder_params(rng, d, layers=1)
     grid = Tensor(rng.normal(size=(2, 3, d)), requires_grad=True)
     pe = grid_pe(2, 3, d)
-    err = T.grad_check(lambda: (encode_features(grid, 1, params, pe, n_heads=2) ** 2).sum(), grid)
+    wrt = [grid] + [params[f"enc0.{k}"] for k in ("attn.q.w", "attn.o.b", "ln1.g", "ffn.1.b", "ffn.2.w", "ln2.b")]
+    err = T.grad_check(lambda: (encode_features(grid, 1, params, pe, n_heads=2) ** 2).sum(), wrt)
     assert err < 1e-5
+
+
+def test_encoder_is_bitwise_the_explicit_add_and_norm_form():
+    """Two layers give the value and the gradients of the grid and of every
+    parameter of ``LN(x + sublayer(x))`` written with ``add`` nodes, byte
+    for byte: the layer norm forms each residual sum itself."""
+    rng = np.random.default_rng(41)
+    d = 8
+    params = make_encoder_params(rng, d, layers=2)
+    grid = Tensor(rng.normal(size=(3, 4, d)), requires_grad=True)
+    pe = grid_pe(3, 4, d)
+    proj = rng.normal(size=(3, 4, d))
+
+    def explicit(grid, n_layers, params, pe, n_heads):
+        x = grid.reshape(12, d)
+        for i in range(n_layers):
+            x = apply_layer_norm(T.add(x, multi_head_attention(x, x, x, params, f"enc{i}.attn", n_heads, qk_pe=pe)),
+                                 params, f"enc{i}.ln1")
+            x = apply_layer_norm(T.add(x, ffn(x, params, f"enc{i}.ffn")), params, f"enc{i}.ln2")
+        return x.reshape(3, 4, d)
+
+    leaves = [grid] + list(params.values())
+    results = []
+    for f in (encode_features, explicit):
+        for t in leaves:
+            t.grad = None
+        out = f(grid, 2, params, pe, 2)
+        (out * proj).sum().backward()
+        results.append([out.data] + [t.grad for t in leaves])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def swap(a: Tensor, ax0: int, ax1: int) -> Tensor:
@@ -288,7 +323,7 @@ def test_mha_node_keeps_no_projection(n, m):
     try:
         start = tracemalloc.get_traced_memory()[0]
         if n == m:
-            out = multi_head_attention(x, x, x, params, "attn", 4, qk_pe=pe, residual=x)
+            out = multi_head_attention(x, x, x, params, "attn", 4, qk_pe=pe)
         else:
             out = multi_head_attention(x, mem, mem, params, "attn", 4)
         held = tracemalloc.get_traced_memory()[0] - start
@@ -336,7 +371,7 @@ def test_mha_checks_its_inputs(case, error, message):
 def ffn_operands(x_needs_grad: bool) -> tuple[Tensor, dict]:
     """``x`` and FFN parameters whose hidden pre-activations include exact
     zeros, -0.0 (a product that underflows, plus a -0.0 bias) and NaN (a NaN
-    bias); ``.2`` maps back to ``x``'s width, so a residual fits."""
+    bias)."""
     rng = np.random.default_rng(27)
     x, w1 = rng.normal(size=(6, 4)), rng.normal(size=(4, 5))
     x[0], x[1], w1[:, 0] = 0.0, -1e-200, 1e-200
@@ -345,34 +380,31 @@ def ffn_operands(x_needs_grad: bool) -> tuple[Tensor, dict]:
     return Tensor(x, requires_grad=x_needs_grad), {k: Tensor(v, requires_grad=True) for k, v in params.items()}
 
 
-@pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
 @pytest.mark.parametrize("x_needs_grad", [True, False], ids=["x-grad", "x-const"])
-def test_ffn_is_one_node_bitwise_equal_to_linear_relu_linear(x_needs_grad, residual):
+def test_ffn_is_one_node_bitwise_equal_to_linear_relu_linear(x_needs_grad):
     """One node with parents ``(x, .1.w, .1.b, .2.w, .2.b)``, whose value and
-    five gradients are byte for byte those of ``linear(relu(linear(x)))``
-    (plus ``x`` through an ``add``, with the residual) at exact zeros, -0.0
-    and NaN pre-activations: the backward rebuilds the hidden layer with the
-    forward's own ops and masks with it."""
+    five gradients are byte for byte those of ``linear(relu(linear(x)))`` at
+    exact zeros, -0.0 and NaN pre-activations: the backward rebuilds the
+    hidden layer with the forward's own ops and masks with it."""
     x, params = ffn_operands(x_needs_grad)
     pre = T.linear(x, params["ffn.1.w"], params["ffn.1.b"]).data
     assert (pre == 0).any() and (np.signbit(pre) & (pre == 0)).any() and np.isnan(pre).any()
     leaves = [x] + list(params.values())
 
-    def composed(x, params, name, residual):
-        out = linear(T.relu(linear(x, params, f"{name}.1")), params, f"{name}.2")
-        return T.add(x, out) if residual else out
+    def composed(x, params, name):
+        return linear(T.relu(linear(x, params, f"{name}.1")), params, f"{name}.2")
 
     proj = np.random.default_rng(28).normal(size=x.shape)
     results = []
     for f in (ffn, composed):
         for t in leaves:
             t.grad = None
-        out = f(x, params, "ffn", residual)
+        out = f(x, params, "ffn")
         (out * proj).sum().backward()
         results.append([out.data] + [t.grad for t in leaves])
     for got, want in zip(*results):
         assert (got is None and want is None) or (got.shape == want.shape and got.tobytes() == want.tobytes())
-    assert ffn(x, params, "ffn", residual)._parents == tuple(leaves)
+    assert ffn(x, params, "ffn")._parents == tuple(leaves)
 
 
 def test_ffn_grad_check():
@@ -381,9 +413,7 @@ def test_ffn_grad_check():
     init_ffn(params, rng, "ffn", 4, 6)
     x = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
     proj = rng.normal(size=(2, 5, 4))
-    for residual in (False, True):
-        err = T.grad_check(lambda: (ffn(x, params, "ffn", residual) * proj).sum(), [x] + list(params.values()))
-        assert err < 1e-6
+    assert T.grad_check(lambda: (ffn(x, params, "ffn") * proj).sum(), [x] + list(params.values())) < 1e-6
 
 
 def test_ffn_node_keeps_no_hidden_layer():
@@ -397,7 +427,7 @@ def test_ffn_node_keeps_no_hidden_layer():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = ffn(x, params, "ffn", residual=True)
+        out = ffn(x, params, "ffn")
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
@@ -406,25 +436,22 @@ def test_ffn_node_keeps_no_hidden_layer():
     assert x.grad.shape == x.shape and params["ffn.1.w"].grad.any()
 
 
-@pytest.mark.parametrize("x_shape, w2_shape, residual", [((3,), (6, 4), False), ((3, 5), (6, 4), False),
-                                                          ((3, 4), (5, 4), False), ((3, 4), (6, 3), True)],
-                         ids=["1-d", "width", "chain", "residual-width"])
-def test_ffn_rejects_shapes_that_do_not_chain(x_shape, w2_shape, residual):
-    """A 1-D input, an input width other than ``.1``'s rows, a ``.2`` whose
-    rows are not ``.1``'s columns, and a residual when ``.2`` changes the
-    width each raise ShapeError naming ``ffn``."""
+@pytest.mark.parametrize("x_shape, w2_shape", [((3,), (6, 4)), ((3, 5), (6, 4)), ((3, 4), (5, 4))],
+                         ids=["1-d", "width", "chain"])
+def test_ffn_rejects_shapes_that_do_not_chain(x_shape, w2_shape):
+    """A 1-D input, an input width other than ``.1``'s rows and a ``.2`` whose
+    rows are not ``.1``'s columns each raise ShapeError naming ``ffn``."""
     params = {"ffn.1.w": Tensor(np.ones((4, 6))), "ffn.1.b": Tensor(np.ones(6)),
               "ffn.2.w": Tensor(np.ones(w2_shape)), "ffn.2.b": Tensor(np.ones(w2_shape[1]))}
     with pytest.raises(ShapeError, match="ffn: needs x"):
-        ffn(Tensor(np.ones(x_shape)), params, "ffn", residual)
+        ffn(Tensor(np.ones(x_shape)), params, "ffn")
 
 
-def test_mha_adds_qk_pe_and_residual_inside_its_projections():
-    """Self-attention with ``qk_pe`` and ``residual`` gives the value of ``x
-    + mha(x + pe, x + pe, x)`` byte for byte, as one fewer ``add`` per
-    operand: the q and k projections read ``x`` itself and the ``o``
-    projection takes ``x`` as its residual. Gradients differ only in the
-    order ``x``'s four contributions are summed."""
+def test_mha_adds_qk_pe_inside_its_projections():
+    """Self-attention with ``qk_pe`` gives the value of ``mha(x + pe, x + pe,
+    x)`` byte for byte, with no ``add`` node: the q and k projections read
+    ``x`` itself. Gradients differ only in the order ``x``'s three
+    contributions are summed."""
     rng = np.random.default_rng(36)
     d = 8
     params = {}
@@ -434,30 +461,31 @@ def test_mha_adds_qk_pe_and_residual_inside_its_projections():
     proj = rng.normal(size=(7, d))
     leaves = [x] + list(params.values())
     runs = []
-    for f in (lambda: multi_head_attention(x, x, x, params, "attn", 2, qk_pe=pe, residual=x),
-              lambda: x + multi_head_attention(x + Tensor(pe), x + Tensor(pe), x, params, "attn", 2)):
+    for f in (lambda: multi_head_attention(x, x, x, params, "attn", 2, qk_pe=pe),
+              lambda: multi_head_attention(x + Tensor(pe), x + Tensor(pe), x, params, "attn", 2)):
         for t in leaves:
             t.grad = None
         out = f()
-        parents = out._parents, out._parents[0]._parents  # the walk releases them
+        mha_parents = out._parents[0]._parents  # the walk releases them
         (out * proj).sum().backward()
-        runs.append((out, parents, [t.grad for t in leaves]))
-    (out, (o_parents, mha_parents), got), (ref, _, want) = runs
+        runs.append((out, mha_parents, [t.grad for t in leaves]))
+    (out, mha_parents, got), (ref, _, want) = runs
     assert out.data.tobytes() == ref.data.tobytes()
     for a, e in zip(got, want):
         np.testing.assert_allclose(a, e, rtol=0, atol=1e-12 * np.abs(e).max())
-    assert o_parents[3] is x and all(p is x for p in mha_parents[:3])
-    err = T.grad_check(lambda: (multi_head_attention(x, x, x, params, "attn", 2, qk_pe=pe, residual=x)
-                                * proj).sum(), [x, params["attn.q.w"], params["attn.k.b"]])
+    assert all(p is x for p in mha_parents[:3])
+    err = T.grad_check(lambda: (multi_head_attention(x, x, x, params, "attn", 2, qk_pe=pe) * proj).sum(),
+                       [x, params["attn.q.w"], params["attn.k.b"]])
     assert err < 1e-6
 
 
 def test_an_encoder_layer_is_five_nodes():
-    """Attention with its q, k and v projections, the ``o`` projection with
-    its residual, the first layer norm, the FFN with its residual and the
-    second layer norm, between the grid's two reshapes: a layer adds no
-    projection, ``x + pe``, residual ``add`` or hidden-layer node of its own
-    (it was 8 nodes with the projections apart, and 12 before that)."""
+    """Attention with its q, k and v projections, the ``o`` projection, the
+    first layer norm, the FFN and the second layer norm, between the grid's
+    two reshapes: a layer adds no projection, ``x + pe``, residual ``add``
+    or hidden-layer node of its own (it was 8 nodes with the projections
+    apart, and 12 before that). Each layer norm's fourth parent, its
+    residual, is its sublayer's input."""
     rng = np.random.default_rng(37)
     d = 8
     params = make_encoder_params(rng, d, layers=1)
@@ -470,6 +498,11 @@ def test_an_encoder_layer_is_five_nodes():
             seen.add(id(node))
             stack += node._parents
     assert len(seen) == 2 + 5
+    ln2 = out._parents[0]
+    ln1, ffn_node = ln2._parents[3], ln2._parents[0]
+    attn_node = ln1._parents[0]._parents[0]  # the o projection's input
+    assert ln1._parents[3] is attn_node._parents[0] and ln1._parents[3]._parents == (grid,)
+    assert ffn_node._parents[0] is ln1
 
 
 def test_fusion_output_channels_and_shape_error():

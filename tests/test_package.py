@@ -239,14 +239,14 @@ def test_a_full_size_train_hires_step_peaks_under_19_mb(tmp_path):
 
 def test_a_full_size_train_hires_step_peaks_under_15_mb(tmp_path):
     """The encoder and every FFN keep only what their backward cannot
-    rebuild: no ``x + pe`` (the q and k projections rebuild it), no ``o``
-    projection output and no ``ffn.2`` output beside their residual sums
-    (each sum is made in its node's own buffer), no ReLU hidden layer (the
-    FFN node rebuilds it from its input), and uint16 RoI index tables, not
-    int32; the fusion's backward returns two grid gradients, so the
-    backbone's does not keep the encoder's alive through the encoder's
-    backward. At seed 0 a train-hires step peaks at 14.1 MB, against 17.7
-    MB with those arrays."""
+    rebuild: no ``x + pe`` (the q and k projections rebuild it), no
+    residual sum beside the ``o`` projection's and ``ffn.2``'s outputs
+    (each sum is formed inside the layer norm that reads it), no ReLU
+    hidden layer (the FFN node rebuilds it from its input), and uint16 RoI
+    index tables, not int32; the fusion's backward returns two grid
+    gradients, so the backbone's does not keep the encoder's alive through
+    the encoder's backward. At seed 0 a train-hires step peaks at 14.1 MB,
+    against 17.7 MB with those arrays."""
     assert full_size_step_peak("train-hires", tmp_path)[0] < 15e6
 
 

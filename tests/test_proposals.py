@@ -357,6 +357,8 @@ MALFORMED = {
                                      "line 4: invalid box [0.5, 0.5, 0.2, -1e-300]"]),
     "mixed scores": ("0 0.5 0.5 0.2 0.2 0.9\n0 0.4 0.4 0.1 0.1\n1 0.3 0.3 0.1 0.1 0.25\n",
                      {0: [(A[0], 0.9), B], 1: [([0.3, 0.3, 0.1, 0.1], 0.25)]}, []),
+    "byte-order mark before a header": ("\ufeff# scene_id cx cy w h [score]\n0 0.5 0.5 0.2 0.2\n", {0: [A]}, []),
+    "byte-order mark before a record": ("\ufeff0 0.5 0.5 0.2 0.2\n1 0.4 0.4 0.1 0.1\n", {0: [A], 1: [B]}, []),
     "repeated scene ids": ("3 0.5 0.5 0.2 0.2\n1 0.4 0.4 0.1 0.1\n3 0.3 0.3 0.1 0.1\n1 0.2 0.2 0.1 0.1 0.5\n",
                            {3: [A, ([0.3, 0.3, 0.1, 0.1], None)], 1: [B, ([0.2, 0.2, 0.1, 0.1], 0.5)]}, []),
 }

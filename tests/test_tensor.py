@@ -129,47 +129,6 @@ def test_linear_takes_a_matrix_weight_and_a_vector_bias(w_shape, b_shape):
         T.linear(x, Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
 
 
-@pytest.mark.parametrize("stack", [(), (2,)], ids=["2d", "stacked"])
-@pytest.mark.parametrize("x_needs_grad", [True, False], ids=["x-grad", "x-const"])
-def test_linear_residual_is_bitwise_add_and_linear(stack, x_needs_grad):
-    """``linear(x, w, b, r)`` is one node with parents ``(x, w, b, r)`` whose
-    value and gradients are byte for byte those of ``add(linear(x, w, b),
-    r)``: the residual is added into the output's own buffer."""
-    rng = np.random.default_rng(30)
-    x = Tensor(rng.normal(size=stack + (5, 4)), requires_grad=x_needs_grad)
-    w, b, r = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((4, 3), (3,), stack + (5, 3)))
-    proj = rng.normal(size=stack + (5, 3))
-    results = []
-    for f in (lambda: T.linear(x, w, b, r), lambda: T.add(T.linear(x, w, b), r)):
-        for t in (x, w, b, r):
-            t.grad = None
-        out = f()
-        (out * proj).sum().backward()
-        results.append([out.data] + [t.grad for t in (x, w, b, r)])
-    for got, want in zip(*results):
-        assert (got is None and want is None) or (got.shape == want.shape and got.tobytes() == want.tobytes())
-    assert T.linear(x, w, b, r)._parents == (x, w, b, r)
-    assert T.linear(x, w, b)._parents == (x, w, b)
-
-
-def test_linear_residual_grad_check():
-    rng = np.random.default_rng(31)
-    x, w, b, r = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 5, 4), (4, 3), (3,), (2, 5, 3)))
-    proj = rng.normal(size=(2, 5, 3))
-    assert T.grad_check(lambda: (T.linear(x, w, b, r) ** 2 * proj).sum(), [x, w, b, r]) < 1e-6
-
-
-@pytest.mark.parametrize("r_shape, message", [
-    ((5, 4), "linear: residual must be the output's shape (5, 3), got (5, 4)"),
-    ((3,), "linear: residual must be the output's shape (5, 3), got (3,)"),
-], ids=["x-shape", "row"])
-def test_linear_takes_a_residual_at_exactly_the_output_shape(r_shape, message):
-    """The residual does not broadcast: it is added into the output in place."""
-    x, w, b = Tensor(np.ones((5, 4))), Tensor(np.ones((4, 3))), Tensor(np.ones(3))
-    with pytest.raises(ShapeError, match=re.escape(message)):
-        T.linear(x, w, b, Tensor(np.ones(r_shape)))
-
-
 def test_softmax_uniform_and_shift_invariance():
     y = softmax(Tensor([3.0, 3.0, 3.0, 3.0])).data
     np.testing.assert_allclose(y, 0.25)
@@ -1082,19 +1041,21 @@ def layer_norm_results(op, x, gamma, beta, w) -> list:
 def test_layer_norm_keeps_two_columns_and_matches_the_kept_xn_node():
     """At (576, 64) the node holds under a tenth of its output's bytes beside
     the output: the row mean and ``1/s``, not the normalized input (301.5 KB
-    beside a 295 KB output when it kept it). On every input of the textbook
-    test, its values and its gradients of x, gamma and beta are byte-equal
-    to the node that kept the normalized input."""
+    beside a 295 KB output when it kept it), and with a residual no sum
+    either. On every input of the textbook test, its values and its
+    gradients of x, gamma and beta are byte-equal to the node that kept the
+    normalized input."""
     rng = np.random.default_rng(27)
     x, gamma, beta = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((576, 64), (64,), (64,)))
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        out = T.layer_norm(x, gamma, beta)
-        held = tracemalloc.get_traced_memory()[0] - start - out.data.nbytes
-    finally:
-        tracemalloc.stop()
-    assert held < 0.1 * out.data.nbytes
+    for residual in (None, Tensor(rng.normal(size=(576, 64)), requires_grad=True)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = T.layer_norm(x, gamma, beta, residual)
+            held = tracemalloc.get_traced_memory()[0] - start - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * out.data.nbytes
     for kind in ("offset", "constant-row", "d6", "3d", "no-rows"):
         x = layer_norm_case(kind, np.random.default_rng(23))
         d = x.shape[-1]
@@ -1113,6 +1074,49 @@ def test_layer_norm_takes_affine_parameters_over_a_nonempty_last_axis(x_shape, g
     empty last axis raised ZeroDivisionError."""
     with pytest.raises(ShapeError, match=re.escape(f"got {x_shape}, {gamma_shape}, {beta_shape}")):
         T.layer_norm(Tensor(np.ones(x_shape)), Tensor(np.ones(gamma_shape)), Tensor(np.ones(beta_shape)))
+
+
+@pytest.mark.parametrize("stack", [(), (2,)], ids=["2d", "stacked"])
+@pytest.mark.parametrize("x_needs_grad", [True, False], ids=["x-grad", "x-const"])
+def test_layer_norm_residual_is_bitwise_add_and_layer_norm(stack, x_needs_grad):
+    """``layer_norm(a, gamma, beta, r)`` is one node with parents ``(a, gamma,
+    beta, r)`` whose value and gradients are byte for byte those of
+    ``layer_norm(add(a, r), gamma, beta)``: the sum is formed in the forward
+    and again in the backward, and ``a`` and ``r`` get the same gradient."""
+    rng = np.random.default_rng(30)
+    a = Tensor(rng.normal(size=stack + (5, 4)), requires_grad=x_needs_grad)
+    gamma, beta, r = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((4,), (4,), stack + (5, 4)))
+    proj = rng.normal(size=stack + (5, 4))
+    results = []
+    for f in (lambda: T.layer_norm(a, gamma, beta, r), lambda: T.layer_norm(T.add(a, r), gamma, beta)):
+        for t in (a, gamma, beta, r):
+            t.grad = None
+        out = f()
+        (out * proj).sum().backward()
+        results.append([out.data] + [t.grad for t in (a, gamma, beta, r)])
+    for got, want in zip(*results):
+        assert (got is None and want is None) or (got.shape == want.shape and got.tobytes() == want.tobytes())
+    assert T.layer_norm(a, gamma, beta, r)._parents == (a, gamma, beta, r)
+    assert T.layer_norm(a, gamma, beta)._parents == (a, gamma, beta)
+
+
+def test_layer_norm_residual_grad_check():
+    rng = np.random.default_rng(31)
+    a, gamma, beta, r = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 5, 4), (4,), (4,), (2, 5, 4)))
+    proj = rng.normal(size=(2, 5, 4))
+    assert T.grad_check(lambda: (T.layer_norm(a, gamma, beta, r) ** 2 * proj).sum(), [a, gamma, beta, r]) < 1e-6
+
+
+@pytest.mark.parametrize("r_shape, message", [
+    ((5, 3), "layer_norm: residual must be the input's shape (5, 4), got (5, 3)"),
+    ((4,), "layer_norm: residual must be the input's shape (5, 4), got (4,)"),
+], ids=["width", "row"])
+def test_layer_norm_takes_a_residual_at_exactly_the_input_shape(r_shape, message):
+    """The residual does not broadcast, and a sublayer that changes the
+    width has no residual to add."""
+    a, gamma, beta = Tensor(np.ones((5, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4))
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        T.layer_norm(a, gamma, beta, Tensor(np.ones(r_shape)))
 
 
 def test_forward_deterministic_and_finite_on_bounded_inputs():
