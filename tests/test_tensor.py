@@ -1107,14 +1107,16 @@ def test_layer_norm_residual_grad_check():
     assert T.grad_check(lambda: (T.layer_norm(a, gamma, beta, r) ** 2 * proj).sum(), [a, gamma, beta, r]) < 1e-6
 
 
-@pytest.mark.parametrize("r_shape, message", [
-    ((5, 3), "layer_norm: residual must be the input's shape (5, 4), got (5, 3)"),
-    ((4,), "layer_norm: residual must be the input's shape (5, 4), got (4,)"),
-], ids=["width", "row"])
-def test_layer_norm_takes_a_residual_at_exactly_the_input_shape(r_shape, message):
+@pytest.mark.parametrize("a_shape, r_shape, message", [
+    ((5, 4), (5, 3), "layer_norm: residual must be the input's shape (5, 4), got (5, 3)"),
+    ((5, 4), (4,), "layer_norm: residual must be the input's shape (5, 4), got (4,)"),
+    ((5, 3), (5, 4), "layer_norm: residual must be the input's shape (5, 3), got (5, 4)"),
+], ids=["width", "row", "sublayer-width"])
+def test_layer_norm_takes_a_residual_at_exactly_the_input_shape(a_shape, r_shape, message):
     """The residual does not broadcast, and a sublayer that changes the
-    width has no residual to add."""
-    a, gamma, beta = Tensor(np.ones((5, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4))
+    width (narrowing ``x`` to its output here) has no residual to add."""
+    d = a_shape[-1]
+    a, gamma, beta = Tensor(np.ones(a_shape)), Tensor(np.ones(d)), Tensor(np.zeros(d))
     with pytest.raises(ShapeError, match=re.escape(message)):
         T.layer_norm(a, gamma, beta, Tensor(np.ones(r_shape)))
 
