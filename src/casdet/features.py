@@ -13,9 +13,9 @@ up to 2**16 values, as on the 24x24x64 train-hires grid). RoI pooling and
 the neck's first projection ``neck.1`` are one node: each bin's gathered
 rows are multiplied by that bin's block of the weight and summed into the
 output, so no region and no region gradient is ever built. The node keeps
-the index tables and each bin's table row, not the values; its backward
-reads the bin maxima back from the grid at their first-maximum cells, so
-the grid's ``.data`` must not change between the forward and the backward.
+each bin's table row and no table; its backward rebuilds the tables from
+the grid and gathers the bins from them as the forward does, so the grid's
+``.data`` must not change between the forward and the backward.
 
 The patch embedding, the fusion and an FFN are one node each, holding only
 what its backward reads. The patch embedding keeps the image and rebuilds
@@ -78,13 +78,14 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, params: dict,
     inside their projections, so ``x + qk_pe`` is not held.
 
     The q, k and v projections and attention are one node with parents
-    ``(q_in, k_in, v_in, q.w, q.b, k.w, k.b, v.w, v.b)``, which keeps what
-    ``T.attention`` keeps and no q, k or v: each is ``(x [+ qk_pe]) @ w``
+    ``(q_in, k_in, v_in, q.w, q.b, k.w, k.b, v.w, v.b)``. It calls
+    ``T.attention_forward`` and keeps the kernel's backward, which holds what
+    ``T.attention`` holds, and no q, k or v: each is ``(x [+ qk_pe]) @ w``
     then ``+= b``, as in ``T.linear``, dropped after the forward and rebuilt
-    bitwise by the backward, so the inputs' ``.data`` must not change in
-    between. q and k share one ``x + qk_pe`` when they read one input, and
-    an input read twice or three times gets one gradient array, summed in
-    place. Values and gradients are bitwise those of ``linear`` and
+    bitwise for the kernel's backward, so the inputs' ``.data`` must not
+    change in between. q and k share one ``x + qk_pe`` when they read one
+    input, and an input read twice or three times gets one gradient array,
+    summed in place. Values and gradients are bitwise those of ``linear`` and
     ``T.attention`` nodes, up to the order in which an input's gradients are
     summed. Inputs that are not 2-D at their projection's width or a
     ``qk_pe`` of another shape raise ShapeError naming
@@ -113,14 +114,11 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, params: dict,
             y += b.data
         return xs, ys
 
-    qkv = projections()[1]
-    T.check_attention(*qkv, n_heads)
-    out, row_max, row_sum = T.attention_forward(*qkv, None, n_heads)
-    del qkv
+    out, attention_backward = T.attention_forward(*projections()[1], None, n_heads)
 
     def backward(g: np.ndarray) -> tuple:
         xs, qkv = projections()
-        grads = T.attention_backward(g, *qkv, None, n_heads, out, row_max, row_sum)
+        grads = attention_backward(g, *qkv)
         del qkv
         dxs = [None] * 3
         for x, (w, _), d in zip(ins, wb, grads):
@@ -351,13 +349,14 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, w, b, out_hw: tuple[int, int
     indexed by the bin's first cell and its own extent, and adds the rows
     times that bin's ``(C, n_out)`` block of ``w`` into the output (as Fast
     R-CNN's RoI head feeds its pooled features to one fc layer). No region is
-    ever built; the value tables are dropped after the forward, and the node
-    keeps the index tables and each bin's ``(n, H_roi, W_roi)`` table row.
+    ever built; the tables are dropped after the forward, and the node keeps
+    each bin's ``(n, H_roi, W_roi)`` table row.
 
-    The backward reads each bin's values back from the grid at their
-    first-maximum cells, which hold them exactly, so the grid's ``.data``
-    must not change between the forward and the backward. Each bin adds its
-    ``maxima^T @ g`` into its row block of ``T.leaf_grad(w)`` and the node
+    The backward rebuilds the tables with ``_window_max`` from the grid's
+    ``.data``, which must not change between the forward and the backward,
+    and gathers each bin's values from them as the forward does. Each bin
+    adds its ``maxima^T @ g`` into its row block of ``T.leaf_grad(w)``, and
+    the value tables are dropped before the grid's gradient; the node
     returns None for ``w``, so the matching and DN branches, which share
     ``neck.1.w``, build no second ``w``-sized array; a ``w`` that needs a
     gradient must be a leaf. The grid's gradient, ``_ROI_CHUNK`` boxes at a
@@ -396,21 +395,26 @@ def roi_pool_batch(grid: Tensor, boxes: np.ndarray, w, b, out_hw: tuple[int, int
     n_kr, n_kc = int(kr.max(initial=1)), int(kc.max(initial=1))
     table = ((kr - 1) * n_kc)[:, :, None] + (kc - 1)[:, None, :]
     at = table * (gh * gw) + (r0 * gw)[:, :, None] + q0[:, None, :]  # (n, hb, wb) rows of the stacked tables
-    val, first = _window_max(cells, n_kr, n_kc)
-    val, first = val.reshape(-1, c), first.reshape(-1, c)
     n, n_out = len(at), w.shape[1]
     per_bin = at.reshape(n, hb * wb).T  # (bins, n): bin k's table row for each box
+
+    def tables() -> tuple[np.ndarray, np.ndarray]:
+        """The window-max values and first-maximum indices of the grid, one row per table cell."""
+        val, first = _window_max(grid.data, n_kr, n_kc)
+        return val.reshape(-1, c), first.reshape(-1, c)
+
+    val = tables()[0]
     out = np.zeros((n, n_out))
     for rows, w_k in zip(per_bin, w.data.reshape(hb * wb, c, n_out)):
         out += np.take(val, rows, axis=0) @ w_k
     out += b.data
 
     def backward(g: np.ndarray) -> tuple[np.ndarray | None, None, np.ndarray]:
+        val, first = tables()
         if w.requires_grad:
-            flat = grid.data.reshape(-1)
             for rows, blk in zip(per_bin, T.leaf_grad(w).reshape(hb * wb, c, n_out)):
-                maxima = np.take(flat, np.take(first, rows, axis=0))  # each sits at its first-maximum cell
-                blk += maxima.T @ g
+                blk += np.take(val, rows, axis=0).T @ g
+        del val
         dgrid = None
         if grid.requires_grad:
             dgrid = np.zeros(grid.shape)

@@ -19,8 +19,10 @@ first gradient and sums later ones out of place, since its ``.grad`` may be
 another node's array; the walk releases it once its backward has run. A
 backward may instead add a leaf parent's gradient into ``leaf_grad(parent)``
 in place and return None for it, so no second parameter-sized array is built.
-``linear`` (for x), ``mul`` and ``div`` return None for an operand that
-needs no gradient, rather than compute one the walk would drop.
+These return None for an operand that needs no gradient, rather than
+compute one the walk would drop: ``linear`` and ``features.ffn`` for x,
+``mul`` and ``div`` for either operand, ``features.multi_head_attention``
+for each input and ``features.roi_pool_batch`` for the grid.
 
 Backwards read their parents' ``.data`` rather than keep copies, and a node
 rebuilds from it any transient its backward needs (recompute over store, as
@@ -34,9 +36,11 @@ as in FlashAttention's ``(tokens, heads, head_dim)``, and keeps no
 probabilities: it walks each head in blocks of query rows small enough to
 stay in a core's L2 cache, works in contiguous per-head buffers, and its
 backward recomputes each block from the operands' unchanged ``.data``. Its
-kernel is two functions on arrays, ``attention_forward`` and
-``attention_backward``, which ``features.multi_head_attention`` also calls,
-from one node that rebuilds its q, k and v projections in its backward.
+kernel is one call on arrays, ``attention_forward(q, k, v, mask, heads)``:
+it checks the operands and the mask, runs the forward and returns the
+output with a ``backward(g, q, k, v)`` that alone holds the row max, row
+sum and inverted mask. ``features.multi_head_attention`` calls it too, from
+one node that rebuilds its q, k and v projections in its backward.
 
 ``attention`` and ``layer_norm`` take their row statistics from the matmuls
 beside them, not from separate passes over a block: attention's row sums
@@ -474,24 +478,6 @@ def layer_norm(a, gamma, beta, residual=None) -> Tensor:
 _ATTN_BLOCK = 32768  # float64 logits per block of query rows in attention (256 KiB, within a core's L2)
 
 
-def check_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> None:
-    """Raise unless ``q (n, heads*d)``, ``k (m, heads*d)`` and ``v (m,
-    heads*dv)`` are arrays ``attention_forward`` takes, as ``attention``
-    states: ShapeError, ValueError, FloatingPointError or MaskError, each
-    naming ``attention``."""
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
-        raise ShapeError(f"attention needs q (n, heads*d), k (m, heads*d), v (m, heads*dv); "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
-    require_integer("attention: heads", heads)
-    if heads < 1 or q.shape[1] < heads or q.shape[1] % heads or v.shape[1] % heads:
-        raise ShapeError(f"attention: {heads} heads do not divide the widths {q.shape[1]} and {v.shape[1]} "
-                         f"with at least one q column per head")
-    if not (np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()):
-        raise FloatingPointError("attention: q, k or v hold NaN or inf")
-    if k.shape[0] == 0 < q.shape[0]:
-        raise MaskError(f"attention: {q.shape[0]} query rows and no key to attend to")
-
-
 def _row_blocks(n: int, m: int) -> tuple[list[tuple[int, int]], int]:
     """Spans of ``max(1, _ATTN_BLOCK // m)`` of ``n`` query rows, and the longest span's length."""
     rows = max(1, _ATTN_BLOCK // max(m, 1))
@@ -507,23 +493,49 @@ def _head_operands(k: np.ndarray, v: np.ndarray, qc: slice, vc: slice) -> tuple[
     return kt1, vt1
 
 
-def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, hidden: np.ndarray | None,
-                      heads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Attention's output, and each head's ``(heads, n, 1)`` row max and row
-    sum, for arrays ``check_attention`` passes and ``hidden``, the inverted
-    ``(n, m)`` mask (True where a logit is masked out) or None.
+def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None,
+                      heads: int) -> tuple[np.ndarray, Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Attention's kernel on arrays: the output of ``q``, ``k``, ``v`` and
+    ``mask`` as ``attention`` states them, and its ``backward(g, q, k, v) ->
+    (dq, dk, dv)``.
 
-    Each head walks its query rows in blocks (``_row_blocks``), each
-    block's ``e = exp(logit - row max)`` built in one ``(rows, m)`` buffer
-    from q's rows scaled before the matmul. Its product with ``[v_h | 1]``
-    is ``[e v_h | row sum]``, whose last column divides the others straight
-    into the output's columns: the output is normalised after the value
-    matmul, as in FlashAttention (Dao et al., 2022)."""
+    The operands are checked first, then the mask, each raising as
+    ``attention`` states. Each head walks its query rows in blocks
+    (``_row_blocks``), each block's ``e = exp(logit - row max)`` built in
+    one ``(rows, m)`` buffer from q's rows scaled before the matmul. Its
+    product with ``[v_h | 1]`` is ``[e v_h | row sum]``, whose last column
+    divides the others straight into the output's columns: the output is
+    normalised after the value matmul, as in FlashAttention (Dao et al.,
+    2022). ``backward`` holds the output, the inverted mask and one
+    ``(heads, n, 2)`` array of each head's row max and row sum, and takes the
+    operands again, which must hold the forward's values: a caller may
+    rebuild them rather than keep them."""
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+        raise ShapeError(f"attention needs q (n, heads*d), k (m, heads*d), v (m, heads*dv); "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    require_integer("attention: heads", heads)
+    if heads < 1 or q.shape[1] < heads or q.shape[1] % heads or v.shape[1] % heads:
+        raise ShapeError(f"attention: {heads} heads do not divide the widths {q.shape[1]} and {v.shape[1]} "
+                         f"with at least one q column per head")
+    if not (np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()):
+        raise FloatingPointError("attention: q, k or v hold NaN or inf")
     n, m = q.shape[0], k.shape[0]
+    if m == 0 < n:
+        raise MaskError(f"attention: {n} query rows and no key to attend to")
+    hidden = None  # True where a logit is masked out
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n, m):
+            raise ShapeError(f"mask shape {mask.shape} does not match {(n, m)}")
+        empty = ~mask.any(axis=1)
+        if empty.any():
+            raise MaskError(f"query rows {np.flatnonzero(empty).tolist()} have no unmasked key")
+        hidden = ~mask
     hd, hv = q.shape[1] // heads, v.shape[1] // heads
     scale = 1.0 / math.sqrt(hd)
     spans, rows = _row_blocks(n, m)
-    row_max, row_sum, out = np.empty((heads, n, 1)), np.empty((heads, n, 1)), np.empty((n, v.shape[1]))
+    stats, out = np.empty((heads, n, 2)), np.empty((n, v.shape[1]))  # each head's row max and row sum
+    row_max, row_sum = stats[..., :1], stats[..., 1:]
     e_block, y_block = np.empty((rows, m)), np.empty((rows, hv + 1))
     for i in range(heads):
         qc, vc = slice(i * hd, (i + 1) * hd), slice(i * hv, (i + 1) * hv)  # head i's columns
@@ -540,14 +552,18 @@ def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, hidden: np.nd
             np.matmul(e, vt1.T, out=y)  # [e v_h | row sum]
             row_sum[i, lo:hi] = y[:, hv:]
             np.divide(y[:, :hv], row_sum[i, lo:hi], out=out[lo:hi, vc])
-    return out, row_max, row_sum
+
+    def backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        return _attention_backward(g, q, k, v, hidden, out, stats[..., :1], stats[..., 1:])
+
+    return out, backward
 
 
-def attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray, hidden: np.ndarray | None,
-                       heads: int, out: np.ndarray, row_max: np.ndarray,
-                       row_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray, hidden: np.ndarray | None,
+                        out: np.ndarray, row_max: np.ndarray, row_sum: np.ndarray) -> tuple[np.ndarray, ...]:
     """``dq``, ``dk`` and ``dv`` for the output gradient ``g``, from the
-    arrays ``attention_forward`` took and returned.
+    operands, the inverted mask ``hidden`` and what ``attention_forward``
+    computed.
 
     The gradients are allocated once, in the ``(rows, heads*width)`` layout
     returned, and each head builds its own in contiguous ``dq_h``, ``dk_h``
@@ -560,7 +576,7 @@ def attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarra
     ``[gn | -r] @ [v_h^T; 1]`` is ``gn @ v_h^T - r``, and ``e`` times it is
     the block's logit gradient, which needs no mask since ``e`` is 0 where
     masked."""
-    n, m = q.shape[0], k.shape[0]
+    n, m, heads = q.shape[0], k.shape[0], row_max.shape[0]
     hd, hv = q.shape[1] // heads, v.shape[1] // heads
     scale = 1.0 / math.sqrt(hd)
     spans, rows = _row_blocks(n, m)
@@ -610,29 +626,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, *
     (a malformed isolation mask, or no k rows) raises MaskError; NaN or inf
     in q, k or v raise FloatingPointError.
 
-    The call is one ``custom_op`` node with parents ``(q, k, v)``. It keeps
-    the output, each row's softmax max and sum per head and the inverted
-    mask, and no probabilities: ``attention_forward`` walks each head in
-    blocks of ``max(1, _ATTN_BLOCK // m)`` query rows, so each pass over a
-    block's logits stays in L2, and ``attention_backward`` recomputes each
-    block from the row max and the operands' ``.data``, which must not
-    change in between. Values and gradients are within 1e-12 relative (about
-    1e-15 in practice) of the form that keeps whole ``(n, m)``
-    probabilities.
+    The call is one ``attention_forward`` and one ``custom_op`` node with
+    parents ``(q, k, v)``. It keeps the output, each row's softmax max and
+    sum per head and the inverted mask, all held by the kernel's backward,
+    and no probabilities: the kernel walks each head in blocks of ``max(1,
+    _ATTN_BLOCK // m)`` query rows, so each pass over a block's logits stays
+    in L2, and its backward recomputes each block from the row max and the
+    operands' ``.data``, which must not change in between. Values and
+    gradients are within 1e-12 relative (about 1e-15 in practice) of the
+    form that keeps whole ``(n, m)`` probabilities.
     """
-    check_attention(q.data, k.data, v.data, heads)
-    n, m = q.shape[0], k.shape[0]
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n, m):
-            raise ShapeError(f"mask shape {mask.shape} does not match {(n, m)}")
-        empty = ~mask.any(axis=1)
-        if empty.any():
-            raise MaskError(f"query rows {np.flatnonzero(empty).tolist()} have no unmasked key")
-    hidden = None if mask is None else ~mask  # True where a logit is masked out
-    out, row_max, row_sum = attention_forward(q.data, k.data, v.data, hidden, heads)
-    return custom_op(out, (q, k, v), lambda g: attention_backward(g, q.data, k.data, v.data, hidden, heads,
-                                                                  out, row_max, row_sum))
+    out, backward = attention_forward(q.data, k.data, v.data, mask, heads)
+    return custom_op(out, (q, k, v), lambda g: backward(g, q.data, k.data, v.data))
 
 
 GRAD_CHECK_EPS = 1e-5  # the step of grad_check's central differences

@@ -25,6 +25,7 @@ from casdet.features import (
 )
 from casdet.geom import box_cxcywh_to_xyxy
 from casdet.tensor import ShapeError, Tensor
+from test_tensor import held_arrays
 
 
 def make_patch_params(rng, patch=8, c=16):
@@ -914,11 +915,12 @@ def test_roi_refuses_a_non_leaf_w_that_needs_a_gradient():
 def test_roi_node_holds_and_peaks_far_below_the_regions():
     """300 boxes at train-dense shapes (a 16x16x64 grid, 7x7 bins, 64
     outputs), whose regions would take 7.5 MB. After the forward the node
-    holds its 0.15 MB output, its int16 first-maximum tables (2x2 extents at
-    most for these boxes, 0.13 MB) and the boxes' 0.12 MB of table rows:
-    under a tenth of the regions. The forward peaks with the 0.5 MB of
-    window-max values beside them, under a third; the backward with the
-    1.6 MB ``w`` gradient and one chunk's ``g @ w^T``, under a half."""
+    holds its 0.15 MB output and the boxes' 0.12 MB of table rows: under a
+    tenth of the regions. The forward peaks with the 0.5 MB of window-max
+    values and their 0.13 MB of uint16 first-maximum indices (2x2 extents at
+    most for these boxes) beside them, under a third; the backward, which
+    rebuilds both, with the 1.6 MB ``w`` gradient and one chunk's ``g @
+    w^T``, under a half (about 2.9 MB)."""
     rng = np.random.default_rng(20)
     grid = Tensor(rng.normal(size=(16, 16, 64)), requires_grad=True)
     w = Tensor(rng.normal(size=(7 * 7 * 64, 64)), requires_grad=True)
@@ -943,23 +945,18 @@ def test_roi_node_holds_and_peaks_far_below_the_regions():
     assert backward_peak < region_bytes / 2
 
 
-def test_roi_backward_does_not_read_the_grid_again():
-    """With a constant projection the backward needs no bin values: the grid's
-    gradient comes from the first-maximum indices the node keeps, so changing
-    the grid's values in place before the backward leaves it as it was."""
+def test_roi_node_keeps_no_window_table():
+    """The node keeps its output and each bin's table row; its backward
+    rebuilds the window-max values and first-maximum indices from the grid,
+    so after the forward its closures hold no unsigned index table and no
+    array the size of a table."""
     rng = np.random.default_rng(21)
-    data = rng.normal(size=(9, 9, 3))
+    grid = Tensor(rng.normal(size=(9, 9, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3 * 3 * 3, 4)), requires_grad=True)
     boxes = np.column_stack([rng.uniform(0.2, 0.8, (12, 2)), rng.uniform(0.1, 0.9, (12, 2))])
-    g = rng.normal(size=(12, 3, 3, 3))
-    grads = []
-    for overwrite in (False, True):
-        grid = Tensor(data.copy(), requires_grad=True)
-        out = pooled(grid, boxes, out_hw=(3, 3))
-        if overwrite:
-            grid.data[:] = -grid.data
-        (out * g).sum().backward()
-        grads.append(grid.grad)
-    assert np.array_equal(grads[0], grads[1]) and grads[0].any()
+    out = roi_pool_batch(grid, boxes, w, np.zeros(4), out_hw=(3, 3))
+    held = held_arrays(out._backward)
+    assert held and all(a.dtype.kind != "u" and a.size < grid.data.size for a in held)  # a table has >= grid.size
 
 
 def test_roi_zero_boxes_give_empty_output_and_zero_grad():

@@ -722,6 +722,61 @@ def test_attention_query_rows_with_no_key_raise(batch, masked):
         T.attention(q, k, v, np.ones((3, 0), dtype=bool) if masked else None, heads=math.prod(batch))
 
 
+def kernel_error_case(case, rng):
+    """(q, k, v, mask, heads) arrays for one case the kernel refuses."""
+    q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
+    mask = np.ones((3, 5), dtype=bool)
+    if case == "widths":
+        k = rng.normal(size=(5, 6))
+    elif case == "no-key":
+        k, v, mask = k[:0], v[:0], mask[:, :0]
+    elif case == "mask-shape":
+        mask = mask.T
+    elif case == "empty-row":
+        mask[1] = False
+    elif case == "operands-first":  # NaN in q and a mask of the wrong shape: the operands are checked first
+        q[0, 0], mask = np.nan, mask.T
+    return q, k, v, mask, {"heads": 3, "float-heads": 2.0}.get(case, 2)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("widths", ShapeError, "attention needs q (n, heads*d), k (m, heads*d), v (m, heads*dv); "
+                           "got (3, 4), (5, 6), (5, 2)"),
+    ("heads", ShapeError, "attention: 3 heads do not divide the widths 4 and 2 with at least one q column per head"),
+    ("float-heads", ValueError, "attention: heads must be an integer"),
+    ("operands-first", FloatingPointError, "attention: q, k or v hold NaN or inf"),
+    ("no-key", MaskError, "attention: 3 query rows and no key to attend to"),
+    ("mask-shape", ShapeError, "mask shape (5, 3) does not match (3, 5)"),
+    ("empty-row", MaskError, "query rows [1] have no unmasked key"),
+])
+def test_attention_forward_checks_its_operands_then_its_mask(case, error, message):
+    """The kernel's one entry raises what ``attention`` raises, with the same
+    messages: the operands' errors first, then the mask's."""
+    q, k, v, mask, heads = kernel_error_case(case, np.random.default_rng(41))
+    for call in (lambda: T.attention_forward(q, k, v, mask, heads),
+                 lambda: T.attention(Tensor(q), Tensor(k), Tensor(v), mask, heads=heads)):
+        with pytest.raises(error, match=re.escape(message)):
+            call()
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_attention_forward_returns_the_nodes_backward(heads, masked):
+    """``attention_forward`` on arrays gives an ``attention`` node's output,
+    and its ``backward(g, q, k, v)``, given the operands again, gives the
+    node's three gradients bitwise, over two blocks of query rows."""
+    rng = np.random.default_rng(42)
+    n, m = 130, 300  # 109-row blocks
+    q, k, v = rng.normal(size=(n, 8)), rng.normal(size=(m, 8)), rng.normal(size=(m, 12))
+    mask = random_mask(rng, n, m) if masked else None
+    g = rng.normal(size=(n, 12))
+    out, backward = T.attention_forward(q, k, v, mask, heads)
+    node = T.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), mask, heads=heads)
+    assert out.tobytes() == node.data.tobytes()
+    grads, want = backward(g, q, k, v), node._backward(g)
+    assert len(grads) == 3 and all(a.tobytes() == b.tobytes() for a, b in zip(grads, want))
+
+
 def kept_probability_attention(q, k, v, mask=None):
     """``attention`` as it was when its node kept the whole ``(..., n, m)``
     probabilities for the backward: the oracle of the node that walks row
